@@ -19,14 +19,15 @@ rewritten in terms of strictly smaller ones and the basis is deterministic.
 """
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 from .errors import (
     BoundExceeded, CertificateFailure, InvalidParameters, InvalidSeries,
     QuotientCollapse,
 )
-from .linalg import F0, F1, Matrix, rank, right_kernel, left_kernel, rref
+from .linalg import (
+    F0, F1, Matrix, rank, right_kernel, left_kernel, rref, seeded_combinations,
+)
 
 
 class Arrow:
@@ -413,28 +414,20 @@ class BoundQuiverAlgebra:
             space = right_kernel(Matrix(rows, len(rows), n))
         else:
             space = Matrix.identity(n)
-        d = space.ncols
         result = None
-        if d:
-            cands = [space.column(j) for j in range(d)]
-            rng = random.Random(seed)
-            while len(cands) < budget:
-                coeffs = [rng.randint(-3, 3) for _ in range(d)]
-                lam = [sum(Fraction(c) * space.entry(i, j)
-                           for j, c in enumerate(coeffs)) for i in range(n)]
-                cands.append(lam)
-            for lam in cands:
-                gram = []
-                for i in range(n):
-                    row = [F0] * n
-                    for j in range(n):
-                        prod = self.mult[i][j]
-                        if prod:
-                            row[j] = sum(c * lam[k] for k, c in prod.items())
-                    gram.append(row)
-                if rank(Matrix(gram, n, n)) == n:
-                    result = tuple(lam)
-                    break
+        cands = [space.column(j) for j in range(space.ncols)]
+        for lam in seeded_combinations(cands, budget, seed):
+            gram = []
+            for i in range(n):
+                row = [F0] * n
+                for j in range(n):
+                    prod = self.mult[i][j]
+                    if prod:
+                        row[j] = sum(c * lam[k] for k, c in prod.items())
+                gram.append(row)
+            if rank(Matrix(gram, n, n)) == n:
+                result = tuple(lam)
+                break
         self._symform = result
         return result
 

@@ -6,7 +6,9 @@ from .algebra import (
     klein_four_like, monomial_relation, nakayama_from_kupisch,
     symmetric_chain_family,
 )
-from .errors import CertificateFailure, InvalidParameters, ParseError
+from .errors import (
+    CertificateFailure, InvalidParameters, InvalidSeries, ParseError,
+)
 from .linalg import Matrix, rank, solve_xa_b
 from .modules import (
     ModuleMap, cyclic_submodule, direct_sum, hom_basis, regular_rep,
@@ -88,7 +90,7 @@ def parse_construction(text):
         raise ParseError("unknown construction %r" % name)
     try:
         return build_named(name, params)
-    except (InvalidParameters, ValueError) as e:
+    except (InvalidParameters, InvalidSeries, ValueError) as e:
         raise ParseError(str(e))
 
 

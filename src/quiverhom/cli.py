@@ -205,6 +205,18 @@ _HANDLERS = {
 }
 
 
+def _bound(text):
+    """--bound value: a non-negative integer."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % (text,))
+    if n < 0:
+        raise argparse.ArgumentTypeError(
+            "must be a non-negative integer, got %d" % n)
+    return n
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="quiverhom",
@@ -215,7 +227,7 @@ def build_parser():
         if with_input:
             sp.add_argument("input", help="presentation file, '-' for "
                             "stdin, or a shorthand like kupisch:2,2,3")
-        sp.add_argument("--bound", type=int, default=64,
+        sp.add_argument("--bound", type=_bound, default=64,
                         help="search depth cap (default 64)")
         sp.add_argument("--seed", type=int, default=0,
                         help="seed for randomized batteries (default 0)")

@@ -19,7 +19,7 @@ from .homology import (
 from .modules import (
     direct_sum, dualize, injective_rep, is_faithful, iso_test,
     projective_rep, radical_submodule, regular_rep, simple_rep,
-    socle_submodule, quotient_by_submodule, uniserial_quotient,
+    socle_submodule, quotient_by_submodule, uniserial_quotient, zero_rep,
 )
 from .values import Dim
 
@@ -183,15 +183,26 @@ def gi_dimension(m, algebra=None, bound=64):
 def minimal_faithful_projinj(algebra, bound=64):
     """(vertex list, module): the sum of the projectives that are also
     injective; exists and is faithful exactly when the dominant dimension
-    is at least one."""
-    if not algebra_dominant_dimension(algebra, bound).geq(1):
+    is at least one.
+
+    A certified dominant dimension decides existence, and faithfulness
+    cross-checks it.  A dominant dimension that the bound truncated below
+    one decides nothing, so exact faithfulness of the sum decides alone.
+    """
+    dom = algebra_dominant_dimension(algebra, bound)
+    if dom.eq(0):
         raise DominantDimensionZero(
             "no faithful projective-injective: dominant dimension 0")
     verts = [v for v in algebra.quiver.vertices
              if is_injective_mod(projective_rep(algebra, v))]
-    ea = direct_sum([projective_rep(algebra, v) for v in verts])
+    ea = direct_sum([projective_rep(algebra, v) for v in verts]) \
+        if verts else zero_rep(algebra)
     if not is_faithful(ea):
-        raise CertificateFailure("projective-injective sum is not faithful")
+        if dom.geq(1):
+            raise CertificateFailure("projective-injective sum is not faithful")
+        raise DominantDimensionZero(
+            "no faithful projective-injective: the projective-injective "
+            "sum is not faithful")
     return verts, ea
 
 

@@ -13,6 +13,7 @@ row-language counterparts.
 """
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 F0 = Fraction(0)
@@ -330,6 +331,34 @@ def minimal_polynomial(mat):
             return coeffs
         powers.append(nxt)
         flat = vstack([flat, target])
+
+
+# -- seeded search candidates ----------------------------------------------
+
+def linear_combination(coeffs, vectors):
+    """Sum of c * v over the nonzero coefficients, built in one pass over
+    the entries of each vector; all entries are Fractions."""
+    out = [F0] * len(vectors[0])
+    for c, v in zip(coeffs, vectors):
+        if c:
+            for i, x in enumerate(v):
+                if x:
+                    out[i] += x * c
+    return out
+
+
+def seeded_combinations(vectors, budget, seed):
+    """Candidates for a search over the span of the vectors, made one at a
+    time: the vectors themselves, then combinations whose integer
+    coefficients in [-3, 3] are drawn from random.Random(seed), until
+    budget candidates have been made (never fewer than the vectors)."""
+    yield from vectors
+    if not vectors:
+        return
+    rng = random.Random(seed)
+    for _ in range(budget - len(vectors)):
+        yield linear_combination([rng.randint(-3, 3) for _ in vectors],
+                                 vectors)
 
 
 def poly_eval_matrix(coeffs, mat):

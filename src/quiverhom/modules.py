@@ -12,8 +12,8 @@ original object, which downstream code relies on.
 """
 from __future__ import annotations
 
-import random
 from fractions import Fraction
+from itertools import islice
 
 import sympy
 
@@ -23,7 +23,7 @@ from .errors import (
 )
 from .linalg import (
     F0, F1, Matrix, hstack, vstack, rank, rref, right_kernel, left_kernel,
-    row_space, solve_xa_b, minimal_polynomial,
+    row_space, solve_xa_b, minimal_polynomial, seeded_combinations,
 )
 
 
@@ -643,13 +643,33 @@ class IsoResult:
         return "IsoResult(%s)" % self.kind
 
 
-def _seeded_combinations(items, budget, seed, make):
-    out = list(items)
-    rng = random.Random(seed)
-    while len(out) < budget and items:
-        coeffs = [rng.randint(-3, 3) for _ in items]
-        out.append(make(coeffs))
-    return out
+def _flat_blocks(f):
+    """Entries of the blocks of a map, vertex by vertex, each block row by
+    row."""
+    return [x for b in f.blocks.values() for row in b.data for x in row]
+
+
+def _map_from_flat(like, vec):
+    """Map with the source, target and block shapes of `like` whose block
+    entries, laid out as _flat_blocks lays them out, are vec."""
+    blocks = {}
+    pos = 0
+    for v, b in like.blocks.items():
+        r, c = b.nrows, b.ncols
+        blocks[v] = Matrix([vec[pos + i * c:pos + (i + 1) * c]
+                            for i in range(r)], r, c)
+        pos += r * c
+    return ModuleMap(like.source, like.target, blocks, validate=False)
+
+
+def _seeded_maps(maps, budget, seed):
+    """The maps, then seeded combinations of them in the order of
+    linalg.seeded_combinations, each built only when the search asks for
+    it."""
+    yield from maps
+    flat = [_flat_blocks(f) for f in maps]
+    for vec in islice(seeded_combinations(flat, budget, seed), len(maps), None):
+        yield _map_from_flat(maps[0], vec)
 
 
 def iso_test(m, n, budget=64, seed=0):
@@ -670,15 +690,7 @@ def iso_test(m, n, budget=64, seed=0):
         return IsoResult("not_iso", reason="hom dimensions differ")
     if not fwd:
         return IsoResult("not_iso", reason="no nonzero maps")
-
-    def make(coeffs):
-        f = ModuleMap.zero(m, n)
-        for c, g in zip(coeffs, fwd):
-            if c:
-                f = f + g.scale(c)
-        return f
-
-    for f in _seeded_combinations(fwd, budget, seed, make):
+    for f in _seeded_maps(fwd, budget, seed):
         if f.is_iso():
             return IsoResult("iso", map=f)
     return IsoResult("inconclusive",
@@ -712,27 +724,43 @@ def _poly_coeffs(poly):
     return [Fraction(c.p, c.q) for c in cs]
 
 
+def _trace_form_rank(endos):
+    """Rank of the Gram matrix tr(f_i f_j) of the trace form on the span of
+    the endomorphisms.  Maps act vertex by vertex, so tr(f_i f_j) is the
+    sum of the entrywise products of the blocks of f_i with the transposed
+    blocks of f_j; the matrix is symmetric, so each pair is summed once."""
+    flat = [_flat_blocks(f) for f in endos]
+    flat_t = [[b.data[i][j] for b in f.blocks.values()
+               for j in range(b.ncols) for i in range(b.nrows)]
+              for f in endos]
+    k = len(endos)
+    gram = [[F0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            t = sum((x * y for x, y in zip(flat[i], flat_t[j]) if x and y), F0)
+            gram[i][j] = gram[j][i] = t
+    return rank(Matrix(gram, k, k))
+
+
 def decompose(m, budget=64, seed=0):
     """Indecomposable summands, via kernels of polynomials in endomorphisms.
 
-    Splitting only stops with a certificate: either the endomorphism ring is
-    one-dimensional, or its trace form has rank one (local endomorphism
-    ring).  Otherwise DecompositionInconclusive is raised.
+    The certificates of indecomposability come first: a one-dimensional
+    endomorphism ring, or a trace form of rank one.  By Dickson's theorem
+    the radical of the trace form is rad End(M) in characteristic 0, so
+    rank one means End(M) is local with residue field Q; every
+    endomorphism is then a scalar plus a nilpotent and none can split M.
+    Only otherwise does the seeded search look for an endomorphism whose
+    minimal polynomial has two coprime factors, and split M into their
+    kernels.  If the search finds none, DecompositionInconclusive is
+    raised.
     """
     if m.total_dim == 0:
         return []
     endos = hom_basis(m, m)
-    if len(endos) == 1:
+    if len(endos) == 1 or _trace_form_rank(endos) == 1:
         return [m]
-
-    def make(coeffs):
-        f = ModuleMap.zero(m, m)
-        for c, g in zip(coeffs, endos):
-            if c:
-                f = f + g.scale(c)
-        return f
-
-    for f in _seeded_combinations(endos, budget, seed, make):
+    for f in _seeded_maps(endos, budget, seed):
         coeffs = minimal_polynomial(f.total_matrix())
         facs = _sympy_factors(coeffs)
         if len(facs) < 2:
@@ -748,18 +776,8 @@ def decompose(m, budget=64, seed=0):
                 or k2.total_dim == 0:
             raise CertificateFailure("fitting split does not add up")
         return decompose(k1, budget, seed) + decompose(k2, budget, seed)
-
-    totals = [f.total_matrix() for f in endos]
-    gram = [[_trace(totals[i] @ totals[j]) for j in range(len(endos))]
-            for i in range(len(endos))]
-    if rank(Matrix(gram, len(endos), len(endos))) == 1:
-        return [m]
     raise DecompositionInconclusive(
         "no splitting endomorphism found and local certificate failed")
-
-
-def _trace(mat):
-    return sum(mat.data[i][i] for i in range(mat.nrows))
 
 
 def transport_to_quotient(m, quot):

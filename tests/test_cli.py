@@ -115,6 +115,21 @@ def test_unreadable_input_is_a_parse_error():
     assert "neither an existing file" in err
 
 
+def test_negative_bound_is_a_usage_error():
+    rc, out, err = run_cli("analyze", "kupisch:4,5,5", "--bound", "-1")
+    assert rc == 2
+    assert out == ""
+    assert "--bound" in err and "Traceback" not in err
+
+
+def test_bad_shorthand_is_a_parse_error(capsys):
+    for text in ("kupisch:", "kupisch:2,5", "bnlambda:3,2"):
+        assert cli.main(["analyze", text]) == 2, text
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("parse error:"), text
+
+
 def test_computational_failure_exits_one():
     rc, _, err = run_cli("tilting", "kupisch:4,5,5")
     assert rc == 1

@@ -212,3 +212,14 @@ def test_invariant_report_keys(a223):
     assert rep["gldim"] == Dim.exact(3)
     assert rep["projinj_vertices"] == [1, 2]
     assert rep["gorenstein"]
+
+
+def test_projinj_vertices_survive_a_truncating_bound(a455):
+    # bound 0 truncates the dominant dimension to at_least 0, which
+    # decides nothing; faithfulness of the projective-injective sum does
+    assert algebra_dominant_dimension(a455, bound=0) == Dim.at_least(0)
+    verts, ea = minimal_faithful_projinj(a455, bound=0)
+    assert verts == minimal_faithful_projinj(a455)[0] == [1, 2]
+    assert invariant_report(a455, bound=0)["projinj_vertices"] == [1, 2]
+    with pytest.raises(DominantDimensionZero):
+        minimal_faithful_projinj(bnlambda_family(3, (0,)), bound=0)

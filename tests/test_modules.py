@@ -1,8 +1,15 @@
+import random
+from fractions import Fraction
+
 import pytest
 
-from quiverhom.algebra import klein_four_like, nakayama_from_kupisch
+from quiverhom import linalg, modules
+from quiverhom.algebra import (
+    Quiver, build_algebra, klein_four_like, monomial_relation,
+    nakayama_from_kupisch,
+)
 from quiverhom.errors import InvalidParameters
-from quiverhom.linalg import Matrix
+from quiverhom.linalg import Matrix, seeded_combinations
 from quiverhom.modules import (
     Representation, ModuleMap, zero_rep, simple_rep, projective_rep,
     projective_from_vertices, projective_map, regular_rep, injective_rep,
@@ -11,7 +18,7 @@ from quiverhom.modules import (
     sub_representation, vertex_trace, cyclic_submodule, quotient_by_rows,
     quotient_by_submodule, kernel_of_map, cokernel_of_map, hom_basis,
     hom_dim, iso_test, decompose, uniserial_quotient, radical_power_rows,
-    is_faithful, transport_to_quotient,
+    is_faithful, transport_to_quotient, _seeded_maps,
 )
 
 
@@ -199,3 +206,93 @@ def test_zero_module_edge_cases(naka223):
     assert iso_test(z, zero_rep(naka223)).is_iso
     assert decompose(z) == []
     assert hom_basis(z, projective_rep(naka223, 0)) == []
+
+
+# -- the seeded search ------------------------------------------------------
+
+def _eager_candidates(maps, budget, seed):
+    """Reference: every candidate built up front, each combination as a
+    chain of map additions and scalings."""
+    out = list(maps)
+    rng = random.Random(seed)
+    while len(out) < budget:
+        coeffs = [rng.randint(-3, 3) for _ in maps]
+        f = ModuleMap.zero(maps[0].source, maps[0].target)
+        for c, g in zip(coeffs, maps):
+            if c:
+                f = f + g.scale(c)
+        out.append(f)
+    return out
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    orig = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_seeded_maps_match_the_eager_loop(klein, naka223):
+    reg = regular_rep(klein)
+    for m in (reg, regular_rep(naka223)):
+        endos = hom_basis(m, m)
+        for seed in (0, 3):
+            lazy = list(_seeded_maps(endos, 24, seed))
+            eager = _eager_candidates(endos, 24, seed)
+            assert len(lazy) == 24
+            assert [f.blocks for f in lazy] == [f.blocks for f in eager]
+
+
+def test_seeded_combinations_of_vectors():
+    vecs = [[Fraction(1), Fraction(0)], [Fraction(2), Fraction(-1)]]
+    got = list(seeded_combinations(vecs, 5, 1))
+    rng = random.Random(1)
+    want = list(vecs)
+    for _ in range(3):
+        c = [rng.randint(-3, 3) for _ in vecs]
+        want.append([c[0] * vecs[0][i] + c[1] * vecs[1][i] for i in range(2)])
+    assert got == want
+    assert all(isinstance(x, Fraction) for v in got for x in v)
+    assert list(seeded_combinations([], 5, 1)) == []
+    assert list(seeded_combinations(vecs, 1, 1)) == vecs
+
+
+def test_iso_search_builds_no_combination_when_a_basis_map_succeeds(
+        monkeypatch, naka223):
+    calls = _count_calls(monkeypatch, linalg, "linear_combination")
+    r = iso_test(injective_rep(naka223, 1), projective_rep(naka223, 2))
+    assert r.is_iso
+    assert calls == []
+
+
+def test_local_certificate_skips_the_splitting_search(
+        monkeypatch, klein, naka223):
+    calls = _count_calls(monkeypatch, modules, "minimal_polynomial")
+    xa, _ = cyclic_submodule(regular_rep(klein), 1, [0, 1, 0, 0])
+    assert decompose(xa) == [xa]
+    for v in naka223.quiver.vertices:
+        p = projective_rep(naka223, v)
+        assert decompose(p) == [p]
+    assert calls == []
+    # a decomposable module still goes through the search
+    parts = decompose(regular_rep(naka223))
+    assert sorted(m.dim_vector() for m in parts) == sorted(
+        projective_rep(naka223, v).dim_vector()
+        for v in naka223.quiver.vertices)
+    assert calls
+
+
+def test_symmetric_form_unchanged():
+    assert klein_four_like().symmetric_form() == tuple(
+        Fraction(x) for x in (0, 0, 0, 1))
+    # k[x]/x^2 times k[y]/y^2: no basis functional is nondegenerate, so
+    # the answer is a seeded combination
+    q = Quiver([1, 2], [("x", 1, 1), ("y", 2, 2)])
+    a = build_algebra(q, [monomial_relation(q, ["x", "x"]),
+                          monomial_relation(q, ["y", "y"])], loewy_cap=4)
+    assert a.symmetric_form() == tuple(Fraction(x) for x in (0, 3, 3, -1))
