@@ -169,21 +169,6 @@ class ModuleMap:
                     out[ro + i][co + j] = b.data[i][j]
         return Matrix(out, self.source.total_dim, self.target.total_dim)
 
-    def __add__(self, other):
-        return ModuleMap(self.source, self.target,
-                         {v: self.blocks[v] + other.blocks[v]
-                          for v in self.blocks}, validate=False)
-
-    def __sub__(self, other):
-        return ModuleMap(self.source, self.target,
-                         {v: self.blocks[v] - other.blocks[v]
-                          for v in self.blocks}, validate=False)
-
-    def scale(self, c):
-        return ModuleMap(self.source, self.target,
-                         {v: self.blocks[v].scale(c) for v in self.blocks},
-                         validate=False)
-
     def is_zero(self):
         return all(b.is_zero() for b in self.blocks.values())
 

@@ -212,7 +212,7 @@ def test_zero_module_edge_cases(naka223):
 
 def _eager_candidates(maps, budget, seed):
     """Reference: every candidate built up front, each combination as a
-    chain of map additions and scalings."""
+    chain of block additions and scalings."""
     out = list(maps)
     rng = random.Random(seed)
     while len(out) < budget:
@@ -220,7 +220,9 @@ def _eager_candidates(maps, budget, seed):
         f = ModuleMap.zero(maps[0].source, maps[0].target)
         for c, g in zip(coeffs, maps):
             if c:
-                f = f + g.scale(c)
+                f = ModuleMap(f.source, f.target,
+                              {v: f.blocks[v] + g.blocks[v].scale(c)
+                               for v in f.blocks}, validate=False)
         out.append(f)
     return out
 
