@@ -205,8 +205,8 @@ _HANDLERS = {
 }
 
 
-def _bound(text):
-    """--bound value: a non-negative integer."""
+def _non_negative(text):
+    """--bound or --level value: a non-negative integer."""
     try:
         n = int(text)
     except ValueError:
@@ -227,7 +227,7 @@ def build_parser():
         if with_input:
             sp.add_argument("input", help="presentation file, '-' for "
                             "stdin, or a shorthand like kupisch:2,2,3")
-        sp.add_argument("--bound", type=_bound, default=64,
+        sp.add_argument("--bound", type=_non_negative, default=64,
                         help="search depth cap (default 64)")
         sp.add_argument("--seed", type=int, default=0,
                         help="seed for randomized batteries (default 0)")
@@ -248,7 +248,7 @@ def build_parser():
     sp = sub.add_parser("relar",
                         help="relative almost-split sequences by level")
     common(sp)
-    sp.add_argument("--level", type=int, default=1,
+    sp.add_argument("--level", type=_non_negative, default=1,
                     help="dominant-dimension level of the subcategory")
     sp = sub.add_parser("verify-paper",
                         help="recorded benchmark verification by id")

@@ -9,8 +9,8 @@ cocycle when the pairing space is one-dimensional.
 from __future__ import annotations
 
 from .errors import (
-    CertificateFailure, ExtProjective, NotApplicable, NotInSubcategory,
-    ProjectiveInput, UniquenessViolation,
+    CertificateFailure, ExtProjective, InvalidParameters, NotApplicable,
+    NotInSubcategory, ProjectiveInput, UniquenessViolation,
 )
 from .homology import (
     ar_translate, cosyzygy, ext_dim, ext1_cocycles, extension_from_cocycle,
@@ -54,6 +54,8 @@ def relative_ar_translate(m, level, budget=64, seed=0):
     """Relative translate of m in the category of modules of dominant
     dimension at least the level: the unique indecomposable summand of the
     approximated ordinary translate that m pairs with in degree one."""
+    if level < 0:
+        raise InvalidParameters("level must be non-negative, got %d" % level)
     if m.is_zero():
         raise NotApplicable("zero module")
     parts = decompose(m, budget, seed)

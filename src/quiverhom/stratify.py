@@ -11,6 +11,7 @@ algebra extended by socle simples.
 from __future__ import annotations
 
 from itertools import permutations
+from math import factorial
 
 from .algebra import (
     Quiver, build_algebra, combination_relation, monomial_relation,
@@ -30,7 +31,7 @@ from .invariants import (
     gi_dimension, global_dimension, gorenstein_dimension, gp_dimension,
     injective_dimension, projective_dimension,
 )
-from .linalg import Matrix, solve_xa_b
+from .linalg import Matrix, hstack, solve_xa_b
 from .modules import (
     ModuleMap, cokernel_of_map, decompose, direct_sum, dualize, hom_basis,
     iso_test, kernel_of_map, projective_rep, quotient_by_submodule,
@@ -125,11 +126,38 @@ def _top_proper_standard(algebra, t):
     return algebra._cache[key]
 
 
-def _filt_core(m, algebra, order, proper, budget=64, seed=0):
-    """Trace recursion from the top of the order.  The standard layer must
-    be a direct sum of copies of the current top projective; the proper
-    layer is accepted on the dimension count dim(trace) = dim(m at top)
+def _peel(cur, alg, t, proper, budget=64, seed=0):
+    """One step of the trace recursion at the top vertex t: (k, quotient)
+    with k the multiplicity of the layer and quotient cur modulo the trace
+    of t, still over alg; None when the layer fails.  The standard layer
+    must be a direct sum of k copies of the projective at t; the proper
+    layer is accepted on the dimension count dim(trace) = dim(cur at t)
     times dim(proper standard), which forces a filtration."""
+    u, incl = vertex_trace(cur, t)
+    du = sum(u.dims.values())
+    if proper:
+        k = cur.dims[t]
+        if du != k * sum(_top_proper_standard(alg, t).dims.values()):
+            return None
+    else:
+        p = projective_rep(alg, t)
+        dp = sum(p.dims.values())
+        if du % dp:
+            return None
+        k = du // dp
+        if k:
+            r = iso_test(u, direct_sum([p] * k), budget, seed)
+            if not r.is_iso:
+                if not r.certain:
+                    raise DecompositionInconclusive(
+                        "trace at %r resists the splitting search" % (t,))
+                return None
+    return k, quotient_by_submodule(cur, incl)[0]
+
+
+def _filt_core(m, algebra, order, proper, budget=64, seed=0):
+    """Trace recursion from the top of the order: peel the top vertex,
+    pass to the quotient algebra, repeat; the last quotient must be zero."""
     cur, alg = m, algebra
     mult = {}
     for idx in range(len(order) - 1, -1, -1):
@@ -138,28 +166,10 @@ def _filt_core(m, algebra, order, proper, budget=64, seed=0):
             for w in order[:idx + 1]:
                 mult[w] = 0
             return True, mult
-        u, incl = vertex_trace(cur, t)
-        du = sum(u.dims.values())
-        if proper:
-            k = cur.dims[t]
-            if du != k * sum(_top_proper_standard(alg, t).dims.values()):
-                return False, None
-            mult[t] = k
-        else:
-            p = projective_rep(alg, t)
-            dp = sum(p.dims.values())
-            if du % dp:
-                return False, None
-            k = du // dp
-            if k:
-                r = iso_test(u, direct_sum([p] * k), budget, seed)
-                if not r.is_iso:
-                    if not r.certain:
-                        raise DecompositionInconclusive(
-                            "trace at %r resists the splitting search" % (t,))
-                    return False, None
-            mult[t] = k
-        quot, _ = quotient_by_submodule(cur, incl)
+        step = _peel(cur, alg, t, proper, budget, seed)
+        if step is None:
+            return False, None
+        mult[t], quot = step
         if idx == 0:
             if not quot.is_zero():
                 return False, None
@@ -167,6 +177,33 @@ def _filt_core(m, algebra, order, proper, budget=64, seed=0):
         alg = alg.quotient_by_idempotent_ideal(frozenset([t]))
         cur = transport_to_quotient(quot, alg)
     return True, mult
+
+
+def _regular_step(a, t, above, proper, budget, seed):
+    """_peel at t on the regular module of A/Ae_SA, S the vertices above t.
+    Peeling S off the regular module of A leaves exactly that module, so
+    the step depends on (t, S) and not on the order of S.  Cached in
+    a._cache as (k, quotient is zero), or None for a failed layer."""
+    key = ("peel", t, above, proper, budget, seed)
+    if key not in a._cache:
+        alg = a.quotient_by_idempotent_ideal(above)
+        step = _peel(regular_rep(alg), alg, t, proper, budget, seed)
+        a._cache[key] = None if step is None else (step[0], step[1].is_zero())
+    return a._cache[key]
+
+
+def _regular_walk(a, order, proper, budget, seed):
+    """Multiplicities of the trace recursion on the regular module along
+    the order, from the shared steps; None at the first failing step or
+    when the last quotient is nonzero."""
+    mult = {}
+    for idx in range(len(order) - 1, -1, -1):
+        step = _regular_step(a, order[idx], frozenset(order[idx + 1:]),
+                             proper, budget, seed)
+        if step is None:
+            return None
+        mult[order[idx]], last_zero = step
+    return mult if last_zero else None
 
 
 def _dimdict(rep):
@@ -191,16 +228,31 @@ def filtration_test(m, family, strat, budget=64, seed=0):
     ok, mult = _filt_core(probe, alg, strat.order, proper, budget, seed)
     if not ok:
         return False, None
+    _cross_check(mult, lambda v: _dimdict(fam[v]), m)
+    return True, mult
+
+
+def _cross_check(mult, dims_of, m):
+    """The multiplicities times the family's dimension vectors (dims_of(v)
+    for the member at v) must add up to the dimension vector of m."""
     total = {}
     for v, k in mult.items():
         if not k:
             continue
-        for w, d in _dimdict(fam[v]).items():
+        for w, d in dims_of(v).items():
             total[w] = total.get(w, 0) + k * d
     if total != _dimdict(m):
         raise CertificateFailure(
             "filtration multiplicities do not add up to the dimension vector")
-    return True, mult
+
+
+def _standard_dims(a, v, cut):
+    """Dimension vector of _standard_at(a, v, cut), cached in a._cache per
+    (v, cut) with cut a frozenset."""
+    key = ("stddims", v, cut)
+    if key not in a._cache:
+        a._cache[key] = _dimdict(_standard_at(a, v, cut))
+    return a._cache[key]
 
 
 def check_asserted_duality(a):
@@ -217,6 +269,33 @@ def check_asserted_duality(a):
     return True
 
 
+def _order_flags(a, order, bound=64, budget=64, seed=0):
+    """The five stratification flags of the order, from the shared steps.
+    Each walk goes top-down and stops at its first failing step, as the
+    trace recursion does; a regular module that passes a (proper) standard
+    walk is cross-checked against the dimension vectors of the (proper)
+    standard modules.  The opposite side only needs its proper walk, and
+    quasi-hereditary is stratified with exact global dimension."""
+    reg = regular_rep(a)
+    above = {v: frozenset(order[pos + 1:]) for pos, v in enumerate(order)}
+    flags = {}
+    for name, proper in (("standardly_stratified", True),
+                         ("delta_filtered_regular", False)):
+        mult = _regular_walk(a, order, proper, budget, seed)
+        if mult is not None:
+            _cross_check(mult, lambda v: _standard_dims(
+                a, v, (above[v] | {v}) if proper else above[v]), reg)
+        flags[name] = mult is not None
+    op_ok = _regular_walk(a.opposite_algebra(), order, True, budget,
+                          seed) is not None
+    ss = flags["standardly_stratified"]
+    flags["properly_stratified"] = ss and op_ok
+    flags["quasi_hereditary"] = ss and global_dimension(a, bound).is_exact
+    flags["schurian"] = all(_standard_dims(a, v, above[v]).get(v, 0) == 1
+                            for v in order)
+    return flags
+
+
 def classify_stratification(a, order, bound=64, duality_asserted=False,
                             budget=64, seed=0):
     """StratData with all flags decided for this order."""
@@ -224,57 +303,53 @@ def classify_stratification(a, order, bound=64, duality_asserted=False,
     if duality_asserted:
         check_asserted_duality(a)
         strat.duality_asserted = True
-    reg = regular_rep(a)
-    strat.standardly_stratified = filtration_test(
-        reg, "deltabar", strat, budget, seed)[0]
-    strat.delta_filtered_regular = filtration_test(
-        reg, "delta", strat, budget, seed)[0]
-    op = a.opposite_algebra()
-    op_ok, _ = _filt_core(regular_rep(op), op, strat.order, True, budget, seed)
-    strat.properly_stratified = strat.standardly_stratified and op_ok
-    strat.quasi_hereditary = (strat.standardly_stratified
-                              and global_dimension(a, bound).is_exact)
-    strat.schurian = all(strat.delta[v].dims[v] == 1
-                         for v in a.quiver.vertices)
+    for name, value in _order_flags(a, strat.order, bound, budget,
+                                    seed).items():
+        setattr(strat, name, value)
     return strat
 
 
 def search_orders(a, bound=64, budget=64, seed=0):
-    """Classification of every vertex order, lexicographically."""
+    """Classification of every vertex order, lexicographically.
+
+    Every flag is decided by walks over steps that depend only on a vertex
+    t and the set S of vertices above it (see _regular_step), so the n!
+    orders share n * 2^(n-1) steps per kind of walk instead of n * n!.
+    The steps are cached in a._cache under ("peel", t, S, proper, budget,
+    seed), on the opposite algebra's _cache for the opposite side; the
+    quotient algebras A/Ae_SA are cached per frozenset S, at most 2^n - 2
+    per side; the standard modules' dimension vectors are cached under
+    ("stddims", v, cut)."""
     verts = sorted(a.quiver.vertices)
     if len(verts) > 8:
-        raise TooManyVertices(
-            "%d vertices would need %d orders" % (len(verts), _fact(len(verts))))
+        raise TooManyVertices("%d vertices would need %d orders"
+                              % (len(verts), factorial(len(verts))))
     out = []
     for perm in permutations(verts):
-        strat = classify_stratification(a, perm, bound, False, budget, seed)
         row = {"order": perm}
-        row.update(strat.flags())
+        row.update(_order_flags(a, perm, bound, budget, seed))
         out.append(row)
-    return out
-
-
-def _fact(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
     return out
 
 
 def _basic_parts(reps, budget=64, seed=0):
     """Indecomposable summands of the given modules with iso-duplicates
-    removed."""
-    parts = []
-    for r in reps:
-        parts.extend(decompose(r, budget, seed))
+    removed.  An inconclusive iso test raises: counting it as "not
+    isomorphic" could keep a summand twice."""
     basic = []
-    for p in parts:
-        if p.is_zero():
-            continue
-        if any(iso_test(p, q, budget, seed).is_iso for q in basic):
-            continue
-        basic.append(p)
+    for r in reps:
+        for p in decompose(r, budget, seed):
+            if not p.is_zero() and not any(
+                    _certain_iso(p, q, budget, seed) for q in basic):
+                basic.append(p)
     return basic
+
+
+def _certain_iso(p, q, budget=64, seed=0):
+    r = iso_test(p, q, budget, seed)
+    if not r.certain:
+        raise DecompositionInconclusive("summand matching stalled")
+    return r.is_iso
 
 
 def same_add_closure(parts_a, parts_b, budget=64, seed=0):
@@ -284,14 +359,8 @@ def same_add_closure(parts_a, parts_b, budget=64, seed=0):
         return False
     unused = list(parts_b)
     for p in parts_a:
-        hit = None
-        for q in unused:
-            r = iso_test(p, q, budget, seed)
-            if r.is_iso:
-                hit = q
-                break
-            if not r.certain:
-                raise DecompositionInconclusive("summand matching stalled")
+        hit = next((q for q in unused if _certain_iso(p, q, budget, seed)),
+                   None)
         if hit is None:
             return False
         unused.remove(hit)
@@ -375,7 +444,7 @@ def _is_inj_proj(a, v):
 
 
 def _extension_route(a, strat, bound):
-    basic = []
+    grown = []
     for pos, v in enumerate(strat.order):
         x = strat.delta[v]
         for _ in range(bound):
@@ -391,9 +460,8 @@ def _extension_route(a, strat, bound):
         else:
             raise CertificateFailure(
                 "universal extensions at %r did not stabilize" % (v,))
-        for part in decompose(x):
-            if not any(iso_test(part, q).is_iso for q in basic):
-                basic.append(part)
+        grown.append(x)
+    basic = _basic_parts(grown)
     pd = _tilting_certificate(a, strat, basic, bound)
     if pd is None:
         raise CertificateFailure(
@@ -431,12 +499,6 @@ def tilting_conjecture_report(a, strat, bound=64):
 
 
 # -- tilting verification ---------------------------------------------------
-
-def _hstack(mats, nrows):
-    cols = sum(m.ncols for m in mats)
-    data = [[c for m in mats for c in m.data[i]] for i in range(nrows)]
-    return Matrix(data, nrows, cols)
-
 
 def _flatten_map(h):
     return [c for v in h.source.algebra.quiver.vertices
@@ -477,7 +539,7 @@ def _min_left_approx(x, summands):
     if not cols:
         return None
     target = direct_sum([summands[j] for j, _ in cols])
-    blocks = {v: _hstack([h.blocks[v] for _, h in cols], x.dims[v])
+    blocks = {v: hstack([h.blocks[v] for _, h in cols])
               for v in x.algebra.quiver.vertices}
     return ModuleMap(x, target, blocks, validate=False)
 
@@ -546,17 +608,6 @@ def verify_tilting(a, t, bound=64):
             "Gorenstein algebra with a tilting module that is not "
             "cotilting: %s" % report["cotilting_failure"])
     return report
-
-
-def perp_membership(m, t, side="left", depth=4):
-    """Vanishing of extension groups against t in degrees 1..depth."""
-    if side == "left":
-        exts = ext_dims(m, t, depth)
-    elif side == "right":
-        exts = ext_dims(t, m, depth)
-    else:
-        raise NotApplicable("side must be left or right")
-    return all(e == 0 for e in exts[1:])
 
 
 # -- extensional verifiers --------------------------------------------------

@@ -122,6 +122,13 @@ def test_negative_bound_is_a_usage_error():
     assert "--bound" in err and "Traceback" not in err
 
 
+def test_negative_level_is_a_usage_error():
+    rc, out, err = run_cli("relar", "kupisch:4,5", "--level", "-1")
+    assert rc == 2
+    assert out == ""
+    assert "--level" in err and "Traceback" not in err
+
+
 def test_bad_shorthand_is_a_parse_error(capsys):
     for text in ("kupisch:", "kupisch:2,5", "bnlambda:3,2"):
         assert cli.main(["analyze", text]) == 2, text

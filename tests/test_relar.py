@@ -4,7 +4,9 @@ family where every translate is known in closed form."""
 import pytest
 
 from quiverhom.algebra import nakayama_from_kupisch
-from quiverhom.errors import ExtProjective, NotInSubcategory
+from quiverhom.errors import (
+    ExtProjective, InvalidParameters, NotInSubcategory,
+)
 from quiverhom.invariants import dominant_dimension
 from quiverhom.modules import (
     direct_sum, iso_test, projective_rep, simple_rep, uniserial_quotient,
@@ -70,6 +72,11 @@ def test_subcategory_membership_enforced(a45):
     # u(0,1) has odd parity, so it sits outside the level-one subcategory
     with pytest.raises(NotInSubcategory):
         relative_ar_translate(uniserial_quotient(a45, 0, 1), 1)
+
+
+def test_negative_level_is_refused(a45):
+    with pytest.raises(InvalidParameters):
+        relative_ar_translate(uniserial_quotient(a45, 0, 2), -1)
 
 
 def test_level_zero_matches_ordinary_translate(a45):

@@ -1,21 +1,27 @@
 """Stratifications, characteristic tilting modules and the extensional
 verifiers, frozen against hand-worked orders on small Nakayama and
 two-way chain algebras."""
+from itertools import permutations
+
 import pytest
 
+from quiverhom import stratify
 from quiverhom.algebra import (
     bnlambda_family, klein_four_like, nakayama_from_kupisch,
     symmetric_chain_family,
 )
+from quiverhom.dsl import parse_algebra_dsl
 from quiverhom.errors import (
-    CertificateFailure, NotApplicable, NotStratified, PreconditionFailed,
-    TooManyVertices,
+    CertificateFailure, DecompositionInconclusive, NotApplicable,
+    NotStratified, PreconditionFailed, TooManyVertices,
 )
 from quiverhom.homology import ext_dim
-from quiverhom.invariants import algebra_dominant_dimension, canonical_test_set
+from quiverhom.invariants import (
+    algebra_dominant_dimension, canonical_test_set, global_dimension,
+)
 from quiverhom.modules import (
-    dualize, iso_test, quotient_by_submodule, radical_rows, regular_rep,
-    simple_rep, sub_representation,
+    IsoResult, dualize, iso_test, projective_rep, quotient_by_submodule,
+    radical_rows, regular_rep, simple_rep, sub_representation,
 )
 from quiverhom.stratify import (
     characteristic_cotilting, characteristic_tilting, classify_stratification,
@@ -145,6 +151,103 @@ def test_no_quasi_hereditary_order_344():
     rows = search_orders(nakayama_from_kupisch([3, 4, 4]))
     assert len(rows) == 6
     assert not any(r["quasi_hereditary"] for r in rows)
+
+
+def _tower(n):
+    return nakayama_from_kupisch([2] * (n - 1) + [3])
+
+
+def _reference_rows(a):
+    """search_orders as the trace recursion runs order by order: the
+    regular module through _filt_core, along its own chain of quotients,
+    cross-checked against the families of standard_modules."""
+    op = a.opposite_algebra()
+    reg = regular_rep(a)
+    rows = []
+    for perm in permutations(sorted(a.quiver.vertices)):
+        st = standard_modules(a, perm)
+        ss = filtration_test(reg, "deltabar", st)[0]
+        op_ok = stratify._filt_core(regular_rep(op), op, perm, True)[0]
+        rows.append({
+            "order": perm,
+            "standardly_stratified": ss,
+            "delta_filtered_regular": filtration_test(reg, "delta", st)[0],
+            "properly_stratified": ss and op_ok,
+            "quasi_hereditary": ss and global_dimension(a).is_exact,
+            "schurian": all(st.delta[v].dims[v] == 1 for v in perm),
+        })
+    return rows
+
+
+def _loop_algebra(*relations, back=False):
+    """A loop x at 1 and an arrow a from 1 to 2 (b back from 2 to 1 too,
+    if asked): on these the proper and the plain standard walks differ."""
+    text = ("algebra loop\nvertices 1 2\narrow x : 1 -> 1\n"
+            "arrow a : 1 -> 2\n" + ("arrow b : 2 -> 1\n" if back else "")
+            + "relations:\n" + "".join("    %s\n" % r for r in relations)
+            + "loewy_cap 4\n")
+    return parse_algebra_dsl(text).build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _tower(3), lambda: _tower(4), lambda: _tower(5),
+    lambda: bnlambda_family(3, (1,)), lambda: bnlambda_family(4, (1, 1)),
+    lambda: nakayama_from_kupisch([4, 5, 5]),
+    lambda: nakayama_from_kupisch([3, 4, 4]),
+    lambda: nakayama_from_kupisch([3, 3, 4]),
+    lambda: _loop_algebra("x*x", "x*a"),
+    lambda: _loop_algebra("x*x", "a*b", "x*a", back=True),
+], ids=["tower3", "tower4", "tower5", "b3", "b4", "455", "344", "334",
+        "loop", "loop-back"])
+def test_search_orders_matches_order_by_order_recursion(build):
+    # separate instances, so neither run sees the other's caches
+    assert search_orders(build()) == _reference_rows(build())
+
+
+def _quotients_built(alg):
+    return sum(1 + _quotients_built(q) for q in alg._quotients.values())
+
+
+def test_search_orders_shares_steps_between_orders(monkeypatch):
+    traces = []
+    real = stratify.vertex_trace
+    monkeypatch.setattr(stratify, "vertex_trace",
+                        lambda m, t: traces.append(t) or real(m, t))
+    n = 5
+    a = _tower(n)
+    search_orders(a)
+    # at most one quotient per proper nonempty vertex set on each side
+    for side in (a, a.opposite_algebra()):
+        assert 0 < _quotients_built(side) <= 2 ** n - 2
+    # each (t, set above t) step once per walk: two walks on A, one on A^op;
+    # order by order, the 120 orders took 516 steps
+    assert len(traces) <= 3 * n * 2 ** (n - 1)
+
+
+def test_tampered_standard_dims_fail_the_cross_check():
+    a = nakayama_from_kupisch([2, 2, 3])
+    # (1, 2, 0) filters the regular module by standards, 0 on top twice
+    stratify._standard_dims(a, 0, frozenset())[1] += 1
+    with pytest.raises(CertificateFailure):
+        classify_stratification(a, (1, 2, 0))
+    with pytest.raises(CertificateFailure):
+        search_orders(a)
+
+
+def test_inconclusive_iso_is_never_a_negative(monkeypatch):
+    a = nakayama_from_kupisch([2, 2, 3])
+    st = classify_stratification(a, (1, 2, 0))
+    monkeypatch.setattr(stratify, "iso_test",
+                        lambda *args: IsoResult("inconclusive"))
+    with pytest.raises(DecompositionInconclusive):
+        stratify._basic_parts([projective_rep(a, 0), projective_rep(a, 1)])
+    with pytest.raises(DecompositionInconclusive):
+        characteristic_tilting(a, st, route="extension")
+    # the regular-module steps raise each time and cache nothing
+    fresh = nakayama_from_kupisch([2, 2, 3])
+    for _ in range(2):
+        with pytest.raises(DecompositionInconclusive):
+            search_orders(fresh)
 
 
 def test_classification_flags_b31(st31):
