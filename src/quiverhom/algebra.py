@@ -213,20 +213,6 @@ def combination_relation(quiver, combo):
     return Relation([(c, quiver.path_from_names(names)) for c, names in combo])
 
 
-def relation_str(quiver, rel):
-    parts = []
-    for c, p in rel.terms:
-        s = quiver.path_str(p)
-        if c == 1:
-            parts.append(s if not parts else "+ " + s)
-        elif c == -1:
-            parts.append("-" + s if not parts else "- " + s)
-        else:
-            lead = str(c) if not parts else ("+ " + str(c) if c > 0 else "- " + str(-c))
-            parts.append("%s*%s" % (lead, s))
-    return " ".join(parts) if parts else "0"
-
-
 def _reduce_row(vec, R, piv):
     for r, c in enumerate(piv):
         f = vec[c]
@@ -234,24 +220,6 @@ def _reduce_row(vec, R, piv):
             row = R.data[r]
             vec = [a - f * b for a, b in zip(vec, row)]
     return vec
-
-
-def element_add(x, y):
-    out = dict(x)
-    for k, c in y.items():
-        s = out.get(k, F0) + c
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
-def element_scale(x, c):
-    c = c if isinstance(c, Fraction) else Fraction(c)
-    if not c:
-        return {}
-    return {k: c * v for k, v in x.items()}
 
 
 class BoundQuiverAlgebra:
@@ -324,33 +292,10 @@ class BoundQuiverAlgebra:
             row[k] = c
         return row
 
-    def vector_element(self, row):
-        return {i: c for i, c in enumerate(row) if c}
-
-    def element_str(self, x):
-        if not x:
-            return "0"
-        parts = []
-        for i in sorted(x):
-            c = x[i]
-            s = self.quiver.path_str(self.basis[i])
-            if c == 1:
-                parts.append(s if not parts else "+ " + s)
-            elif c == -1:
-                parts.append("-" + s if not parts else "- " + s)
-            else:
-                lead = str(c) if not parts else ("+ " + str(c) if c > 0 else "- " + str(-c))
-                parts.append("%s*%s" % (lead, s))
-        return " ".join(parts)
-
     # -- structure ---------------------------------------------------------
 
     def paths_from(self, v):
         return [i for i, p in enumerate(self.basis) if p.source == v]
-
-    def paths_between(self, v, w):
-        return [i for i, p in enumerate(self.basis)
-                if p.source == v and p.target == w]
 
     def cartan_matrix(self):
         """Entry (i, j): dim e_{v_i} A e_{v_j}, the number of basis paths
@@ -376,11 +321,6 @@ class BoundQuiverAlgebra:
             op._opposite = self
             self._opposite = op
         return self._opposite
-
-    def op_element(self, x):
-        """Identity on coordinates; documented hook for moving elements to
-        the opposite algebra."""
-        return dict(x)
 
     # -- symmetric structure ----------------------------------------------
 

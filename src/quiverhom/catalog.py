@@ -11,8 +11,8 @@ from .errors import (
 )
 from .linalg import Matrix, rank, solve_xa_b
 from .modules import (
-    ModuleMap, cyclic_submodule, direct_sum, hom_basis, regular_rep,
-    summand_inclusion, summand_projection,
+    ModuleMap, cyclic_submodule, direct_sum, flat_blocks, hom_basis,
+    regular_rep, summand_inclusion, summand_projection,
 )
 from .stratify import check_asserted_duality, endo_quiver_construction
 
@@ -145,14 +145,6 @@ def _left_mult_matrix(a, elem):
     return Matrix(rows, a.dim, a.dim)
 
 
-def _flat(h):
-    row = []
-    for v in sorted(h.blocks):
-        for r in h.blocks[v].data:
-            row.extend(r)
-    return row
-
-
 def verify_endo_presentation(b=None):
     """Certify the presentation against the concrete endomorphism ring.
 
@@ -195,15 +187,14 @@ def verify_endo_presentation(b=None):
             h = idem[b.quiver.arrow(word[0]).source]
             for name in word:
                 h = h.then(gens[name])
-            vec = [coeff * x for x in _flat(h)]
+            vec = [coeff * x for x in flat_blocks(h)]
             total = vec if total is None else [s + x
                                                for s, x in zip(total, vec)]
         if any(total):
             raise CertificateFailure(
                 "a defining relation acts nontrivially on the module pair")
-    one = [x + y for x, y in zip(_flat(idem[1]), _flat(idem[2]))]
-    ident = _flat(ModuleMap(m, m, {v: Matrix.identity(m.dims[v])
-                                   for v in a.quiver.vertices}))
+    one = [x + y for x, y in zip(flat_blocks(idem[1]), flat_blocks(idem[2]))]
+    ident = flat_blocks(ModuleMap.identity(m))
     if one != ident:
         raise CertificateFailure("vertex idempotents do not sum to one")
 
@@ -213,7 +204,7 @@ def verify_endo_presentation(b=None):
             out = out.then(gens[b.quiver.arrows[ai].name])
         return out
 
-    rows = [_flat(path_map(p)) for p in b.basis]
+    rows = [flat_blocks(path_map(p)) for p in b.basis]
     rk = rank(Matrix(rows, len(rows), len(rows[0])))
     hd = len(hom_basis(m, m))
     if not (b.dim == rk == hd):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from .errors import CertificateFailure, NotGeneratorCogenerator
 from .linalg import F0, F1, Matrix, rank, rref, row_space, left_kernel, solve_linear
 from .modules import (
-    ModuleMap, direct_sum, dualize, dual_map, decompose,
+    ModuleMap, direct_sum, dualize, decompose,
     hom_basis, iso_test, kernel_of_map, projective_from_vertices,
     projective_map, projective_rep, radical_rows, regular_rep,
     injective_rep, summand_inclusion, cokernel_of_map,
@@ -95,13 +95,6 @@ def is_projective(m):
     if "is_proj" not in m._cache:
         m._cache["is_proj"] = syzygy(m, 1).is_zero()
     return m._cache["is_proj"]
-
-
-def injective_envelope(m):
-    """(I, e) with e: m -> I the minimal embedding into an injective.  I is
-    the dual of the opposite-side cover and carries its summand list."""
-    P, c = projective_cover(dualize(m))
-    return dualize(P), dual_map(c)
 
 
 def cosyzygy(m, i):
@@ -396,18 +389,3 @@ def mueller_domdim(algebra, m, bound=16):
         if ext_dims(m, g, i)[i]:
             return Dim.exact(i + 1)
     return Dim.at_least(bound + 2)
-
-
-def syzygy_periodicity(m, bound):
-    """First (onset, period) with syzygy(onset) isomorphic to
-    syzygy(onset + period), both nonzero; None if the resolution terminates
-    or no repetition appears within the bound."""
-    res = projective_resolution(m)
-    for j in range(1, bound + 1):
-        sj = res.syzygy(j)
-        if sj.is_zero():
-            return None
-        for i in range(1, j):
-            if iso_test(res.syzygy(i), sj).is_iso:
-                return (i, j - i)
-    return None

@@ -17,7 +17,7 @@ from .homology import (
     is_injective_mod, is_projective, projective_resolution, syzygy,
 )
 from .modules import (
-    direct_sum, dualize, injective_rep, is_faithful, iso_test,
+    certain_iso, direct_sum, dualize, injective_rep, is_faithful, iso_test,
     projective_rep, radical_submodule, regular_rep, simple_rep,
     socle_submodule, quotient_by_submodule, uniserial_quotient, zero_rep,
 )
@@ -82,10 +82,6 @@ def projective_dimension(m, bound=64):
 
 def injective_dimension(m, bound=64):
     return projective_dimension(dualize(m), bound)
-
-
-def proj_inj_dimension(m, bound=64):
-    return (projective_dimension(m, bound), injective_dimension(m, bound))
 
 
 def global_dimension(algebra, bound=64):
@@ -238,7 +234,7 @@ def _dedupe(named):
     for name, rep in named:
         if rep.is_zero():
             continue
-        if any(rep.dim_vector() == r.dim_vector() and iso_test(rep, r).is_iso
+        if any(rep.dim_vector() == r.dim_vector() and certain_iso(rep, r)
                for _, r in out):
             continue
         out.append((name, rep))

@@ -5,7 +5,7 @@ fixed pivoting rule "first nonzero column, smallest row index", so every
 derived object (echelon forms, kernel and image bases, particular solutions,
 minimal polynomials) is deterministic: same input, same output, bit for bit.
 
-Two conventions coexist and are both exposed on purpose.  rank_and_bases /
+Two conventions coexist and are both exposed on purpose.  right_kernel /
 solve_linear speak the column language (vectors are columns, kernel columns
 satisfy m @ x = 0).  The module-theoretic callers work with row vectors
 acted on from the right, so row_space / left_kernel / solve_xa_b provide the
@@ -62,10 +62,6 @@ class Matrix:
     @classmethod
     def row_vector(cls, entries):
         return cls.from_rows([list(entries)])
-
-    @classmethod
-    def column_vector(cls, entries):
-        return cls.from_rows([[x] for x in entries])
 
     # -- basics ------------------------------------------------------------
 
@@ -144,18 +140,6 @@ class Matrix:
             out.append(row)
         return Matrix(out, self.nrows, other.ncols)
 
-    def power(self, k):
-        if self.nrows != self.ncols:
-            raise ValueError("power of non-square matrix")
-        out = Matrix.identity(self.nrows)
-        base = self
-        while k:
-            if k & 1:
-                out = out @ base
-            base = base @ base if k > 1 else base
-            k >>= 1
-        return out
-
 
 def hstack(mats):
     mats = [m for m in mats]
@@ -179,19 +163,6 @@ def vstack(mats):
             raise ValueError("vstack column mismatch")
     data = [list(r) for m in mats for r in m.data]
     return Matrix(data, len(data), c)
-
-
-def block_diag(mats):
-    rows = sum(m.nrows for m in mats)
-    cols = sum(m.ncols for m in mats)
-    out = [[F0] * cols for _ in range(rows)]
-    r0 = c0 = 0
-    for m in mats:
-        for i in range(m.nrows):
-            out[r0 + i][c0:c0 + m.ncols] = list(m.data[i])
-        r0 += m.nrows
-        c0 += m.ncols
-    return Matrix(out, rows, cols)
 
 
 # -- echelon machinery -----------------------------------------------------
@@ -264,17 +235,6 @@ def left_kernel(mat):
     return right_kernel(mat.transpose()).transpose()
 
 
-def column_space(mat):
-    """Columns spanning the column space, in reduced echelon form."""
-    return row_space(mat.transpose()).transpose()
-
-
-def rank_and_bases(mat):
-    """(rank, kernel basis as columns, image basis as columns)."""
-    R, piv = rref(mat)
-    return len(piv), right_kernel(mat), column_space(mat)
-
-
 def solve_linear(a, b):
     """Solve a @ X = b for X; None when the system is inconsistent.
 
@@ -299,11 +259,6 @@ def solve_xa_b(a, b):
     """Solve X @ a = b for X (row convention); None when inconsistent."""
     sol = solve_linear(a.transpose(), b.transpose())
     return None if sol is None else sol.transpose()
-
-
-def in_row_space(basis, vec_rows):
-    """True iff every row of vec_rows lies in the row space of basis."""
-    return solve_xa_b(basis, vec_rows) is not None
 
 
 # -- minimal polynomial ----------------------------------------------------

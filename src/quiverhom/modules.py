@@ -17,13 +17,13 @@ from itertools import islice
 
 import sympy
 
-from .algebra import Path
 from .errors import (
     CertificateFailure, DecompositionInconclusive, InvalidParameters,
 )
 from .linalg import (
     F0, F1, Matrix, hstack, vstack, rank, rref, right_kernel, left_kernel,
-    row_space, solve_xa_b, minimal_polynomial, seeded_combinations,
+    row_space, solve_xa_b, minimal_polynomial, poly_eval_matrix,
+    seeded_combinations,
 )
 
 
@@ -101,22 +101,6 @@ class Representation:
             for j in range(pa.ncols):
                 out[ro + i][co + j] = pa.data[i][j]
         return Matrix(out, self.total_dim, self.total_dim)
-
-    def total_element_action(self, elem):
-        out = Matrix.zeros(self.total_dim, self.total_dim)
-        for i, c in elem.items():
-            out = out + self.total_path_action(self.algebra.basis[i]).scale(c)
-        return out
-
-    def component_slice(self, v):
-        return self.offsets[v], self.offsets[v] + self.dims[v]
-
-    def inject_row(self, v, row):
-        out = [F0] * self.total_dim
-        off = self.offsets[v]
-        for j, c in enumerate(row):
-            out[off + j] = c
-        return out
 
     def __repr__(self):
         return "Representation(dim %s)" % (self.dim_vector(),)
@@ -291,14 +275,6 @@ def dualize(m):
     return d
 
 
-def dual_map(f):
-    """Dual of a map runs in the opposite direction over the opposite
-    algebra, with transposed blocks."""
-    return ModuleMap(dualize(f.target), dualize(f.source),
-                     {v: f.blocks[v].transpose() for v in f.blocks},
-                     validate=False)
-
-
 def direct_sum(reps):
     reps = list(reps)
     if not reps:
@@ -443,18 +419,6 @@ def sub_representation(m, rows_by_vertex, close=True):
     return sub, incl
 
 
-def submodule_from_total_rows(m, total_rows):
-    q = m.algebra.quiver
-    per = {v: [] for v in q.vertices}
-    for row in total_rows:
-        for v in q.vertices:
-            lo, hi = m.component_slice(v)
-            comp = list(row[lo:hi])
-            if any(comp):
-                per[v].append(comp)
-    return sub_representation(m, per, close=True)
-
-
 def vertex_trace(m, t):
     """Smallest submodule containing the whole component at t; this is the
     image of every map from the projective at t, i.e. M e_t A."""
@@ -528,11 +492,6 @@ def cokernel_of_map(f):
     return quotient_by_rows(f.target, image_rows(f))
 
 
-def top_quotient(m):
-    """(top, projection): quotient by the radical."""
-    return quotient_by_rows(m, radical_rows(m))
-
-
 def socle_submodule(m):
     return sub_representation(m, socle_rows(m), close=False)
 
@@ -590,10 +549,6 @@ def hom_basis(m, n):
     return out
 
 
-def hom_dim(m, n):
-    return len(hom_basis(m, n))
-
-
 def is_faithful(m):
     """True iff no nonzero algebra element acts as zero."""
     a = m.algebra
@@ -628,15 +583,15 @@ class IsoResult:
         return "IsoResult(%s)" % self.kind
 
 
-def _flat_blocks(f):
-    """Entries of the blocks of a map, vertex by vertex, each block row by
-    row."""
+def flat_blocks(f):
+    """Entries of the blocks of a map, vertex by vertex in quiver order,
+    each block row by row."""
     return [x for b in f.blocks.values() for row in b.data for x in row]
 
 
 def _map_from_flat(like, vec):
     """Map with the source, target and block shapes of `like` whose block
-    entries, laid out as _flat_blocks lays them out, are vec."""
+    entries, laid out as flat_blocks lays them out, are vec."""
     blocks = {}
     pos = 0
     for v, b in like.blocks.items():
@@ -652,7 +607,7 @@ def _seeded_maps(maps, budget, seed):
     linalg.seeded_combinations, each built only when the search asks for
     it."""
     yield from maps
-    flat = [_flat_blocks(f) for f in maps]
+    flat = [flat_blocks(f) for f in maps]
     for vec in islice(seeded_combinations(flat, budget, seed), len(maps), None):
         yield _map_from_flat(maps[0], vec)
 
@@ -682,17 +637,19 @@ def iso_test(m, n, budget=64, seed=0):
                      reason="no invertible combination found in budget")
 
 
+def certain_iso(m, n, budget=64, seed=0):
+    """True or False from a certain iso_test.  An inconclusive test raises
+    DecompositionInconclusive: counting it as "not isomorphic" could keep
+    a summand twice."""
+    r = iso_test(m, n, budget, seed)
+    if not r.certain:
+        raise DecompositionInconclusive("summand matching stalled")
+    return r.is_iso
+
+
 def _poly_of_map(f, coeffs):
     """Evaluate a polynomial (low degree first) at an endomorphism."""
-    blocks = {}
-    for v, b in f.blocks.items():
-        n = b.nrows
-        acc = Matrix.zeros(n, n)
-        for c in reversed(coeffs):
-            acc = acc @ b
-            if c:
-                acc = acc + Matrix.identity(n).scale(c)
-        blocks[v] = acc
+    blocks = {v: poly_eval_matrix(coeffs, b) for v, b in f.blocks.items()}
     return ModuleMap(f.source, f.target, blocks, validate=False)
 
 
@@ -714,7 +671,7 @@ def _trace_form_rank(endos):
     the endomorphisms.  Maps act vertex by vertex, so tr(f_i f_j) is the
     sum of the entrywise products of the blocks of f_i with the transposed
     blocks of f_j; the matrix is symmetric, so each pair is summed once."""
-    flat = [_flat_blocks(f) for f in endos]
+    flat = [flat_blocks(f) for f in endos]
     flat_t = [[b.data[i][j] for b in f.blocks.values()
                for j in range(b.ncols) for i in range(b.nrows)]
               for f in endos]

@@ -17,7 +17,7 @@ from .homology import (
     is_projective, syzygy,
 )
 from .invariants import dominant_dimension
-from .modules import decompose, iso_test
+from .modules import decompose
 
 
 class RelativeARResult:
@@ -110,13 +110,3 @@ def relative_ar_sequence(m, level, budget=64, seed=0):
     res.middle = ses.mid
     res.determinate = True
     return res
-
-
-def translate_matches_absolute(m, budget=64, seed=0):
-    """Level-zero consistency: the relative translate at level 0 is the
-    ordinary translate."""
-    res = relative_ar_translate(m, 0, budget, seed)
-    r = iso_test(res.translate, ar_translate(m), budget, seed)
-    if not r.certain:
-        raise CertificateFailure("translate comparison inconclusive")
-    return r.is_iso

@@ -33,10 +33,11 @@ from .invariants import (
 )
 from .linalg import Matrix, hstack, solve_xa_b
 from .modules import (
-    ModuleMap, cokernel_of_map, decompose, direct_sum, dualize, hom_basis,
-    iso_test, kernel_of_map, projective_rep, quotient_by_submodule,
-    radical_power_rows, radical_rows, regular_rep, simple_rep, socle_submodule,
-    sub_representation, transport_to_quotient, vertex_trace,
+    ModuleMap, certain_iso, cokernel_of_map, decompose, direct_sum, dualize,
+    flat_blocks, hom_basis, iso_test, kernel_of_map, projective_rep,
+    quotient_by_submodule, radical_power_rows, radical_rows, regular_rep,
+    simple_rep, socle_submodule, sub_representation, transport_to_quotient,
+    vertex_trace,
 )
 
 FAMILIES = ("delta", "deltabar", "nabla", "nablabar")
@@ -63,9 +64,6 @@ class StratData:
         self.duality_asserted = False
         self.tilting = None
         self.cotilting = None
-
-    def family(self, name):
-        return getattr(self, name)
 
     def flags(self):
         return {
@@ -269,13 +267,18 @@ def check_asserted_duality(a):
     return True
 
 
-def _order_flags(a, order, bound=64, budget=64, seed=0):
+def _order_flags(a, order, budget=64, seed=0):
     """The five stratification flags of the order, from the shared steps.
     Each walk goes top-down and stops at its first failing step, as the
     trace recursion does; a regular module that passes a (proper) standard
     walk is cross-checked against the dimension vectors of the (proper)
-    standard modules.  The opposite side only needs its proper walk, and
-    quasi-hereditary is stratified with exact global dimension."""
+    standard modules.  The opposite side only needs its proper walk.
+
+    Quasi-hereditary is decided from its definition: standardly stratified
+    with every End(delta(v)) a division ring.  End(delta(v)) is
+    delta(v)e_v, of dimension [delta(v):L(v)], so that is the schurian
+    test; then the proper standards are the standards and both walks
+    agree.  No global dimension is needed, and so no bound."""
     reg = regular_rep(a)
     above = {v: frozenset(order[pos + 1:]) for pos, v in enumerate(order)}
     flags = {}
@@ -290,21 +293,22 @@ def _order_flags(a, order, bound=64, budget=64, seed=0):
                           seed) is not None
     ss = flags["standardly_stratified"]
     flags["properly_stratified"] = ss and op_ok
-    flags["quasi_hereditary"] = ss and global_dimension(a, bound).is_exact
-    flags["schurian"] = all(_standard_dims(a, v, above[v]).get(v, 0) == 1
-                            for v in order)
+    schurian = all(_standard_dims(a, v, above[v]).get(v, 0) == 1
+                   for v in order)
+    flags["quasi_hereditary"] = ss and schurian
+    flags["schurian"] = schurian
     return flags
 
 
 def classify_stratification(a, order, bound=64, duality_asserted=False,
                             budget=64, seed=0):
-    """StratData with all flags decided for this order."""
+    """StratData with all flags decided for this order; no flag depends on
+    bound."""
     strat = standard_modules(a, order)
     if duality_asserted:
         check_asserted_duality(a)
         strat.duality_asserted = True
-    for name, value in _order_flags(a, strat.order, bound, budget,
-                                    seed).items():
+    for name, value in _order_flags(a, strat.order, budget, seed).items():
         setattr(strat, name, value)
     return strat
 
@@ -319,7 +323,7 @@ def search_orders(a, bound=64, budget=64, seed=0):
     seed), on the opposite algebra's _cache for the opposite side; the
     quotient algebras A/Ae_SA are cached per frozenset S, at most 2^n - 2
     per side; the standard modules' dimension vectors are cached under
-    ("stddims", v, cut)."""
+    ("stddims", v, cut).  No flag depends on bound."""
     verts = sorted(a.quiver.vertices)
     if len(verts) > 8:
         raise TooManyVertices("%d vertices would need %d orders"
@@ -327,29 +331,21 @@ def search_orders(a, bound=64, budget=64, seed=0):
     out = []
     for perm in permutations(verts):
         row = {"order": perm}
-        row.update(_order_flags(a, perm, bound, budget, seed))
+        row.update(_order_flags(a, perm, budget, seed))
         out.append(row)
     return out
 
 
 def _basic_parts(reps, budget=64, seed=0):
     """Indecomposable summands of the given modules with iso-duplicates
-    removed.  An inconclusive iso test raises: counting it as "not
-    isomorphic" could keep a summand twice."""
+    removed; an inconclusive iso test raises (see certain_iso)."""
     basic = []
     for r in reps:
         for p in decompose(r, budget, seed):
             if not p.is_zero() and not any(
-                    _certain_iso(p, q, budget, seed) for q in basic):
+                    certain_iso(p, q, budget, seed) for q in basic):
                 basic.append(p)
     return basic
-
-
-def _certain_iso(p, q, budget=64, seed=0):
-    r = iso_test(p, q, budget, seed)
-    if not r.certain:
-        raise DecompositionInconclusive("summand matching stalled")
-    return r.is_iso
 
 
 def same_add_closure(parts_a, parts_b, budget=64, seed=0):
@@ -359,7 +355,7 @@ def same_add_closure(parts_a, parts_b, budget=64, seed=0):
         return False
     unused = list(parts_b)
     for p in parts_a:
-        hit = next((q for q in unused if _certain_iso(p, q, budget, seed)),
+        hit = next((q for q in unused if certain_iso(p, q, budget, seed)),
                    None)
         if hit is None:
             return False
@@ -500,11 +496,6 @@ def tilting_conjecture_report(a, strat, bound=64):
 
 # -- tilting verification ---------------------------------------------------
 
-def _flatten_map(h):
-    return [c for v in h.source.algebra.quiver.vertices
-            for row in h.blocks[v].data for c in row]
-
-
 def _factors_through(j0, h, cols, pair_homs):
     """Does the map h: x -> summand j0 factor through the kept columns?
     The factorization space is spanned by the composites of each kept
@@ -512,8 +503,8 @@ def _factors_through(j0, h, cols, pair_homs):
     rows = []
     for j, g in cols:
         for phi in pair_homs(j, j0):
-            rows.append(_flatten_map(g.then(phi)))
-    target = _flatten_map(h)
+            rows.append(flat_blocks(g.then(phi)))
+    target = flat_blocks(h)
     if not rows:
         return all(c == 0 for c in target)
     mat = Matrix(rows, len(rows), len(target))
@@ -612,10 +603,6 @@ def verify_tilting(a, t, bound=64):
 
 # -- extensional verifiers --------------------------------------------------
 
-def _geq(d, k):
-    return d.geq(k)
-
-
 def _leq(d, k):
     try:
         return d.leq(k)
@@ -657,9 +644,9 @@ def verify_main_equivalences(a, strat, testset=None, bound=64):
     candidate = _basic_parts(pins + ([cosyzygy(direct_sum(rest), i)]
                                      if rest else []))
     cond1 = same_add_closure(tilt.summands, candidate)
-    cond2 = (all(_geq(dominant_dimension(strat.delta[v], bound), r - i)
+    cond2 = (all(dominant_dimension(strat.delta[v], bound).geq(r - i)
                  for v in strat.order)
-             and all(_geq(codominant_dimension(strat.nablabar[v], bound), i)
+             and all(codominant_dimension(strat.nablabar[v], bound).geq(i)
                      for v in strat.order))
     if testset is None:
         testset = default_testset(a, strat, r, bound)
@@ -671,15 +658,15 @@ def verify_main_equivalences(a, strat, testset=None, bound=64):
         in_fnb = filtration_test(m, "nablabar", strat)[0]
         dom = dominant_dimension(m, bound)
         codom = codominant_dimension(m, bound)
-        if in_fd and not _geq(dom, r - i):
+        if in_fd and not dom.geq(r - i):
             cond3 = False
-        if in_fnb and not _geq(codom, i):
+        if in_fnb and not codom.geq(i):
             cond3 = False
         pd_le = _leq(projective_dimension(m, bound), i)
         gi_le = gi_dimension(m, a, bound) <= r - i
         if pd_le != in_fd:
             cond4 = False
-        if not (_geq(codom, i) == gi_le == in_fnb):
+        if not (codom.geq(i) == gi_le == in_fnb):
             cond4 = False
         rows.append({"module": name, "F(delta)": in_fd,
                      "F(nablabar)": in_fnb, "domdim": dom, "codomdim": codom})
@@ -719,14 +706,14 @@ def verify_duality_consequences(a, strat, testset=None, bound=64):
     for name, x in testset:
         checks = {
             "F(deltabar)=Dom_m": filtration_test(x, "deltabar", strat)[0]
-            == _geq(dominant_dimension(x, bound), m),
-            "Dom_m=GProj_m": _geq(dominant_dimension(x, bound), m)
+            == dominant_dimension(x, bound).geq(m),
+            "Dom_m=GProj_m": dominant_dimension(x, bound).geq(m)
             == (gp_dimension(x, a, bound) <= m),
             "F(delta)=Proj_m": filtration_test(x, "delta", strat)[0]
             == _leq(projective_dimension(x, bound), m),
             "F(nablabar)=Codom_m": filtration_test(x, "nablabar", strat)[0]
-            == _geq(codominant_dimension(x, bound), m),
-            "Codom_m=GInj_m": _geq(codominant_dimension(x, bound), m)
+            == codominant_dimension(x, bound).geq(m),
+            "Codom_m=GInj_m": codominant_dimension(x, bound).geq(m)
             == (gi_dimension(x, a, bound) <= m),
             "F(nabla)=Inj_m": filtration_test(x, "nabla", strat)[0]
             == _leq(injective_dimension(x, bound), m),

@@ -68,6 +68,19 @@ def test_stratify_all_orders_table():
     assert not any(r["standardly_stratified"] for r in rows)
 
 
+def test_quasi_hereditary_does_not_depend_on_bound(capsys):
+    # the global dimension 3 is above the bound 1
+    args = ["stratify", "kupisch:2,2,3", "--all-orders", "--format",
+            "structured"]
+    rows = {}
+    for bound in ("1", "64"):
+        assert cli.main(args + ["--bound", bound]) == 0
+        rows[bound] = json.loads(capsys.readouterr().out)["orders"]
+    assert rows["1"] == rows["64"]
+    assert [r["order"] for r in rows["1"] if r["quasi_hereditary"]] == \
+        [[1, 2, 0], [2, 1, 0]]
+
+
 def test_relar_reports_the_almost_split_sequence():
     rc, out, _ = run_cli("relar", "kupisch:2,3", "--level", "1",
                          "--format", "structured")

@@ -9,10 +9,10 @@ from quiverhom.errors import NotGeneratorCogenerator
 from quiverhom.homology import (
     ProjectiveResolution, ShortExact, ar_translate, cosyzygy, ext1_cocycles,
     ext_dim, ext_dims_proj, extension_from_cocycle, generator_cogenerator_check,
-    injective_envelope, injective_term_vertices, is_injective_mod,
-    is_projective, mueller_domdim, projective_cover, projective_resolution,
-    syzygy, syzygy_periodicity, tau_minus, transpose_of,
+    injective_term_vertices, is_injective_mod, is_projective, mueller_domdim,
+    projective_cover, projective_resolution, syzygy, tau_minus, transpose_of,
 )
+from quiverhom.invariants import projective_dimension
 from quiverhom.modules import (
     cyclic_submodule, direct_sum, dualize, iso_test, projective_rep,
     regular_rep, simple_rep, summand_inclusion, summand_projection,
@@ -69,9 +69,10 @@ def test_resolution_differentials_compose_to_zero(a223):
 
 def test_injective_envelope_223(a223):
     s0 = simple_rep(a223, 0)
-    inj, env = injective_envelope(s0)
-    assert inj.dim_vector() == (1, 0, 1)
-    assert env.is_injective()
+    # the envelope is the dual of the opposite side's projective cover
+    cover, proj = projective_cover(dualize(s0))
+    assert dualize(cover).dim_vector() == (1, 0, 1)
+    assert proj.is_surjective()
     assert cosyzygy(s0, 1).dim_vector() == (0, 0, 1)
     assert injective_term_vertices(s0, 0) == [0]
 
@@ -116,11 +117,12 @@ def test_klein_syzygy_period(klein):
     reg = regular_rep(klein)
     xa, _ = cyclic_submodule(reg, 1, [0, 1, 0, 0])
     assert iso_test(syzygy(xa, 1), xa).is_iso
-    assert syzygy_periodicity(xa, 4) == (1, 1)
+    d = projective_dimension(xa, 4)
+    assert d.is_infinite and (d.onset, d.period) == (1, 1)
 
 
 def test_periodicity_absent_for_finite_resolution(a223):
-    assert syzygy_periodicity(simple_rep(a223, 0), 6) is None
+    assert projective_dimension(simple_rep(a223, 0), 6).is_exact
 
 
 def test_transpose_and_translate_linear(a21):

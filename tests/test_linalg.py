@@ -2,9 +2,8 @@ import random
 from fractions import Fraction
 
 from quiverhom.linalg import (
-    Matrix, hstack, vstack, block_diag, rref, rank, row_space, right_kernel,
-    left_kernel, column_space, rank_and_bases, solve_linear, solve_xa_b,
-    in_row_space, minimal_polynomial, poly_eval_matrix,
+    Matrix, hstack, vstack, rref, rank, row_space, right_kernel, left_kernel,
+    solve_linear, solve_xa_b, minimal_polynomial, poly_eval_matrix,
 )
 
 
@@ -41,15 +40,15 @@ def test_random_battery():
         nr = rng.randint(0, 6)
         nc = rng.randint(0, 6)
         m = _random_matrix(rng, nr, nc)
-        r, ker, im = rank_and_bases(m)
+        r, ker, im = rank(m), right_kernel(m), row_space(m.transpose())
         assert r == rank(m.transpose())
         assert r + ker.ncols == nc
-        assert im.ncols == r
+        assert im.nrows == r
         if ker.ncols:
             assert (m @ ker).is_zero()
-        # image columns really solve m @ x = col
-        for j in range(im.ncols):
-            col = Matrix.column_vector(im.column(j))
+        # the column-space basis vectors really solve m @ x = col
+        for j in range(im.nrows):
+            col = Matrix.from_rows([[x] for x in im.row(j)])
             assert solve_linear(m, col) is not None
 
 
@@ -66,7 +65,7 @@ def test_solve_roundtrip():
 
 def test_solve_inconsistent():
     a = Matrix.from_rows([[1, 0], [1, 0]])
-    b = Matrix.column_vector([1, 2])
+    b = Matrix.from_rows([[1], [2]])
     assert solve_linear(a, b) is None
 
 
@@ -81,15 +80,14 @@ def test_row_conventions():
     lk = left_kernel(a)
     if lk.nrows:
         assert (lk @ a).is_zero()
-    assert in_row_space(a, b)
 
 
 def test_row_space_dims():
     m = Matrix.from_rows([[1, 1], [2, 2], [3, 4]])
     rs = row_space(m)
     assert rs.nrows == 2
-    cs = column_space(m)
-    assert cs.ncols == 2
+    cs = row_space(m.transpose())
+    assert cs.nrows == 2
 
 
 def test_stack_helpers():
@@ -99,9 +97,6 @@ def test_stack_helpers():
     assert h.shape == (2, 5)
     v = vstack([a, Matrix.zeros(1, 2)])
     assert v.shape == (3, 2)
-    d = block_diag([a, Matrix.identity(3)])
-    assert d.shape == (5, 5)
-    assert d == Matrix.identity(5)
 
 
 def test_minimal_polynomial_nilpotent():

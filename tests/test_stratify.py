@@ -5,7 +5,7 @@ from itertools import permutations
 
 import pytest
 
-from quiverhom import stratify
+from quiverhom import modules, stratify
 from quiverhom.algebra import (
     bnlambda_family, klein_four_like, nakayama_from_kupisch,
     symmetric_chain_family,
@@ -237,17 +237,33 @@ def test_tampered_standard_dims_fail_the_cross_check():
 def test_inconclusive_iso_is_never_a_negative(monkeypatch):
     a = nakayama_from_kupisch([2, 2, 3])
     st = classify_stratification(a, (1, 2, 0))
-    monkeypatch.setattr(stratify, "iso_test",
-                        lambda *args: IsoResult("inconclusive"))
+    for module in (modules, stratify):
+        monkeypatch.setattr(module, "iso_test",
+                            lambda *args: IsoResult("inconclusive"))
     with pytest.raises(DecompositionInconclusive):
         stratify._basic_parts([projective_rep(a, 0), projective_rep(a, 1)])
     with pytest.raises(DecompositionInconclusive):
         characteristic_tilting(a, st, route="extension")
+    # P(2) and I(1) share a dimension vector; neither is dropped or kept
+    # on an undecided test
+    with pytest.raises(DecompositionInconclusive):
+        canonical_test_set(a)
     # the regular-module steps raise each time and cache nothing
     fresh = nakayama_from_kupisch([2, 2, 3])
     for _ in range(2):
         with pytest.raises(DecompositionInconclusive):
             search_orders(fresh)
+
+
+def test_quasi_hereditary_needs_no_global_dimension(monkeypatch):
+    # klein four: infinite global dimension whose syzygies never repeat
+    def refuse(*args):
+        raise AssertionError("global dimension asked for")
+    monkeypatch.setattr(stratify, "global_dimension", refuse)
+    assert search_orders(klein_four_like()) == [{
+        "order": (1,), "standardly_stratified": True,
+        "delta_filtered_regular": True, "properly_stratified": True,
+        "quasi_hereditary": False, "schurian": False}]
 
 
 def test_classification_flags_b31(st31):
