@@ -152,11 +152,6 @@ class Quiver:
             levels.append(nxt)
         return levels
 
-    def path_str(self, p):
-        if not p.word:
-            return "e_%s" % (p.source,)
-        return "*".join(self.arrows[i].name for i in p.word)
-
     def opposite(self):
         """Same vertices and arrow names, every arrow reversed."""
         return Quiver(self.vertices,

@@ -133,7 +133,7 @@ def _cmd_stratify(args):
             if mults else {},
         }
         return rep, 0
-    rows = search_orders(a, args.bound, seed=args.seed)
+    rows = search_orders(a, args.bound)
     rep["orders"] = [dict(r, order=list(r["order"])) for r in rows]
     return rep, 0
 

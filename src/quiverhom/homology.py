@@ -363,19 +363,7 @@ def generator_cogenerator_check(algebra, m):
     pool = [projective_rep(algebra, v) for v in algebra.quiver.vertices] + parts
     for v in algebra.quiver.vertices:
         inj = injective_rep(algebra, v)
-        hit = False
-        undecided = False
-        for cand in pool:
-            r = iso_test(inj, cand)
-            if r.is_iso:
-                hit = True
-                break
-            if not r.certain:
-                undecided = True
-        if not hit:
-            if undecided:
-                raise NotGeneratorCogenerator(
-                    "could not certify the injective at %r as a summand" % (v,))
+        if not any(iso_test(inj, cand).is_iso for cand in pool):
             raise NotGeneratorCogenerator(
                 "injective at %r is not a summand" % (v,))
 

@@ -17,7 +17,7 @@ from .homology import (
     is_injective_mod, is_projective, projective_resolution, syzygy,
 )
 from .modules import (
-    certain_iso, direct_sum, dualize, injective_rep, is_faithful, iso_test,
+    direct_sum, dualize, injective_rep, is_faithful, iso_test,
     projective_rep, radical_submodule, regular_rep, simple_rep,
     socle_submodule, quotient_by_submodule, uniserial_quotient, zero_rep,
 )
@@ -234,8 +234,7 @@ def _dedupe(named):
     for name, rep in named:
         if rep.is_zero():
             continue
-        if any(rep.dim_vector() == r.dim_vector() and certain_iso(rep, r)
-               for _, r in out):
+        if any(iso_test(rep, r).is_iso for _, r in out):
             continue
         out.append((name, rep))
     return out

@@ -575,10 +575,6 @@ class IsoResult:
     def is_iso(self):
         return self.kind == "iso"
 
-    @property
-    def certain(self):
-        return self.kind in ("iso", "not_iso")
-
     def __repr__(self):
         return "IsoResult(%s)" % self.kind
 
@@ -612,9 +608,18 @@ def _seeded_maps(maps, budget, seed):
         yield _map_from_flat(maps[0], vec)
 
 
-def iso_test(m, n, budget=64, seed=0):
-    """Structural negatives are certificates; a found invertible map is a
-    certificate; otherwise the search is inconclusive."""
+def iso_test(m, n):
+    """Exact isomorphism decision.
+
+    Differing structural invariants certify "not isomorphic"; an invertible
+    Hom-basis map certifies "isomorphic".  If no basis map f_i: m -> n is
+    invertible and m is indecomposable, the answer is "not isomorphic":
+    End(m) is local (Fitting's lemma), and for an isomorphism
+    f = sum a_i f_i with inverse g = sum b_j g_j, id = sum a_i b_j f_i g_j,
+    so some f_i g_j is a unit of End(m), which makes f_i injective and so
+    invertible.  Otherwise the decompositions of m and n are matched summand
+    by summand (Krull-Schmidt).  DecompositionInconclusive from decompose
+    propagates; it is never read as a negative."""
     if m.dim_vector() != n.dim_vector():
         return IsoResult("not_iso", reason="dimension vectors differ")
     if m.total_dim == 0:
@@ -624,27 +629,35 @@ def iso_test(m, n, budget=64, seed=0):
     if socle_dims(m) != socle_dims(n):
         return IsoResult("not_iso", reason="socles differ")
     fwd = hom_basis(m, n)
-    if len(fwd) != len(hom_basis(n, m)) or \
-       len(hom_basis(m, m)) != len(hom_basis(n, n)) or \
-       len(fwd) != len(hom_basis(m, m)):
+    if not len(fwd) == len(hom_basis(n, m)) == len(hom_basis(m, m)) \
+            == len(hom_basis(n, n)):
         return IsoResult("not_iso", reason="hom dimensions differ")
     if not fwd:
         return IsoResult("not_iso", reason="no nonzero maps")
-    for f in _seeded_maps(fwd, budget, seed):
+    for f in fwd:
         if f.is_iso():
             return IsoResult("iso", map=f)
-    return IsoResult("inconclusive",
-                     reason="no invertible combination found in budget")
+    parts = decompose(m)
+    if len(parts) == 1:
+        return IsoResult("not_iso", reason="indecomposable, no basis map "
+                                           "is invertible")
+    if same_add_closure(parts, decompose(n)):
+        return IsoResult("iso", reason="summands match")
+    return IsoResult("not_iso", reason="summands differ")
 
 
-def certain_iso(m, n, budget=64, seed=0):
-    """True or False from a certain iso_test.  An inconclusive test raises
-    DecompositionInconclusive: counting it as "not isomorphic" could keep
-    a summand twice."""
-    r = iso_test(m, n, budget, seed)
-    if not r.certain:
-        raise DecompositionInconclusive("summand matching stalled")
-    return r.is_iso
+def same_add_closure(parts_a, parts_b):
+    """True when two lists of indecomposables match pairwise up to
+    isomorphism, so they generate the same additive closure."""
+    if len(parts_a) != len(parts_b):
+        return False
+    unused = list(parts_b)
+    for p in parts_a:
+        hit = next((q for q in unused if iso_test(p, q).is_iso), None)
+        if hit is None:
+            return False
+        unused.remove(hit)
+    return True
 
 
 def _poly_of_map(f, coeffs):

@@ -50,7 +50,7 @@ def omega_approximation(m, n):
     return nonproj, proj
 
 
-def relative_ar_translate(m, level, budget=64, seed=0):
+def relative_ar_translate(m, level):
     """Relative translate of m in the category of modules of dominant
     dimension at least the level: the unique indecomposable summand of the
     approximated ordinary translate that m pairs with in degree one."""
@@ -58,7 +58,7 @@ def relative_ar_translate(m, level, budget=64, seed=0):
         raise InvalidParameters("level must be non-negative, got %d" % level)
     if m.is_zero():
         raise NotApplicable("zero module")
-    parts = decompose(m, budget, seed)
+    parts = decompose(m)
     if len(parts) != 1:
         raise NotApplicable("module must be indecomposable")
     if not dominant_dimension(m).geq(level):
@@ -77,7 +77,7 @@ def relative_ar_translate(m, level, budget=64, seed=0):
     else:
         core = t
     hits = []
-    for y in decompose(core, budget, seed):
+    for y in decompose(core):
         if ext_dim(m, y, 1):
             hits.append(y)
     if not hits:
@@ -91,13 +91,13 @@ def relative_ar_translate(m, level, budget=64, seed=0):
     return RelativeARResult(m, level, y, ext_dim(m, y, 1))
 
 
-def relative_ar_sequence(m, level, budget=64, seed=0):
+def relative_ar_sequence(m, level):
     """Relative almost split sequence ending in m, when determined.
 
     The middle term is constructed from the unique extension cocycle when
     the pairing space is one-dimensional; otherwise the result carries the
     translate with the determinacy flag down."""
-    res = relative_ar_translate(m, level, budget, seed)
+    res = relative_ar_translate(m, level)
     if res.ext1_dim != 1:
         return res
     ses = extension_from_cocycle(m, ext1_cocycles(m, res.translate)[0])

@@ -17,9 +17,8 @@ from .algebra import (
     Quiver, build_algebra, combination_relation, monomial_relation,
 )
 from .errors import (
-    CertificateFailure, DecompositionInconclusive, NotApplicable,
-    NotAuslanderGorenstein, NotStratified, NotTilting, PreconditionFailed,
-    TooManyVertices,
+    CertificateFailure, NotApplicable, NotAuslanderGorenstein, NotStratified,
+    NotTilting, PreconditionFailed, TooManyVertices,
 )
 from .homology import (
     cosyzygy, ext1_cocycles, ext_dims, extension_from_cocycle,
@@ -33,9 +32,9 @@ from .invariants import (
 )
 from .linalg import Matrix, hstack, solve_xa_b
 from .modules import (
-    ModuleMap, certain_iso, cokernel_of_map, decompose, direct_sum, dualize,
-    flat_blocks, hom_basis, iso_test, kernel_of_map, projective_rep,
-    quotient_by_submodule, radical_power_rows, radical_rows, regular_rep,
+    ModuleMap, cokernel_of_map, decompose, direct_sum, dualize, flat_blocks,
+    hom_basis, iso_test, kernel_of_map, projective_rep, quotient_by_submodule,
+    radical_power_rows, radical_rows, regular_rep, same_add_closure,
     simple_rep, socle_submodule, sub_representation, transport_to_quotient,
     vertex_trace,
 )
@@ -124,36 +123,31 @@ def _top_proper_standard(algebra, t):
     return algebra._cache[key]
 
 
-def _peel(cur, alg, t, proper, budget=64, seed=0):
+def _peel(cur, alg, t, proper):
     """One step of the trace recursion at the top vertex t: (k, quotient)
     with k the multiplicity of the layer and quotient cur modulo the trace
-    of t, still over alg; None when the layer fails.  The standard layer
-    must be a direct sum of k copies of the projective at t; the proper
-    layer is accepted on the dimension count dim(trace) = dim(cur at t)
-    times dim(proper standard), which forces a filtration."""
+    of t, still over alg; None when the layer fails.  Both layers are
+    decided by counting dimensions.
+
+    The trace u = cur e_t A is generated by its component at t, so its top
+    is k = dim u_t - dim (rad u)_t copies of the simple at t, and its
+    projective cover P_t^k -> u is onto.  Hence u is a direct sum of k
+    copies of P_t iff dim u = k dim P_t.  The proper layer is accepted on
+    the count dim u = dim(cur at t) times dim(proper standard at t), which
+    forces a filtration."""
     u, incl = vertex_trace(cur, t)
-    du = sum(u.dims.values())
     if proper:
         k = cur.dims[t]
-        if du != k * sum(_top_proper_standard(alg, t).dims.values()):
-            return None
+        d = sum(_top_proper_standard(alg, t).dims.values())
     else:
-        p = projective_rep(alg, t)
-        dp = sum(p.dims.values())
-        if du % dp:
-            return None
-        k = du // dp
-        if k:
-            r = iso_test(u, direct_sum([p] * k), budget, seed)
-            if not r.is_iso:
-                if not r.certain:
-                    raise DecompositionInconclusive(
-                        "trace at %r resists the splitting search" % (t,))
-                return None
+        k = u.dims[t] - radical_rows(u)[t].nrows
+        d = sum(projective_rep(alg, t).dims.values())
+    if sum(u.dims.values()) != k * d:
+        return None
     return k, quotient_by_submodule(cur, incl)[0]
 
 
-def _filt_core(m, algebra, order, proper, budget=64, seed=0):
+def _filt_core(m, algebra, order, proper):
     """Trace recursion from the top of the order: peel the top vertex,
     pass to the quotient algebra, repeat; the last quotient must be zero."""
     cur, alg = m, algebra
@@ -164,7 +158,7 @@ def _filt_core(m, algebra, order, proper, budget=64, seed=0):
             for w in order[:idx + 1]:
                 mult[w] = 0
             return True, mult
-        step = _peel(cur, alg, t, proper, budget, seed)
+        step = _peel(cur, alg, t, proper)
         if step is None:
             return False, None
         mult[t], quot = step
@@ -177,27 +171,26 @@ def _filt_core(m, algebra, order, proper, budget=64, seed=0):
     return True, mult
 
 
-def _regular_step(a, t, above, proper, budget, seed):
+def _regular_step(a, t, above, proper):
     """_peel at t on the regular module of A/Ae_SA, S the vertices above t.
     Peeling S off the regular module of A leaves exactly that module, so
     the step depends on (t, S) and not on the order of S.  Cached in
     a._cache as (k, quotient is zero), or None for a failed layer."""
-    key = ("peel", t, above, proper, budget, seed)
+    key = ("peel", t, above, proper)
     if key not in a._cache:
         alg = a.quotient_by_idempotent_ideal(above)
-        step = _peel(regular_rep(alg), alg, t, proper, budget, seed)
+        step = _peel(regular_rep(alg), alg, t, proper)
         a._cache[key] = None if step is None else (step[0], step[1].is_zero())
     return a._cache[key]
 
 
-def _regular_walk(a, order, proper, budget, seed):
+def _regular_walk(a, order, proper):
     """Multiplicities of the trace recursion on the regular module along
     the order, from the shared steps; None at the first failing step or
     when the last quotient is nonzero."""
     mult = {}
     for idx in range(len(order) - 1, -1, -1):
-        step = _regular_step(a, order[idx], frozenset(order[idx + 1:]),
-                             proper, budget, seed)
+        step = _regular_step(a, order[idx], frozenset(order[idx + 1:]), proper)
         if step is None:
             return None
         mult[order[idx]], last_zero = step
@@ -208,7 +201,7 @@ def _dimdict(rep):
     return {v: d for v, d in rep.dims.items() if d}
 
 
-def filtration_test(m, family, strat, budget=64, seed=0):
+def filtration_test(m, family, strat):
     """(passes, multiplicities) for a filtration by the named family;
     multiplicities are cross-checked against the dimension vector."""
     if family not in FAMILIES:
@@ -223,7 +216,7 @@ def filtration_test(m, family, strat, budget=64, seed=0):
         alg = strat.algebra
         fam = strat.delta if family == "delta" else strat.deltabar
         proper = family == "deltabar"
-    ok, mult = _filt_core(probe, alg, strat.order, proper, budget, seed)
+    ok, mult = _filt_core(probe, alg, strat.order, proper)
     if not ok:
         return False, None
     _cross_check(mult, lambda v: _dimdict(fam[v]), m)
@@ -267,7 +260,7 @@ def check_asserted_duality(a):
     return True
 
 
-def _order_flags(a, order, budget=64, seed=0):
+def _order_flags(a, order):
     """The five stratification flags of the order, from the shared steps.
     Each walk goes top-down and stops at its first failing step, as the
     trace recursion does; a regular module that passes a (proper) standard
@@ -284,13 +277,12 @@ def _order_flags(a, order, budget=64, seed=0):
     flags = {}
     for name, proper in (("standardly_stratified", True),
                          ("delta_filtered_regular", False)):
-        mult = _regular_walk(a, order, proper, budget, seed)
+        mult = _regular_walk(a, order, proper)
         if mult is not None:
             _cross_check(mult, lambda v: _standard_dims(
                 a, v, (above[v] | {v}) if proper else above[v]), reg)
         flags[name] = mult is not None
-    op_ok = _regular_walk(a.opposite_algebra(), order, True, budget,
-                          seed) is not None
+    op_ok = _regular_walk(a.opposite_algebra(), order, True) is not None
     ss = flags["standardly_stratified"]
     flags["properly_stratified"] = ss and op_ok
     schurian = all(_standard_dims(a, v, above[v]).get(v, 0) == 1
@@ -300,30 +292,29 @@ def _order_flags(a, order, budget=64, seed=0):
     return flags
 
 
-def classify_stratification(a, order, bound=64, duality_asserted=False,
-                            budget=64, seed=0):
+def classify_stratification(a, order, bound=64, duality_asserted=False):
     """StratData with all flags decided for this order; no flag depends on
     bound."""
     strat = standard_modules(a, order)
     if duality_asserted:
         check_asserted_duality(a)
         strat.duality_asserted = True
-    for name, value in _order_flags(a, strat.order, budget, seed).items():
+    for name, value in _order_flags(a, strat.order).items():
         setattr(strat, name, value)
     return strat
 
 
-def search_orders(a, bound=64, budget=64, seed=0):
+def search_orders(a, bound=64):
     """Classification of every vertex order, lexicographically.
 
     Every flag is decided by walks over steps that depend only on a vertex
     t and the set S of vertices above it (see _regular_step), so the n!
     orders share n * 2^(n-1) steps per kind of walk instead of n * n!.
-    The steps are cached in a._cache under ("peel", t, S, proper, budget,
-    seed), on the opposite algebra's _cache for the opposite side; the
-    quotient algebras A/Ae_SA are cached per frozenset S, at most 2^n - 2
-    per side; the standard modules' dimension vectors are cached under
-    ("stddims", v, cut).  No flag depends on bound."""
+    The steps are cached in a._cache under ("peel", t, S, proper), on the
+    opposite algebra's _cache for the opposite side; the quotient algebras
+    A/Ae_SA are cached per frozenset S, at most 2^n - 2 per side; the
+    standard modules' dimension vectors are cached under ("stddims", v,
+    cut).  No flag depends on bound."""
     verts = sorted(a.quiver.vertices)
     if len(verts) > 8:
         raise TooManyVertices("%d vertices would need %d orders"
@@ -331,36 +322,21 @@ def search_orders(a, bound=64, budget=64, seed=0):
     out = []
     for perm in permutations(verts):
         row = {"order": perm}
-        row.update(_order_flags(a, perm, budget, seed))
+        row.update(_order_flags(a, perm))
         out.append(row)
     return out
 
 
-def _basic_parts(reps, budget=64, seed=0):
+def _basic_parts(reps):
     """Indecomposable summands of the given modules with iso-duplicates
-    removed; an inconclusive iso test raises (see certain_iso)."""
+    removed."""
     basic = []
     for r in reps:
-        for p in decompose(r, budget, seed):
-            if not p.is_zero() and not any(
-                    certain_iso(p, q, budget, seed) for q in basic):
+        for p in decompose(r):
+            if not p.is_zero() and not any(iso_test(p, q).is_iso
+                                           for q in basic):
                 basic.append(p)
     return basic
-
-
-def same_add_closure(parts_a, parts_b, budget=64, seed=0):
-    """True when two lists of indecomposables generate the same additive
-    closure (matched pairwise up to isomorphism)."""
-    if len(parts_a) != len(parts_b):
-        return False
-    unused = list(parts_b)
-    for p in parts_a:
-        hit = next((q for q in unused if certain_iso(p, q, budget, seed)),
-                   None)
-        if hit is None:
-            return False
-        unused.remove(hit)
-    return True
 
 
 def _tilting_certificate(a, strat, basic, bound):

@@ -19,6 +19,13 @@ from quiverhom.stratify import (
 from quiverhom.values import Dim
 
 
+def _word(quiver, p):
+    """A path as its arrow names joined by '*', e_v for a trivial path."""
+    if not p.word:
+        return "e_%s" % (p.source,)
+    return "*".join(quiver.arrows[i].name for i in p.word)
+
+
 @pytest.fixture(scope="module")
 def endo():
     return klein_endo_algebra()
@@ -26,7 +33,7 @@ def endo():
 
 def test_presentation_basis(endo):
     assert endo.dim == 10
-    assert [endo.quiver.path_str(p) for p in endo.basis] == [
+    assert [_word(endo.quiver, p) for p in endo.basis] == [
         "e_1", "e_2", "y", "de", "al", "be", "y*al", "de*be", "al*be",
         "y*al*be"]
 

@@ -1,11 +1,13 @@
-"""Every module-level function and class in the package is named somewhere
-in the package: code that only tests reach, or nothing at all, is not kept."""
+"""Every module-level function and class, and every method other than a
+dunder, is named somewhere in the package: code that only tests reach, or
+nothing at all, is not kept."""
 import ast
 from pathlib import Path
 
 import quiverhom
 
 PACKAGE = Path(quiverhom.__file__).parent
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _names(tree):
@@ -19,13 +21,29 @@ def _names(tree):
             yield node.name.rsplit(".", 1)[-1]
 
 
-def test_every_top_level_definition_is_referenced():
-    defined = []
-    referenced = set()
+def _trees():
     for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        defined += [(path.name, node.name) for node in tree.body
-                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                         ast.ClassDef))]
+        yield path.name, ast.parse(path.read_text(), filename=str(path))
+
+
+def _unreferenced(defined):
+    referenced = set()
+    for _, tree in _trees():
         referenced.update(_names(tree))
-    assert [d for d in defined if d[1] not in referenced] == []
+    return [d for d in defined if d[-1] not in referenced]
+
+
+def test_every_top_level_definition_is_referenced():
+    defined = [(name, node.name) for name, tree in _trees()
+               for node in tree.body
+               if isinstance(node, DEFS + (ast.ClassDef,))]
+    assert _unreferenced(defined) == []
+
+
+def test_every_method_is_referenced():
+    defined = [(name, cls.name, node.name) for name, tree in _trees()
+               for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for node in cls.body if isinstance(node, DEFS)
+               and not (node.name.startswith("__")
+                        and node.name.endswith("__"))]
+    assert _unreferenced(defined) == []

@@ -5,7 +5,10 @@ from quiverhom.algebra import (
     bnlambda_family, klein_four_like, nakayama_from_kupisch,
     symmetric_chain_family,
 )
-from quiverhom.errors import DominantDimensionZero, NotAuslanderGorenstein
+from quiverhom import modules
+from quiverhom.errors import (
+    DecompositionInconclusive, DominantDimensionZero, NotAuslanderGorenstein,
+)
 from quiverhom.homology import ext_dim, mueller_domdim, syzygy
 from quiverhom.invariants import (
     algebra_dominant_dimension, all_uniserial_quotients, auslander_gorenstein_parameter,
@@ -17,7 +20,7 @@ from quiverhom.invariants import (
 )
 from quiverhom.homology import injective_term_vertices, projective_resolution
 from quiverhom.modules import (
-    cyclic_submodule, decompose, dualize, iso_test, projective_rep,
+    cyclic_submodule, decompose, direct_sum, dualize, iso_test, projective_rep,
     regular_rep, simple_rep, uniserial_quotient,
 )
 from quiverhom.values import Dim
@@ -221,3 +224,17 @@ def test_projinj_vertices_survive_a_truncating_bound(a455):
     assert invariant_report(a455, bound=0)["projinj_vertices"] == [1, 2]
     with pytest.raises(DominantDimensionZero):
         minimal_faithful_projinj(bnlambda_family(3, (0,)), bound=0)
+
+
+def test_syzygy_period_is_never_missed_on_a_stalled_test(monkeypatch, a455):
+    # the syzygies of S(0)+S(1) repeat with their summands swapped, which
+    # no Hom-basis map shows, so the period is found by matching summands
+    m = direct_sum([simple_rep(a455, 0), simple_rep(a455, 1)])
+    pd = projective_dimension(m)
+    assert (pd.kind, pd.period, pd.onset) == ("infinite", 2, 2)
+
+    def stall(*args):
+        raise DecompositionInconclusive("splitting search stalled")
+    monkeypatch.setattr(modules, "decompose", stall)
+    with pytest.raises(DecompositionInconclusive):
+        projective_dimension(m)

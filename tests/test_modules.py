@@ -20,6 +20,7 @@ from quiverhom.modules import (
     iso_test, decompose, uniserial_quotient, radical_power_rows,
     is_faithful, transport_to_quotient, _seeded_maps,
 )
+from quiverhom.invariants import all_uniserial_quotients, canonical_test_set
 
 
 @pytest.fixture(scope="module")
@@ -289,3 +290,40 @@ def test_symmetric_form_unchanged():
     a = build_algebra(q, [monomial_relation(q, ["x", "x"]),
                           monomial_relation(q, ["y", "y"])], loewy_cap=4)
     assert a.symmetric_form() == tuple(Fraction(x) for x in (0, 3, 3, -1))
+
+
+# -- exact isomorphism against Auslander's oracle ---------------------------
+
+def _oracle_reasons(pool, indecs):
+    """Check iso_test on every pair of the pool against the Hom-dimension
+    profiles; return the reasons it gave."""
+    profile = [tuple(len(hom_basis(x, m)) for x in indecs) for m in pool]
+    reasons = set()
+    for i, m in enumerate(pool):
+        for j in range(i, len(pool)):
+            r = iso_test(m, pool[j])
+            assert r.is_iso == (profile[i] == profile[j])
+            if r.is_iso and r.map is not None:
+                assert r.map.is_iso()
+            reasons.add(r.reason)
+    return reasons
+
+
+@pytest.mark.parametrize("kupisch", [[2, 2, 3], [3, 4, 4]])
+def test_iso_test_matches_hom_dimensions_from_indecomposables(kupisch):
+    """Auslander: M and N are isomorphic iff dim Hom(X, M) = dim Hom(X, N)
+    for every indecomposable X; on a Nakayama algebra the uniserial
+    quotients of the projectives are all of them."""
+    a = nakayama_from_kupisch(kupisch)
+    indecs = [m for _, m in all_uniserial_quotients(a)]
+    tests = [m for _, m in canonical_test_set(a)]
+    first = tests[:6]
+    pool = tests + [direct_sum([x, y]) for i, x in enumerate(first)
+                    for j, y in enumerate(first) if i != j]
+    # X+Y against Y+X: no basis map is invertible, the summands match
+    assert "summands match" in _oracle_reasons(pool, indecs)
+    pairs = [direct_sum([x, y]) for i, x in enumerate(indecs)
+             for y in indecs[i:]]
+    reasons = _oracle_reasons(pairs, indecs)
+    if kupisch == [3, 4, 4]:
+        assert "summands differ" in reasons

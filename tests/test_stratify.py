@@ -1,11 +1,11 @@
 """Stratifications, characteristic tilting modules and the extensional
 verifiers, frozen against hand-worked orders on small Nakayama and
 two-way chain algebras."""
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
-from quiverhom import modules, stratify
+from quiverhom import homology, invariants, modules, stratify
 from quiverhom.algebra import (
     bnlambda_family, klein_four_like, nakayama_from_kupisch,
     symmetric_chain_family,
@@ -20,8 +20,8 @@ from quiverhom.invariants import (
     algebra_dominant_dimension, canonical_test_set, global_dimension,
 )
 from quiverhom.modules import (
-    IsoResult, dualize, iso_test, projective_rep, quotient_by_submodule,
-    radical_rows, regular_rep, simple_rep, sub_representation,
+    direct_sum, dualize, iso_test, projective_rep, quotient_by_submodule,
+    radical_rows, regular_rep, simple_rep, sub_representation, vertex_trace,
 )
 from quiverhom.stratify import (
     characteristic_cotilting, characteristic_tilting, classify_stratification,
@@ -189,7 +189,7 @@ def _loop_algebra(*relations, back=False):
     return parse_algebra_dsl(text).build()
 
 
-@pytest.mark.parametrize("build", [
+REFERENCE_ALGEBRAS = pytest.mark.parametrize("build", [
     lambda: _tower(3), lambda: _tower(4), lambda: _tower(5),
     lambda: bnlambda_family(3, (1,)), lambda: bnlambda_family(4, (1, 1)),
     lambda: nakayama_from_kupisch([4, 5, 5]),
@@ -199,9 +199,54 @@ def _loop_algebra(*relations, back=False):
     lambda: _loop_algebra("x*x", "a*b", "x*a", back=True),
 ], ids=["tower3", "tower4", "tower5", "b3", "b4", "455", "344", "334",
         "loop", "loop-back"])
+
+
+@REFERENCE_ALGEBRAS
 def test_search_orders_matches_order_by_order_recursion(build):
     # separate instances, so neither run sees the other's caches
     assert search_orders(build()) == _reference_rows(build())
+
+
+def _iso_reference_layer(cur, alg, t):
+    """The standard layer as decided by an isomorphism test: k = dim u /
+    dim P_t when that divides, then u against P_t^k; None on failure."""
+    u, _ = vertex_trace(cur, t)
+    du = sum(u.dims.values())
+    p = projective_rep(alg, t)
+    dp = sum(p.dims.values())
+    if du % dp:
+        return None
+    k = du // dp
+    if k and not iso_test(u, direct_sum([p] * k)).is_iso:
+        return None
+    return k
+
+
+@REFERENCE_ALGEBRAS
+def test_standard_layer_count_matches_the_iso_reference(build):
+    a = build()
+    for side in (a, a.opposite_algebra()):
+        verts = list(side.quiver.vertices)
+        for t in verts:
+            rest = [v for v in verts if v != t]
+            for r in range(len(rest) + 1):
+                for above in combinations(rest, r):
+                    alg = side.quotient_by_idempotent_ideal(frozenset(above))
+                    cur = regular_rep(alg)
+                    step = stratify._peel(cur, alg, t, False)
+                    want = _iso_reference_layer(cur, alg, t)
+                    assert (None if step is None else step[0]) == want
+
+
+@REFERENCE_ALGEBRAS
+def test_search_orders_decides_without_hom_or_iso_searches(
+        monkeypatch, build):
+    def refuse(*args):
+        raise AssertionError("hom space or iso test asked for")
+    for module in (modules, homology, invariants, stratify):
+        for name in ("iso_test", "hom_basis"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    assert len(search_orders(build())) > 0
 
 
 def _quotients_built(alg):
@@ -237,22 +282,26 @@ def test_tampered_standard_dims_fail_the_cross_check():
 def test_inconclusive_iso_is_never_a_negative(monkeypatch):
     a = nakayama_from_kupisch([2, 2, 3])
     st = classify_stratification(a, (1, 2, 0))
+    x, y = projective_rep(a, 0), projective_rep(a, 1)
+
+    def stall(*args):
+        raise DecompositionInconclusive("splitting search stalled")
+    # decompose's splitting search is the one search left to stall
     for module in (modules, stratify):
-        monkeypatch.setattr(module, "iso_test",
-                            lambda *args: IsoResult("inconclusive"))
+        monkeypatch.setattr(module, "decompose", stall)
+    # no Hom-basis map from X+Y to Y+X is invertible, so the summands are
+    # compared; a stalled decomposition raises instead of a negative
     with pytest.raises(DecompositionInconclusive):
-        stratify._basic_parts([projective_rep(a, 0), projective_rep(a, 1)])
+        iso_test(direct_sum([x, y]), direct_sum([y, x]))
+    with pytest.raises(DecompositionInconclusive):
+        stratify._basic_parts([x, y])
     with pytest.raises(DecompositionInconclusive):
         characteristic_tilting(a, st, route="extension")
-    # P(2) and I(1) share a dimension vector; neither is dropped or kept
-    # on an undecided test
+    # Y+X after X+Y in the test set is neither dropped nor kept on an
+    # undecided test
     with pytest.raises(DecompositionInconclusive):
-        canonical_test_set(a)
-    # the regular-module steps raise each time and cache nothing
-    fresh = nakayama_from_kupisch([2, 2, 3])
-    for _ in range(2):
-        with pytest.raises(DecompositionInconclusive):
-            search_orders(fresh)
+        canonical_test_set(a, extras=[("x+y", direct_sum([x, y])),
+                                      ("y+x", direct_sum([y, x]))])
 
 
 def test_quasi_hereditary_needs_no_global_dimension(monkeypatch):
