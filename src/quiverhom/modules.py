@@ -15,8 +15,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import islice
 
-import sympy
-
 from .errors import (
     CertificateFailure, DecompositionInconclusive, InvalidParameters,
 )
@@ -28,7 +26,15 @@ from .linalg import (
 
 
 class Representation:
-    """Module given by one space per vertex and one matrix per arrow."""
+    """Module given by one space per vertex and one matrix per arrow.
+
+    Every instance satisfies the relations of its algebra: either its
+    relations were checked when it was built (validate=True, the default,
+    used for simples, projectives, transported modules and every module that
+    comes from a catalog, the DSL or a caller), or it was built from checked
+    modules by a construction whose docstring proves the relations hold:
+    sub_representation, quotient_by_rows, dualize, or direct_sum and
+    zero_rep, where they hold summand by summand."""
 
     def __init__(self, algebra, dims, mats, validate=True):
         self.algebra = algebra
@@ -194,8 +200,13 @@ def simple_rep(algebra, v):
 def projective_from_vertices(algebra, verts):
     """Direct sum of the projectives at the listed vertices, with the path
     basis recorded row by row so maps out of it can be written down from
-    generator images alone."""
-    verts = list(verts)
+    generator images alone.  Built once per vertex tuple and cached on the
+    algebra; nothing changes a projective after it is built, so every
+    caller shares the module and its caches."""
+    verts = tuple(verts)
+    key = ("projsum", verts)
+    if key in algebra._cache:
+        return algebra._cache[key]
     q = algebra.quiver
     row_paths = {w: [] for w in q.vertices}
     for j, v in enumerate(verts):
@@ -216,25 +227,19 @@ def projective_from_vertices(algebra, verts):
             rows.append(row)
         mats[a.index] = Matrix(rows, dims[a.source], dims[a.target])
     rep = Representation(algebra, dims, mats)
-    rep.proj_summand_vertices = tuple(verts)
+    rep.proj_summand_vertices = verts
     rep.proj_row_paths = row_paths
     rep.proj_gen = [(v, pos[v][(j, algebra._idem[v])]) for j, v in enumerate(verts)]
+    algebra._cache[key] = rep
     return rep
 
 
 def projective_rep(algebra, v):
-    key = ("proj", v)
-    if key not in algebra._cache:
-        algebra._cache[key] = projective_from_vertices(algebra, [v])
-    return algebra._cache[key]
+    return projective_from_vertices(algebra, [v])
 
 
 def regular_rep(algebra):
-    key = ("regular",)
-    if key not in algebra._cache:
-        algebra._cache[key] = projective_from_vertices(
-            algebra, list(algebra.quiver.vertices))
-    return algebra._cache[key]
+    return projective_from_vertices(algebra, algebra.quiver.vertices)
 
 
 def injective_rep(algebra, v):
@@ -264,12 +269,17 @@ def projective_map(proj, target, images):
 
 
 def dualize(m):
-    """Dual module over the opposite algebra; arrow matrices transpose."""
+    """Dual module over the opposite algebra; arrow matrices transpose.
+
+    The relations are not checked again: those of the opposite algebra are
+    the reversed words, and (M_a1 ... M_ak)^T = M_ak^T ... M_a1^T, so each
+    one acts on the dual as the transpose of a relation acting on m, which
+    is zero."""
     if m._dual is not None:
         return m._dual
     op = m.algebra.opposite_algebra()
     mats = {a.index: m.mats[a.index].transpose() for a in m.algebra.quiver.arrows}
-    d = Representation(op, dict(m.dims), mats)
+    d = Representation(op, dict(m.dims), mats, validate=False)
     d._dual = m
     m._dual = d
     return d
@@ -386,7 +396,13 @@ def socle_dims(m):
 
 def sub_representation(m, rows_by_vertex, close=True):
     """Subrepresentation spanned by the given rows (per vertex), closed
-    under the arrow action when close=True.  Returns (sub, inclusion)."""
+    under the arrow action when close=True.  Returns (sub, inclusion).
+
+    Rows that are not closed raise CertificateFailure.  The relations are
+    not checked again: for every arrow a, solve_xa_b gives X_a with
+    span_s M_a = X_a span_t, so for every path and hence every relation
+    rho, span_s rho(M) = rho(X) span_t.  rho(M) = 0 and span_t has full
+    row rank, so rho(X) = 0."""
     q = m.algebra.quiver
     spans = {}
     for v in q.vertices:
@@ -414,7 +430,7 @@ def sub_representation(m, rows_by_vertex, close=True):
         if coords is None:
             raise CertificateFailure("rows are not closed under the action")
         mats[a.index] = coords
-    sub = Representation(m.algebra, dims, mats)
+    sub = Representation(m.algebra, dims, mats, validate=False)
     incl = ModuleMap(sub, m, dict(spans), validate=True)
     return sub, incl
 
@@ -431,8 +447,14 @@ def cyclic_submodule(m, v, row):
 
 
 def quotient_by_rows(m, rows_by_vertex):
-    """Quotient by the subrepresentation spanned by the rows (assumed
-    closed).  Returns (quotient, projection)."""
+    """Quotient by the subrepresentation spanned by the rows.  Returns
+    (quotient, projection).
+
+    Rows that are not closed raise InvalidParameters from the check of the
+    projection pi, which commutes with the arrows (M_a pi_t = pi_s Q_a)
+    exactly when the rows are closed.  The relations are not checked
+    again: for every relation rho, pi_s rho(Q) = rho(M) pi_t = 0, and pi_s
+    is onto (its rows span the quotient component), so rho(Q) = 0."""
     q = m.algebra.quiver
     red = {}
     npv = {}
@@ -468,7 +490,7 @@ def quotient_by_rows(m, rows_by_vertex):
                        for c in npv[a.source]],
                       dims[a.source], m.dims[a.source])
         mats[a.index] = lift @ m.mats[a.index] @ blocks[a.target]
-    quot = Representation(m.algebra, dims, mats)
+    quot = Representation(m.algebra, dims, mats, validate=False)
     proj = ModuleMap(m, quot, blocks, validate=True)
     return quot, proj
 
@@ -666,17 +688,24 @@ def _poly_of_map(f, coeffs):
     return ModuleMap(f.source, f.target, blocks, validate=False)
 
 
-def _sympy_factors(coeffs):
+def _coprime_split(coeffs):
+    """Split a polynomial (low degree first) into coprime factors g1, g2:
+    g1 is the power of the first irreducible factor in sympy's factor_list
+    order and g2 the product of the rest, both as Fraction coefficient
+    lists.  None when the polynomial is a power of one irreducible.  sympy
+    is imported here, so only a module that needs splitting pays for it."""
+    import sympy
     x = sympy.Symbol("x")
     poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
                        for c in reversed(coeffs)], x)
     _, facs = poly.factor_list()
-    return [(sympy.Poly(f, x), e) for f, e in facs]
-
-
-def _poly_coeffs(poly):
-    cs = list(reversed(poly.all_coeffs()))
-    return [Fraction(c.p, c.q) for c in cs]
+    if len(facs) < 2:
+        return None
+    g2 = sympy.Poly(1, x)
+    for p, e in facs[1:]:
+        g2 = g2 * p ** e
+    return [[Fraction(c.p, c.q) for c in reversed(g.all_coeffs())]
+            for g in (facs[0][0] ** facs[0][1], g2)]
 
 
 def _trace_form_rank(endos):
@@ -716,17 +745,10 @@ def decompose(m, budget=64, seed=0):
     if len(endos) == 1 or _trace_form_rank(endos) == 1:
         return [m]
     for f in _seeded_maps(endos, budget, seed):
-        coeffs = minimal_polynomial(f.total_matrix())
-        facs = _sympy_factors(coeffs)
-        if len(facs) < 2:
+        split = _coprime_split(minimal_polynomial(f.total_matrix()))
+        if split is None:
             continue
-        x = sympy.Symbol("x")
-        g1 = facs[0][0] ** facs[0][1]
-        g2 = sympy.Poly(1, x)
-        for p, e in facs[1:]:
-            g2 = g2 * p ** e
-        k1, _ = kernel_of_map(_poly_of_map(f, _poly_coeffs(sympy.Poly(g1, x))))
-        k2, _ = kernel_of_map(_poly_of_map(f, _poly_coeffs(sympy.Poly(g2, x))))
+        k1, k2 = (kernel_of_map(_poly_of_map(f, g))[0] for g in split)
         if k1.total_dim + k2.total_dim != m.total_dim or k1.total_dim == 0 \
                 or k2.total_dim == 0:
             raise CertificateFailure("fitting split does not add up")

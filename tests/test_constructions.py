@@ -1,0 +1,173 @@
+"""Projectives are built once per vertex tuple, relations are checked once
+per construction, and sympy is imported only when decompose splits a
+module.
+
+Constructions that prove their relations (sub_representation,
+quotient_by_rows, dualize) skip Representation._check_relations; the
+differential test runs the check on every construction anyway and asserts
+that nothing fails and that no answer changes."""
+import subprocess
+import sys
+from fractions import Fraction
+
+import pytest
+
+from quiverhom import homology, modules
+from quiverhom.algebra import nakayama_from_kupisch
+from quiverhom.errors import CertificateFailure, InvalidParameters
+from quiverhom.homology import ext_dims, projective_cover
+from quiverhom.invariants import canonical_test_set
+from quiverhom.linalg import Matrix
+from quiverhom.modules import (
+    Representation, decompose, direct_sum, dualize, projective_from_vertices,
+    projective_rep, quotient_by_rows, regular_rep, simple_rep,
+    sub_representation, transport_to_quotient, uniserial_quotient,
+    vertex_trace, _coprime_split,
+)
+from quiverhom.stratify import search_orders
+from quiverhom.verify import verify_paper_example
+
+FAST_IDS = [
+    "ex3.1-n3", "ex3.1-n4", "ex3.1-n5", "ex3.2", "ex3.3", "ex3.6-d1",
+    "ex3.6-d2", "ex3.6-parity", "prop4.4-B3lambda0", "thm4.7-n2",
+    "lemma4.3-n3", "lemma4.3-n4", "props-core", "props-benson", "props-ext",
+    "props-quadruple",
+]
+
+
+def _ext_table(kupisch):
+    a = nakayama_from_kupisch(kupisch)
+    mods = [m for _, m in canonical_test_set(a)]
+    return [ext_dims(m, n, 3) for m in mods for n in mods]
+
+
+def _reports():
+    return ([verify_paper_example(eid) for eid in FAST_IDS],
+            _ext_table([2, 2, 3]),
+            search_orders(nakayama_from_kupisch([3, 4, 4])))
+
+
+# -- cheaper, never dropped -------------------------------------------------
+
+def test_checking_every_construction_changes_no_answer(monkeypatch):
+    plain = _reports()
+    skipped = []
+    orig = Representation.__init__
+
+    def always_validating(self, algebra, dims, mats, validate=True):
+        if not validate:
+            skipped.append(self)
+        orig(self, algebra, dims, mats, validate=True)
+
+    monkeypatch.setattr(Representation, "__init__", always_validating)
+    assert _reports() == plain
+    assert skipped
+
+
+def test_proven_constructions_skip_the_relation_check(monkeypatch):
+    a = nakayama_from_kupisch([2, 2, 3])
+    calls = []
+    orig = Representation._check_relations
+
+    def counted(self):
+        calls.append(self)
+        return orig(self)
+
+    monkeypatch.setattr(Representation, "_check_relations", counted)
+    p = projective_rep(a, 2)
+    assert calls == [p]
+    projective_rep(a, 2)
+    projective_from_vertices(a, [2])
+    assert calls == [p]
+    sub, incl = vertex_trace(p, 0)
+    quot, _ = quotient_by_rows(p, incl.blocks)
+    dualize(sub)
+    dualize(quot)
+    assert calls == [p]
+    s = simple_rep(a, 1)
+    assert calls == [p, s]
+    t = transport_to_quotient(s, a.quotient_by_idempotent_ideal([0]))
+    assert calls == [p, s, t]
+    m = Representation(a, {0: 1}, {})
+    assert calls == [p, s, t, m]
+
+
+def test_rows_that_are_not_closed_are_refused():
+    a = nakayama_from_kupisch([2, 2, 3])
+    p = projective_rep(a, 2)
+    # the top of P(2) alone: the arrow 2 -> 0 leaves the span
+    with pytest.raises(CertificateFailure):
+        sub_representation(p, {2: [[1]]}, close=False)
+    # the projection onto P(2)/top does not commute with that arrow
+    with pytest.raises(InvalidParameters):
+        quotient_by_rows(p, {2: [[1]]})
+
+
+def test_a_module_that_breaks_a_relation_is_refused():
+    a = nakayama_from_kupisch([2, 2, 3])
+    one = Matrix([[Fraction(1)]], 1, 1)
+    # a0 a1 = 0 in A, but here the path 0 -> 1 -> 2 acts as 1
+    with pytest.raises(InvalidParameters):
+        Representation(a, {0: 1, 1: 1, 2: 1},
+                       {x.index: one for x in a.quiver.arrows})
+
+
+# -- one projective per vertex tuple ----------------------------------------
+
+def test_projectives_are_shared():
+    a = nakayama_from_kupisch([2, 2, 3])
+    for v in a.quiver.vertices:
+        assert projective_rep(a, v) is projective_from_vertices(a, [v])
+    assert regular_rep(a) is projective_from_vertices(a, a.quiver.vertices)
+    assert regular_rep(a).proj_summand_vertices == (0, 1, 2)
+    top0 = projective_cover(simple_rep(a, 0))[0]
+    assert projective_cover(uniserial_quotient(a, 0, 2))[0] is top0
+    assert top0 is projective_rep(a, 0)
+
+
+def test_each_projective_is_built_once(monkeypatch):
+    requested, built = set(), []
+    orig = modules.projective_from_vertices
+
+    def counting(algebra, verts):
+        key = (id(algebra), tuple(verts))
+        requested.add(key)
+        if ("projsum", tuple(verts)) not in algebra._cache:
+            built.append(key)
+        return orig(algebra, verts)
+
+    monkeypatch.setattr(modules, "projective_from_vertices", counting)
+    monkeypatch.setattr(homology, "projective_from_vertices", counting)
+    _ext_table([2, 2, 3])
+    assert built
+    assert len(built) == len(requested)
+
+
+# -- sympy only when decompose splits ----------------------------------------
+
+def test_import_leaves_sympy_out():
+    code = "import sys, quiverhom, quiverhom.cli; print('sympy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_coprime_split():
+    fr = lambda *xs: [Fraction(x) for x in xs]
+    # x^2 - 1 = (x - 1)(x + 1)
+    assert _coprime_split(fr(-1, 0, 1)) == [fr(-1, 1), fr(1, 1)]
+    # x^3 - x^2 = x^2 (x - 1): sympy lists x - 1 first
+    assert _coprime_split(fr(0, 0, -1, 1)) == [fr(-1, 1), fr(0, 0, 1)]
+    assert _coprime_split(fr(0, 0, 1)) is None
+    assert _coprime_split(fr(2, 0, 1)) is None
+
+
+def test_split_summands_keep_their_order():
+    a = nakayama_from_kupisch([3, 4, 4])
+    parts = decompose(regular_rep(a))
+    assert [p.dim_vector() for p in parts] == [(1, 1, 1), (1, 2, 1),
+                                               (1, 1, 2)]
+    m = direct_sum([uniserial_quotient(a, 1, 2), simple_rep(a, 0),
+                    projective_rep(a, 2)])
+    assert [p.dim_vector() for p in decompose(m)] == [(1, 0, 0), (0, 1, 1),
+                                                      (1, 1, 2)]
