@@ -44,13 +44,20 @@ def projective_cover(m):
 
 class ProjectiveResolution:
     """Minimal resolution, extended lazily; term i is the i-th projective,
-    syzygy i the kernel reached after i covers."""
+    syzygy i the kernel reached after i covers.
+
+    Per degree it keeps the cover, the inclusion of the syzygy and, once
+    asked for, the presentation of differential i as generator-to-generator
+    algebra elements (see _presentation_elements).  The presentation does
+    not depend on the target of an extension group, so every target reads
+    the same entries; the composed differential itself is not kept."""
 
     def __init__(self, m):
         self.module = m
         self.syz = [m]
         self.covers = []
         self.incls = []
+        self.presentations = {}
 
     def extend(self, upto):
         while len(self.covers) <= upto:
@@ -79,6 +86,14 @@ class ProjectiveResolution:
             raise ValueError("differentials start at 1")
         self.extend(i)
         return self.covers[i].then(self.incls[i - 1])
+
+    def presentation(self, i):
+        """Generator-to-generator entries of differential i, built once."""
+        got = self.presentations.get(i)
+        if got is None:
+            got = self.presentations[i] = _presentation_elements(
+                self.differential(i))
+        return got
 
 
 def projective_resolution(m):
@@ -138,25 +153,26 @@ def _hom_offsets(P, n):
     return offs, total
 
 
-def _coord_matrix(P0, P1, d, n):
-    """Matrix of composing with d on generator coordinates: a map P0 -> n
-    given as a row over the generator components of n goes to the row of
-    the composite P1 -> P0 -> n."""
-    ents = _presentation_elements(d)
+def _coord_matrix(P0, P1, ents, n):
+    """Matrix of composing with a differential P1 -> P0, given by its
+    presentation entries, on generator coordinates: a map P0 -> n given as
+    a row over the generator components of n goes to the row of the
+    composite P1 -> P0 -> n.  Entry [j1][j0] lies in e_v A e_w, with v the
+    vertex of generator j0 and w that of generator j1, so each of its paths
+    p with coefficient c adds c times the action of p, from the component
+    of n at v to the one at w, into the (j0, j1) block."""
+    basis = n.algebra.basis
     offs0, h0 = _hom_offsets(P0, n)
     offs1, h1 = _hom_offsets(P1, n)
     out = [[F0] * h1 for _ in range(h0)]
-    for j1, (w, _) in enumerate(P1.proj_gen):
-        for j0, (v, _) in enumerate(P0.proj_gen):
-            elem = ents[j1][j0]
-            if not elem:
-                continue
-            block = n.element_block(elem, v, w)
-            for i in range(block.nrows):
-                for j in range(block.ncols):
-                    c = block.data[i][j]
-                    if c:
-                        out[offs0[j0] + i][offs1[j1] + j] += c
+    for j1, c1 in enumerate(offs1):
+        for j0, r0 in enumerate(offs0):
+            for bi, c in ents[j1][j0].items():
+                for i, prow in enumerate(n.path_action(basis[bi]).data):
+                    orow = out[r0 + i]
+                    for j, x in enumerate(prow):
+                        if x:
+                            orow[c1 + j] += c * x
     return Matrix(out, h0, h1)
 
 
@@ -173,7 +189,7 @@ def _ext_data(m, n, imax):
         i = len(Bs)
         P = res.term(i)
         hs.append(_hom_offsets(P, n)[1])
-        Bs.append(_coord_matrix(P, res.term(i + 1), res.differential(i + 1), n))
+        Bs.append(_coord_matrix(P, res.term(i + 1), res.presentation(i + 1), n))
         if i and not (Bs[i - 1] @ Bs[i]).is_zero():
             raise CertificateFailure("coordinate complex fails to compose to zero")
         ranks.append(rank(Bs[i]))
@@ -327,7 +343,7 @@ def transpose_of(m):
     res = projective_resolution(m)
     res.extend(1)
     P0, P1 = res.term(0), res.term(1)
-    ents = _presentation_elements(res.differential(1))
+    ents = res.presentation(1)
     P0op = projective_from_vertices(op, [v for v, _ in P0.proj_gen])
     P1op = projective_from_vertices(op, [v for v, _ in P1.proj_gen])
     pos1 = {w: {ji: r for r, ji in enumerate(P1op.proj_row_paths[w])}

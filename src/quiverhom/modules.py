@@ -80,24 +80,18 @@ class Representation:
         return self.total_dim == 0
 
     def path_action(self, p):
+        """Matrix of the path p from the component at its source to the
+        one at its target: the identity for a trivial path, otherwise the
+        product of its arrow matrices in order."""
         key = p.key()
         got = self._paths.get(key)
         if got is None:
-            m = Matrix.identity(self.dims[p.source])
-            for ai in p.word:
-                m = m @ self.mats[ai]
-            self._paths[key] = got = m
+            word = p.word
+            got = self.mats[word[0]] if word else Matrix.identity(self.dims[p.source])
+            for ai in word[1:]:
+                got = got @ self.mats[ai]
+            self._paths[key] = got
         return got
-
-    def element_block(self, elem, v, w):
-        """Action of an algebra element between the components at v and w;
-        only its paths from v to w contribute."""
-        out = Matrix.zeros(self.dims[v], self.dims[w])
-        for i, c in elem.items():
-            p = self.algebra.basis[i]
-            if p.source == v and p.target == w:
-                out = out + self.path_action(p).scale(c)
-        return out
 
     def total_path_action(self, p):
         out = [[F0] * self.total_dim for _ in range(self.total_dim)]
@@ -252,7 +246,13 @@ def injective_rep(algebra, v):
 
 def projective_map(proj, target, images):
     """Map out of projective_from_vertices data: images[j] is a row of the
-    target component at the j-th generator vertex."""
+    target component at the j-th generator vertex.
+
+    The map is not checked against the arrows: row (p, j) goes to
+    images[j]·action(p).  An arrow a sends row (p, j) to the sum of
+    c_k·row (p_k, j), where p·a = sum c_k p_k in A, and the map sends that
+    to images[j]·(sum c_k action(p_k)) = images[j]·action(p)·T_a, because
+    the target satisfies the relations (the Representation invariant)."""
     blocks = {}
     for w in proj.algebra.quiver.vertices:
         rows = []
@@ -265,7 +265,7 @@ def projective_map(proj, target, images):
                 row = gm.data[0]
             rows.append(row)
         blocks[w] = Matrix(rows, proj.dims[w], target.dims[w])
-    return ModuleMap(proj, target, blocks)
+    return ModuleMap(proj, target, blocks, validate=False)
 
 
 def dualize(m):
@@ -402,7 +402,10 @@ def sub_representation(m, rows_by_vertex, close=True):
     not checked again: for every arrow a, solve_xa_b gives X_a with
     span_s M_a = X_a span_t, so for every path and hence every relation
     rho, span_s rho(M) = rho(X) span_t.  rho(M) = 0 and span_t has full
-    row rank, so rho(X) = 0."""
+    row rank, so rho(X) = 0.  Nor is the inclusion checked against the
+    arrows: its block at v is span_v, and span_s M_a = X_a span_t is
+    exactly the commuting square for the arrow a, which solve_xa_b has
+    just certified in exact arithmetic."""
     q = m.algebra.quiver
     spans = {}
     for v in q.vertices:
@@ -431,7 +434,7 @@ def sub_representation(m, rows_by_vertex, close=True):
             raise CertificateFailure("rows are not closed under the action")
         mats[a.index] = coords
     sub = Representation(m.algebra, dims, mats, validate=False)
-    incl = ModuleMap(sub, m, dict(spans), validate=True)
+    incl = ModuleMap(sub, m, dict(spans), validate=False)
     return sub, incl
 
 

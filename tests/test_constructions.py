@@ -3,8 +3,10 @@ per construction, and sympy is imported only when decompose splits a
 module.
 
 Constructions that prove their relations (sub_representation,
-quotient_by_rows, dualize) skip Representation._check_relations; the
-differential test runs the check on every construction anyway and asserts
+quotient_by_rows, dualize) skip Representation._check_relations, and maps
+that commute with the arrows by construction (projective_map, the
+inclusion of sub_representation) skip the ModuleMap check; the
+differential tests run each check on every construction anyway and assert
 that nothing fails and that no answer changes."""
 import subprocess
 import sys
@@ -13,16 +15,16 @@ from fractions import Fraction
 import pytest
 
 from quiverhom import homology, modules
-from quiverhom.algebra import nakayama_from_kupisch
+from quiverhom.algebra import Path, bnlambda_family, nakayama_from_kupisch
 from quiverhom.errors import CertificateFailure, InvalidParameters
 from quiverhom.homology import ext_dims, projective_cover
 from quiverhom.invariants import canonical_test_set
 from quiverhom.linalg import Matrix
 from quiverhom.modules import (
-    Representation, decompose, direct_sum, dualize, projective_from_vertices,
-    projective_rep, quotient_by_rows, regular_rep, simple_rep,
-    sub_representation, transport_to_quotient, uniserial_quotient,
-    vertex_trace, _coprime_split,
+    ModuleMap, Representation, decompose, direct_sum, dualize,
+    projective_from_vertices, projective_map, projective_rep,
+    quotient_by_rows, regular_rep, simple_rep, sub_representation,
+    transport_to_quotient, uniserial_quotient, vertex_trace, _coprime_split,
 )
 from quiverhom.stratify import search_orders
 from quiverhom.verify import verify_paper_example
@@ -62,6 +64,57 @@ def test_checking_every_construction_changes_no_answer(monkeypatch):
     monkeypatch.setattr(Representation, "__init__", always_validating)
     assert _reports() == plain
     assert skipped
+
+
+def test_checking_every_module_map_changes_no_answer(monkeypatch):
+    plain = _reports()
+    skipped = []
+    orig = ModuleMap.__init__
+
+    def always_validating(self, source, target, blocks, validate=True):
+        if not validate:
+            skipped.append(self)
+        orig(self, source, target, blocks, validate=True)
+
+    monkeypatch.setattr(ModuleMap, "__init__", always_validating)
+    assert _reports() == plain
+    assert skipped
+
+
+def test_proven_maps_skip_the_arrow_check(monkeypatch):
+    a = nakayama_from_kupisch([2, 2, 3])
+    p = projective_rep(a, 0)
+    flags = []
+    orig = ModuleMap.__init__
+
+    def recorded(self, source, target, blocks, validate=True):
+        flags.append(validate)
+        orig(self, source, target, blocks, validate)
+
+    monkeypatch.setattr(ModuleMap, "__init__", recorded)
+    f = projective_map(p, simple_rep(a, 0), [[1]])
+    _, incl = vertex_trace(p, 1)
+    assert flags == [False, False]
+    assert f.is_surjective() and incl.is_injective()
+
+
+def test_path_action_is_the_product_of_its_arrows():
+    def product(m, p):
+        out = Matrix.identity(m.dims[p.source])
+        for ai in p.word:
+            out = out @ m.mats[ai]
+        return out
+
+    for a in (nakayama_from_kupisch([3, 4, 4]), bnlambda_family(3, [1])):
+        reg = regular_rep(a)
+        for v in a.quiver.vertices:
+            assert reg.path_action(Path(v, v, ())) == \
+                Matrix.identity(reg.dims[v])
+        for x in a.quiver.arrows:
+            assert reg.path_action(Path(x.source, x.target, (x.index,))) \
+                is reg.mats[x.index]
+        for p in a.basis:
+            assert reg.path_action(p) == product(reg, p)
 
 
 def test_proven_constructions_skip_the_relation_check(monkeypatch):

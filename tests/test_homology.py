@@ -2,17 +2,21 @@
 algebras whose homology is known by hand."""
 import pytest
 
+from quiverhom import homology
 from quiverhom.algebra import (
     klein_four_like, nakayama_from_kupisch, symmetric_chain_family,
 )
+from quiverhom.catalog import parse_construction
 from quiverhom.errors import NotGeneratorCogenerator
 from quiverhom.homology import (
     ProjectiveResolution, ShortExact, ar_translate, cosyzygy, ext1_cocycles,
-    ext_dim, ext_dims_proj, extension_from_cocycle, generator_cogenerator_check,
-    injective_term_vertices, is_injective_mod, is_projective, mueller_domdim,
-    projective_cover, projective_resolution, syzygy, tau_minus, transpose_of,
+    ext_dim, ext_dims, ext_dims_proj, extension_from_cocycle,
+    generator_cogenerator_check, injective_term_vertices, is_injective_mod,
+    is_projective, mueller_domdim, projective_cover, projective_resolution,
+    syzygy, tau_minus, transpose_of,
 )
-from quiverhom.invariants import projective_dimension
+from quiverhom.invariants import canonical_test_set, projective_dimension
+from quiverhom.linalg import Matrix
 from quiverhom.modules import (
     cyclic_submodule, direct_sum, dualize, iso_test, projective_rep,
     regular_rep, simple_rep, summand_inclusion, summand_projection,
@@ -65,6 +69,75 @@ def test_resolution_differentials_compose_to_zero(a223):
     res.extend(3)
     for i in range(2, 4):
         assert res.differential(i).then(res.differential(i - 1)).is_zero()
+
+
+def _reference_coord_matrix(res, i, n):
+    """Coordinate matrix of degree i built from the composed differential
+    i + 1, one element block per generator pair: the sum of c times the
+    action of each path from v to w in the entry."""
+    d = res.differential(i + 1)
+    P0, P1 = d.target, d.source
+    ents = homology._presentation_elements(d)
+    offs0, h0 = homology._hom_offsets(P0, n)
+    offs1, h1 = homology._hom_offsets(P1, n)
+    out = Matrix.zeros(h0, h1).copy_rows()
+    for j1, (w, _) in enumerate(P1.proj_gen):
+        for j0, (v, _) in enumerate(P0.proj_gen):
+            block = Matrix.zeros(n.dims[v], n.dims[w])
+            for bi, c in ents[j1][j0].items():
+                p = n.algebra.basis[bi]
+                if p.source == v and p.target == w:
+                    block = block + n.path_action(p).scale(c)
+            for r, row in enumerate(block.data):
+                for k, x in enumerate(row):
+                    out[offs0[j0] + r][offs1[j1] + k] += x
+    return Matrix(out, h0, h1)
+
+
+@pytest.mark.parametrize("spec", ["kupisch:2,2,3", "kupisch:3,4,4",
+                                  "bnlambda:3,1"])
+def test_coordinate_matrices_match_the_composed_differentials(spec):
+    mods = [m for _, m in canonical_test_set(parse_construction(spec))]
+    imax = 4
+    nonzero = 0
+    for m in mods:
+        res = projective_resolution(m)
+        for n in mods:
+            Bs, _, _ = homology._ext_data(m, n, imax)
+            assert len(Bs) == imax + 1
+            for i, B in enumerate(Bs):
+                assert B == _reference_coord_matrix(res, i, n)
+                nonzero += not B.is_zero()
+    assert nonzero
+
+
+def test_presentations_are_built_once_per_degree(monkeypatch):
+    a = nakayama_from_kupisch([3, 4, 4])
+    targets = [m for _, m in canonical_test_set(a)]
+    m = targets[0]
+    built = []
+    orig = homology._presentation_elements
+
+    def counted(d):
+        built.append(d)
+        return orig(d)
+
+    monkeypatch.setattr(homology, "_presentation_elements", counted)
+    imax = 3
+    for n in targets:
+        ext_dims_proj(m, n, imax)
+    assert len(targets) > 1
+    assert len(built) == imax + 1
+    # the other side of the duality resolves each dual target once more
+    for n in targets:
+        ext_dims(m, n, imax)
+    duals = {id(projective_resolution(dualize(n))) for n in targets}
+    assert len(built) == (imax + 1) * (1 + len(duals))
+    assert sorted(projective_resolution(m).presentations) == \
+        list(range(1, imax + 2))
+    # the transpose reads the presentation of degree 1 that is kept
+    transpose_of(m)
+    assert len(built) == (imax + 1) * (1 + len(duals))
 
 
 def test_injective_envelope_223(a223):
