@@ -19,14 +19,12 @@ rewritten in terms of strictly smaller ones and the basis is deterministic.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import (
     BoundExceeded, CertificateFailure, InvalidParameters, InvalidSeries,
     QuotientCollapse,
 )
 from .linalg import (
-    F0, F1, Matrix, rank, right_kernel, left_kernel, rref, seeded_combinations,
+    Matrix, exact, rank, right_kernel, left_kernel, rref, seeded_combinations,
 )
 
 
@@ -177,14 +175,14 @@ class Relation:
         merged = {}
         first = None
         for c, p in terms:
-            c = c if isinstance(c, Fraction) else Fraction(c)
+            c = exact(c)
             if first is None:
                 first = p
             if p.source != first.source or p.target != first.target:
                 raise InvalidParameters("relation mixes different endpoints")
             if len(p) < 2:
                 raise InvalidParameters("relation path %r too short" % (p,))
-            merged[p] = merged.get(p, F0) + c
+            merged[p] = merged.get(p, 0) + c
         kept = [(c, p) for p, c in merged.items() if c]
         kept.sort(key=lambda t: (len(t[1].word), t[1].word))
         self.terms = tuple(kept)
@@ -200,7 +198,7 @@ class Relation:
 
 
 def monomial_relation(quiver, names):
-    return Relation([(F1, quiver.path_from_names(names))])
+    return Relation([(1, quiver.path_from_names(names))])
 
 
 def combination_relation(quiver, combo):
@@ -220,11 +218,13 @@ def _reduce_row(vec, R, piv):
 class BoundQuiverAlgebra:
     """Finite-dimensional path algebra modulo an admissible ideal.
 
-    Elements are dicts {basis index: Fraction}.  The basis consists of the
-    surviving paths, listed in increasing degree-lexicographic order, so
-    trivial paths come first (one per vertex), then arrows, then longer
-    paths.  loewy_bound is an accepted truncation level: every path of that
-    length is zero in the algebra.
+    Elements are dicts {basis index: coefficient}, each coefficient an
+    exact rational (an int when integral, else a Fraction; see
+    linalg.exact).  The basis consists of the surviving paths, listed in
+    increasing degree-lexicographic order, so trivial paths come first (one
+    per vertex), then arrows, then longer paths.  loewy_bound is an
+    accepted truncation level: every path of that length is zero in the
+    algebra.
     """
 
     def __init__(self, quiver, relations, loewy_bound, basis, mult):
@@ -247,17 +247,17 @@ class BoundQuiverAlgebra:
     # -- elements ----------------------------------------------------------
 
     def idempotent(self, v):
-        return {self._idem[v]: F1}
+        return {self._idem[v]: 1}
 
     def one(self):
-        return {i: F1 for i in self._idem.values()}
+        return {i: 1 for i in self._idem.values()}
 
     def arrow_element(self, name):
         a = self.quiver.arrow(name)
-        return {self._arrow_basis[a.index]: F1}
+        return {self._arrow_basis[a.index]: 1}
 
     def basis_element(self, i):
-        return {i: F1}
+        return {i: 1}
 
     def multiply(self, x, y):
         out = {}
@@ -269,20 +269,20 @@ class BoundQuiverAlgebra:
                 if prod:
                     ab = a * b
                     for k, c in prod.items():
-                        out[k] = out.get(k, F0) + ab * c
+                        out[k] = out.get(k, 0) + ab * c
         return {k: v for k, v in out.items() if v}
 
     def path_normal_form(self, path):
         """Image of an arbitrary quiver path in the algebra."""
         x = self.idempotent(path.source)
         for ai in path.word:
-            x = self.multiply(x, {self._arrow_basis[ai]: F1})
+            x = self.multiply(x, {self._arrow_basis[ai]: 1})
             if not x:
                 return {}
         return x
 
     def element_vector(self, x):
-        row = [F0] * self.dim
+        row = [0] * self.dim
         for k, c in x.items():
             row[k] = c
         return row
@@ -334,7 +334,7 @@ class BoundQuiverAlgebra:
         rows = []
         for i in range(n):
             for j in range(i + 1, n):
-                vec = [F0] * n
+                vec = [0] * n
                 prod = self.mult[i][j]
                 if prod:
                     for k, c in prod.items():
@@ -354,7 +354,7 @@ class BoundQuiverAlgebra:
         for lam in seeded_combinations(cands, budget, seed):
             gram = []
             for i in range(n):
-                row = [F0] * n
+                row = [0] * n
                 for j in range(n):
                     prod = self.mult[i][j]
                     if prod:
@@ -468,7 +468,7 @@ def build_algebra(quiver, relations, loewy_cap=12):
                 for v in rights:
                     if len(u) + lmin + len(v) > N:
                         continue
-                    vec = [F0] * nc
+                    vec = [0] * nc
                     hit = False
                     for c, p in r.terms:
                         if len(u) + len(p) + len(v) <= N:
@@ -482,8 +482,8 @@ def build_algebra(quiver, relations, loewy_cap=12):
 
         closed = True
         for p in by_len[N]:
-            vec = [F0] * nc
-            vec[col_of[p.key()]] = F1
+            vec = [0] * nc
+            vec[col_of[p.key()]] = 1
             if any(_reduce_row(vec, R, piv)):
                 closed = False
                 break
@@ -496,7 +496,7 @@ def build_algebra(quiver, relations, loewy_cap=12):
         basis.sort(key=lambda p: _deglex_key(quiver, p))
         bindex = {p.key(): i for i, p in enumerate(basis)}
 
-        nf = {p.key(): {i: F1} for i, p in enumerate(basis)}
+        nf = {p.key(): {i: 1} for i, p in enumerate(basis)}
         for r_i, c in enumerate(piv):
             p = cols[c]
             if len(p) >= N:

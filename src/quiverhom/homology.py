@@ -11,7 +11,7 @@ insists the answers agree.
 from __future__ import annotations
 
 from .errors import CertificateFailure, NotGeneratorCogenerator
-from .linalg import F0, F1, Matrix, rank, rref, row_space, left_kernel, solve_linear
+from .linalg import Matrix, rank, rref, row_space, left_kernel, solve_linear
 from .modules import (
     ModuleMap, direct_sum, dualize, decompose,
     hom_basis, iso_test, kernel_of_map, projective_from_vertices,
@@ -32,8 +32,8 @@ def projective_cover(m):
         for c in range(m.dims[v]):
             if c not in pivset:
                 verts.append(v)
-                row = [F0] * m.dims[v]
-                row[c] = F1
+                row = [0] * m.dims[v]
+                row[c] = 1
                 images.append(row)
     P = projective_from_vertices(m.algebra, verts)
     f = projective_map(P, m, images)
@@ -164,7 +164,7 @@ def _coord_matrix(P0, P1, ents, n):
     basis = n.algebra.basis
     offs0, h0 = _hom_offsets(P0, n)
     offs1, h1 = _hom_offsets(P1, n)
-    out = [[F0] * h1 for _ in range(h0)]
+    out = [[0] * h1 for _ in range(h0)]
     for j1, c1 in enumerate(offs1):
         for j0, r0 in enumerate(offs0):
             for bi, c in ents[j1][j0].items():
@@ -320,7 +320,7 @@ def extension_from_cocycle(m, psi):
     iota = summand_inclusion(ns, [n, res.term(0)], 0).then(pi)
     h = ModuleMap(ns, m,
                   {v: Matrix(
-                      [[F0] * m.dims[v] for _ in range(n.dims[v])] + cover0.block(v).data,
+                      [[0] * m.dims[v] for _ in range(n.dims[v])] + cover0.block(v).data,
                       ns.dims[v], m.dims[v])
                    for v in m.algebra.quiver.vertices})
     blocks = {}
@@ -350,7 +350,7 @@ def transpose_of(m):
             for w in op.quiver.vertices}
     images = []
     for j0, (v, _) in enumerate(P0op.proj_gen):
-        row = [F0] * P1op.dims[v]
+        row = [0] * P1op.dims[v]
         for j1 in range(len(P1op.proj_gen)):
             for bi, c in ents[j1][j0].items():
                 row[pos1[v][(j1, bi)]] += c

@@ -1,9 +1,17 @@
 """Exact dense linear algebra over the rationals.
 
-Everything is a dense Matrix of Fraction entries.  Row reduction uses the
-fixed pivoting rule "first nonzero column, smallest row index", so every
-derived object (echelon forms, kernel and image bases, particular solutions,
-minimal polynomials) is deterministic: same input, same output, bit for bit.
+Everything is a dense Matrix of exact rational entries: an entry is an int
+when it is integral and a Fraction otherwise (exact() normalizes a value to
+that form).  Arrow and relation matrices are integral, so most arithmetic
+stays in Python ints; the only true division, the pivot scaling in rref,
+returns an int whenever the pivot divides the entry.  Mixed arithmetic may
+still leave an integral Fraction, which is equal to and hashes like the
+int.  No float ever arises.
+
+Row reduction uses the fixed pivoting rule "first nonzero column, smallest
+row index", so every derived object (echelon forms, kernel and image bases,
+particular solutions, minimal polynomials) is deterministic: same input,
+same output, bit for bit.
 
 Two conventions coexist and are both exposed on purpose.  right_kernel /
 solve_linear speak the column language (vectors are columns, kernel columns
@@ -16,12 +24,20 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-F0 = Fraction(0)
-F1 = Fraction(1)
+
+def exact(x):
+    """x as an exact rational: an int when it is integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
-def _frac(x):
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _divide(x, p):
+    """x / p exactly: x // p when p divides x, else exact(x / p)."""
+    if type(x) is int and type(p) is int and not x % p:
+        return x // p
+    return exact(Fraction(x) / p)
 
 
 class Matrix:
@@ -41,7 +57,7 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, rows, ncols=None):
-        rows = [[_frac(x) for x in r] for r in rows]
+        rows = [[exact(x) for x in r] for r in rows]
         if rows:
             ncols = len(rows[0])
             for r in rows:
@@ -53,11 +69,11 @@ class Matrix:
 
     @classmethod
     def zeros(cls, nrows, ncols):
-        return cls([[F0] * ncols for _ in range(nrows)], nrows, ncols)
+        return cls([[0] * ncols for _ in range(nrows)], nrows, ncols)
 
     @classmethod
     def identity(cls, n):
-        return cls([[F1 if i == j else F0 for j in range(n)] for i in range(n)], n, n)
+        return cls([[int(i == j) for j in range(n)] for i in range(n)], n, n)
 
     @classmethod
     def row_vector(cls, entries):
@@ -119,7 +135,7 @@ class Matrix:
         return Matrix([[-a for a in r] for r in self.data], self.nrows, self.ncols)
 
     def scale(self, c):
-        c = _frac(c)
+        c = exact(c)
         return Matrix([[c * a for a in r] for r in self.data], self.nrows, self.ncols)
 
     def __matmul__(self, other):
@@ -129,7 +145,7 @@ class Matrix:
         ot = other.data
         out = []
         for r in self.data:
-            row = [F0] * other.ncols
+            row = [0] * other.ncols
             for k, a in enumerate(r):
                 if a:
                     ok = ot[k]
@@ -171,10 +187,13 @@ def rref(mat):
     """Reduced row echelon form.
 
     Returns (R, pivot_cols).  Pivoting: scan columns left to right, take the
-    first row (smallest index among the unused) with a nonzero entry.
+    first row (smallest index among the unused) with a nonzero entry.  An
+    empty shape is its own reduced form.
     """
-    rows = mat.copy_rows()
     nr, nc = mat.nrows, mat.ncols
+    if not nr or not nc:
+        return Matrix([[] for _ in range(nr)], nr, nc), ()
+    rows = mat.copy_rows()
     pivots = []
     r = 0
     for c in range(nc):
@@ -188,9 +207,9 @@ def rref(mat):
         if sel is None:
             continue
         rows[r], rows[sel] = rows[sel], rows[r]
-        inv = F1 / rows[r][c]
-        if inv != 1:
-            rows[r] = [x * inv for x in rows[r]]
+        p = rows[r][c]
+        if p != 1:
+            rows[r] = [_divide(x, p) if x else 0 for x in rows[r]]
         prow = rows[r]
         for i in range(nr):
             if i != r and rows[i][c]:
@@ -219,8 +238,8 @@ def right_kernel(mat):
     free = [c for c in range(mat.ncols) if c not in pivset]
     cols = []
     for fc in free:
-        v = [F0] * mat.ncols
-        v[fc] = F1
+        v = [0] * mat.ncols
+        v[fc] = 1
         for r, pc in enumerate(piv):
             v[pc] = -R.data[r][fc]
         cols.append(v)
@@ -248,7 +267,7 @@ def solve_linear(a, b):
     for c in piv:
         if c >= a.ncols:
             return None
-    sol = [[F0] * b.ncols for _ in range(a.ncols)]
+    sol = [[0] * b.ncols for _ in range(a.ncols)]
     for r, pc in enumerate(piv):
         for j in range(b.ncols):
             sol[pc][j] = R.data[r][a.ncols + j]
@@ -273,7 +292,7 @@ def minimal_polynomial(mat):
     if mat.ncols != n:
         raise ValueError("minimal polynomial of non-square matrix")
     if n == 0:
-        return [F1]
+        return [1]
     powers = [Matrix.identity(n)]
     flat = Matrix.from_rows([[x for r in powers[0].data for x in r]])
     while True:
@@ -282,7 +301,7 @@ def minimal_polynomial(mat):
         sol = solve_xa_b(flat, target)
         if sol is not None:
             coeffs = [-sol.data[0][i] for i in range(sol.ncols)]
-            coeffs.append(F1)
+            coeffs.append(1)
             return coeffs
         powers.append(nxt)
         flat = vstack([flat, target])
@@ -292,8 +311,9 @@ def minimal_polynomial(mat):
 
 def linear_combination(coeffs, vectors):
     """Sum of c * v over the nonzero coefficients, built in one pass over
-    the entries of each vector; all entries are Fractions."""
-    out = [F0] * len(vectors[0])
+    the entries of each vector; entries are exact rationals (int or
+    Fraction), as everywhere in this module."""
+    out = [0] * len(vectors[0])
     for c, v in zip(coeffs, vectors):
         if c:
             for i, x in enumerate(v):

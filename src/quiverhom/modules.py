@@ -19,7 +19,7 @@ from .errors import (
     CertificateFailure, DecompositionInconclusive, InvalidParameters,
 )
 from .linalg import (
-    F0, F1, Matrix, hstack, vstack, rank, rref, right_kernel, left_kernel,
+    Matrix, exact, hstack, vstack, rank, rref, right_kernel, left_kernel,
     row_space, solve_xa_b, minimal_polynomial, poly_eval_matrix,
     seeded_combinations,
 )
@@ -94,7 +94,7 @@ class Representation:
         return got
 
     def total_path_action(self, p):
-        out = [[F0] * self.total_dim for _ in range(self.total_dim)]
+        out = [[0] * self.total_dim for _ in range(self.total_dim)]
         pa = self.path_action(p)
         ro, co = self.offsets[p.source], self.offsets[p.target]
         for i in range(pa.nrows):
@@ -143,7 +143,7 @@ class ModuleMap:
 
     def total_matrix(self):
         q = self.source.algebra.quiver
-        out = [[F0] * self.target.total_dim for _ in range(self.source.total_dim)]
+        out = [[0] * self.target.total_dim for _ in range(self.source.total_dim)]
         for v in q.vertices:
             b = self.blocks[v]
             ro = self.source.offsets[v]
@@ -213,7 +213,7 @@ def projective_from_vertices(algebra, verts):
         ab = algebra._arrow_basis[a.index]
         rows = []
         for j, i in row_paths[a.source]:
-            row = [F0] * dims[a.target]
+            row = [0] * dims[a.target]
             prod = algebra.mult[i][ab]
             if prod:
                 for k, c in prod.items():
@@ -259,7 +259,7 @@ def projective_map(proj, target, images):
         for j, i in proj.proj_row_paths[w]:
             p = proj.algebra.basis[i]
             img = images[j]
-            row = [F0] * target.dims[w]
+            row = [0] * target.dims[w]
             if img is not None and any(img):
                 gm = Matrix.row_vector(img) @ target.path_action(p)
                 row = gm.data[0]
@@ -294,7 +294,7 @@ def direct_sum(reps):
     dims = {v: sum(r.dims[v] for r in reps) for v in q.vertices}
     mats = {}
     for a in q.arrows:
-        out = [[F0] * dims[a.target] for _ in range(dims[a.source])]
+        out = [[0] * dims[a.target] for _ in range(dims[a.source])]
         ro = co = 0
         for r in reps:
             b = r.mats[a.index]
@@ -325,7 +325,7 @@ def summand_inclusion(total, reps, idx):
         lo, _hi = sl[v]
         rows = [list(row) for row in b.data]
         for i in range(r.dims[v]):
-            rows[i][lo + i] = F1
+            rows[i][lo + i] = 1
         blocks[v] = Matrix(rows, r.dims[v], total.dims[v])
     return ModuleMap(r, total, blocks, validate=False)
 
@@ -335,10 +335,10 @@ def summand_projection(total, reps, idx):
     r = reps[idx]
     blocks = {}
     for v in total.algebra.quiver.vertices:
-        rows = [[F0] * r.dims[v] for _ in range(total.dims[v])]
+        rows = [[0] * r.dims[v] for _ in range(total.dims[v])]
         lo, _hi = sl[v]
         for i in range(r.dims[v]):
-            rows[lo + i][i] = F1
+            rows[lo + i][i] = 1
         blocks[v] = Matrix(rows, total.dims[v], r.dims[v])
     return ModuleMap(total, r, blocks, validate=False)
 
@@ -489,7 +489,7 @@ def quotient_by_rows(m, rows_by_vertex):
                            m.dims[v], dims[v])
     mats = {}
     for a in q.arrows:
-        lift = Matrix([[F1 if j == c else F0 for j in range(m.dims[a.source])]
+        lift = Matrix([[int(j == c) for j in range(m.dims[a.source])]
                        for c in npv[a.source]],
                       dims[a.source], m.dims[a.source])
         mats[a.index] = lift @ m.mats[a.index] @ blocks[a.target]
@@ -553,7 +553,7 @@ def hom_basis(m, n):
         ma, na = m.mats[a.index], n.mats[a.index]
         for i in range(m.dims[v]):
             for k in range(n.dims[w]):
-                row = [F0] * total
+                row = [0] * total
                 for j in range(m.dims[w]):
                     row[offs[w] + j * n.dims[w] + k] += ma.data[i][j]
                 for j in range(n.dims[v]):
@@ -694,8 +694,8 @@ def _poly_of_map(f, coeffs):
 def _coprime_split(coeffs):
     """Split a polynomial (low degree first) into coprime factors g1, g2:
     g1 is the power of the first irreducible factor in sympy's factor_list
-    order and g2 the product of the rest, both as Fraction coefficient
-    lists.  None when the polynomial is a power of one irreducible.  sympy
+    order and g2 the product of the rest, both as exact coefficient lists
+    (linalg.exact).  None when the polynomial is a power of one irreducible.  sympy
     is imported here, so only a module that needs splitting pays for it."""
     import sympy
     x = sympy.Symbol("x")
@@ -707,7 +707,7 @@ def _coprime_split(coeffs):
     g2 = sympy.Poly(1, x)
     for p, e in facs[1:]:
         g2 = g2 * p ** e
-    return [[Fraction(c.p, c.q) for c in reversed(g.all_coeffs())]
+    return [[exact(Fraction(c.p, c.q)) for c in reversed(g.all_coeffs())]
             for g in (facs[0][0] ** facs[0][1], g2)]
 
 
@@ -721,10 +721,10 @@ def _trace_form_rank(endos):
                for j in range(b.ncols) for i in range(b.nrows)]
               for f in endos]
     k = len(endos)
-    gram = [[F0] * k for _ in range(k)]
+    gram = [[0] * k for _ in range(k)]
     for i in range(k):
         for j in range(i, k):
-            t = sum((x * y for x, y in zip(flat[i], flat_t[j]) if x and y), F0)
+            t = sum((x * y for x, y in zip(flat[i], flat_t[j]) if x and y), 0)
             gram[i][j] = gram[j][i] = t
     return rank(Matrix(gram, k, k))
 

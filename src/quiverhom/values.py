@@ -53,8 +53,8 @@ class Dim:
         return self.n
 
     def lower_bound(self):
-        if self.kind == "infinite":
-            return float("inf")
+        """The certified floor n of an exact or bounded-below value; None
+        for an infinite one, which no finite floor describes."""
         return self.n
 
     def geq(self, k):
@@ -92,18 +92,17 @@ class Dim:
         dims = list(dims)
         if not dims:
             raise ValueError("minimum of no dimensions")
-        exacts = [d for d in dims if d.is_exact]
-        lo = min(d.lower_bound() for d in dims)
-        if exacts:
-            v = min(d.n for d in exacts)
-            if v <= lo:
-                return Dim.exact(v)
-            return Dim.at_least(int(lo), note="truncated entries below an exact one")
-        if all(d.is_infinite for d in dims):
+        finite = [d for d in dims if not d.is_infinite]
+        if not finite:
             return Dim.infinite(note="all entries certified infinite")
-        ats = [d for d in dims if d.kind == "at_least"]
-        note = next((d.note for d in ats if d.note), None)
-        return Dim.at_least(int(lo), note=note)
+        lo = min(d.lower_bound() for d in finite)
+        exacts = [d.n for d in finite if d.is_exact]
+        if exacts:
+            if min(exacts) == lo:
+                return Dim.exact(lo)
+            return Dim.at_least(lo, note="truncated entries below an exact one")
+        note = next((d.note for d in finite if d.note), None)
+        return Dim.at_least(lo, note=note)
 
     @staticmethod
     def maximum(dims):

@@ -3,7 +3,6 @@ command.  Every id rebuilds its scenario from scratch, recomputes the
 values and compares them with the recorded expectations; any mismatch
 fails the whole report."""
 import random
-from fractions import Fraction
 
 from .algebra import (
     bnlambda_family, nakayama_from_kupisch, symmetric_chain_family,
@@ -255,8 +254,8 @@ def _exact_core_battery(seed):
     kernel_ok = rank_ok = solve_ok = True
     for _ in range(100):
         nr, nc = rng.randint(1, 6), rng.randint(1, 6)
-        m = Matrix([[Fraction(rng.randint(-3, 3)) for _ in range(nc)]
-                    for _ in range(nr)], nr, nc)
+        m = Matrix.from_rows([[rng.randint(-3, 3) for _ in range(nc)]
+                              for _ in range(nr)])
         lk = left_kernel(m)
         if lk.nrows and not (lk @ m).is_zero():
             kernel_ok = False
@@ -265,8 +264,8 @@ def _exact_core_battery(seed):
             kernel_ok = False
         if rank(m) != rank(m.transpose()):
             rank_ok = False
-        x0 = Matrix([[Fraction(rng.randint(-3, 3)) for _ in range(nr)]
-                     for _ in range(2)], 2, nr)
+        x0 = Matrix.from_rows([[rng.randint(-3, 3) for _ in range(nr)]
+                               for _ in range(2)])
         b = x0 @ m
         x = solve_xa_b(m, b)
         if x is None or x @ m != b:

@@ -5,7 +5,13 @@ scratch: words are enumerated by arrow name, the relation span is padded
 inside the truncated word space, and the rank comes from sympy's rref.  The
 caller supplies a Loewy bound known from the theory of the family under
 test, so nothing here depends on the package's own truncation search.
+
+fraction_rref and the functions built on it are the reference for the
+package's linear algebra: the same pivot rule and output bases, computed
+with every entry a Fraction, on plain lists of rows.
 """
+from fractions import Fraction
+
 import sympy
 
 
@@ -53,3 +59,73 @@ def word_space_dimension(vertices, arrows, relations, loewy):
                     rows.append(row)
     r = sympy.Matrix(rows).rank() if rows else 0
     return len(allw) - r
+
+
+def fraction_rref(rows, ncols):
+    """Reduced row echelon form with every entry a Fraction: scan columns
+    left to right, pivot on the first unused row with a nonzero entry.
+    Returns (rows, pivot columns)."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        sel = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, tuple(pivots)
+
+
+def fraction_right_kernel(rows, ncols):
+    """Kernel columns x (rows @ x = 0), one per free column, as a list of
+    columns."""
+    R, piv = fraction_rref(rows, ncols)
+    cols = []
+    for fc in (c for c in range(ncols) if c not in piv):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(piv):
+            v[pc] = -R[r][fc]
+        cols.append(v)
+    return cols
+
+
+def fraction_solve_xa_b(a, b, ncols):
+    """Rows X with X @ a = b (a has ncols columns), free variables zero;
+    None when inconsistent."""
+    at = [list(c) for c in zip(*a)] if a else [[] for _ in range(ncols)]
+    bt = [list(c) for c in zip(*b)] if b else [[] for _ in range(ncols)]
+    R, piv = fraction_rref([x + y for x, y in zip(at, bt)], len(a) + len(b))
+    if any(c >= len(a) for c in piv):
+        return None
+    sol = [[Fraction(0)] * len(a) for _ in b]
+    for r, pc in enumerate(piv):
+        for j in range(len(b)):
+            sol[j][pc] = R[r][len(a) + j]
+    return sol
+
+
+def fraction_minimal_polynomial(rows):
+    """Monic minimal polynomial, low degree first: the first dependence of
+    M^k on I, M, ..., M^(k-1); [1] for the 0 x 0 matrix."""
+    n = len(rows)
+    if n == 0:
+        return [Fraction(1)]
+    power = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    flat = [[x for r in power for x in r]]
+    while True:
+        power = [[sum((r[k] * rows[k][j] for k in range(n)), Fraction(0))
+                  for j in range(n)] for r in power]
+        target = [x for r in power for x in r]
+        sol = fraction_solve_xa_b(flat, [target], n * n)
+        if sol is not None:
+            return [-x for x in sol[0]] + [Fraction(1)]
+        flat.append(target)

@@ -1,0 +1,94 @@
+"""Golden structured outputs: each command's stdout must match, byte for
+byte, the file recorded in tests/golden/ before the last change to the
+engine.  A change that is meant to keep every answer keeps these files.
+
+Regenerate the files (only when an output is meant to change, and say so
+in CHANGES.md) with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+import io
+import os
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+
+from quiverhom import cli
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+TWO_WAY_3 = """\
+algebra two_way_chain_3
+vertices 1 2 3
+arrow a1 : 1 -> 2
+arrow a2 : 2 -> 3
+arrow b1 : 2 -> 1
+arrow b2 : 3 -> 2
+relations:
+    b2*a2
+    b1*a1 - a2*b2
+    a1*a2
+    b2*b1
+loewy_cap 4
+duality asserted
+"""
+
+# (file stem, arguments before --format, stdin)
+COMMANDS = [
+    ("analyze-kupisch-2-2-3", ["analyze", "kupisch:2,2,3"], ""),
+    ("resolve-kupisch-4-5-5", ["resolve", "kupisch:4,5,5"], ""),
+    ("stratify-kupisch-2-2-3-order-1-2-0",
+     ["stratify", "kupisch:2,2,3", "--order", "1,2,0"], ""),
+    ("tilting-bnlambda-3-1", ["tilting", "bnlambda:3,1"], ""),
+    ("relar-kupisch-4-5", ["relar", "kupisch:4,5"], ""),
+    ("analyze-stdin-two-way-chain-3", ["analyze", "-"], TWO_WAY_3),
+    ("analyze-kupisch-4-5-5-bound-0",
+     ["analyze", "kupisch:4,5,5", "--bound", "0"], ""),
+    ("tilting-bnlambda-4-1-1", ["tilting", "bnlambda:4,1,1"], ""),
+    ("relar-kupisch-3-4-4", ["relar", "kupisch:3,4,4"], ""),
+    ("stratify-all-orders-kupisch-4-5-5",
+     ["stratify", "kupisch:4,5,5", "--all-orders"], ""),
+    ("stratify-all-orders-bnlambda-4-1-1",
+     ["stratify", "bnlambda:4,1,1", "--all-orders"], ""),
+    ("verify-paper-all", ["verify-paper", "all"], ""),
+]
+
+
+def run(args, stdin):
+    """Run cli.main in-process; returns (exit code, stdout bytes, stderr)."""
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    err = io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = cli.main(args + ["--format", "structured"])
+    finally:
+        sys.stdin = saved
+    out.flush()
+    return rc, out.buffer.getvalue(), err.getvalue()
+
+
+def golden_path(stem):
+    return os.path.join(GOLDEN, stem + ".json")
+
+
+@pytest.mark.parametrize("stem,args,stdin", COMMANDS,
+                         ids=[c[0] for c in COMMANDS])
+def test_structured_output_is_golden(stem, args, stdin):
+    rc, out, err = run(args, stdin)
+    assert (rc, err) == (0, "")
+    with open(golden_path(stem), "rb") as f:
+        assert out == f.read()
+
+
+if __name__ == "__main__":
+    os.makedirs(GOLDEN, exist_ok=True)
+    for stem, args, stdin in COMMANDS:
+        rc, out, err = run(args, stdin)
+        if (rc, err) != (0, ""):
+            sys.exit("%s: exit %d, stderr %r" % (stem, rc, err))
+        with open(golden_path(stem), "wb") as f:
+            f.write(out)
+        print("wrote", golden_path(stem))

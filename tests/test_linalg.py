@@ -1,6 +1,12 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
+from oracles import (
+    fraction_minimal_polynomial, fraction_right_kernel, fraction_rref,
+    fraction_solve_xa_b,
+)
 from quiverhom.linalg import (
     Matrix, hstack, vstack, rref, rank, row_space, right_kernel, left_kernel,
     solve_linear, solve_xa_b, minimal_polynomial, poly_eval_matrix,
@@ -120,3 +126,73 @@ def test_minimal_polynomial_annihilates():
         p = minimal_polynomial(m)
         assert p[-1] == 1
         assert poly_eval_matrix(p, m).is_zero()
+
+
+# -- differential test against the all-Fraction reference ----------------
+
+ENTRIES = st.one_of(
+    st.integers(-4, 4),
+    st.integers(-4, 4).map(Fraction),
+    st.fractions(min_value=-4, max_value=4, max_denominator=5))
+
+
+def _rows(nr, nc):
+    return st.lists(st.lists(ENTRIES, min_size=nc, max_size=nc),
+                    min_size=nr, max_size=nr)
+
+
+@st.composite
+def _matrices(draw, max_side=6):
+    nr, nc = draw(st.integers(0, max_side)), draw(st.integers(0, max_side))
+    return draw(_rows(nr, nc)), nc
+
+
+def _exact_types(m):
+    return all(type(x) in (int, Fraction) for r in m.data for x in r)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_matrices())
+def test_echelon_and_kernels_match_the_fraction_reference(mat):
+    rows, nc = mat
+    m = Matrix.from_rows(rows, ncols=nc)
+    R, piv = rref(m)
+    want, want_piv = fraction_rref(rows, nc)
+    assert (R.data, piv) == (want, want_piv)
+    assert R.shape == m.shape and _exact_types(R)
+    assert rank(m) == len(want_piv)
+    rk = right_kernel(m)
+    assert rk.shape[0] == nc and _exact_types(rk)
+    assert rk.transpose().data == fraction_right_kernel(rows, nc)
+    lk = left_kernel(m)
+    assert lk.shape[1] == len(rows)
+    assert lk.data == fraction_right_kernel([list(c) for c in zip(*rows)]
+                                            if nc else [], len(rows))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_matrices(), st.data())
+def test_solve_xa_b_matches_the_fraction_reference(mat, data):
+    rows, nc = mat
+    a = Matrix.from_rows(rows, ncols=nc)
+    k = data.draw(st.integers(0, 3))
+    if data.draw(st.booleans()):
+        b = Matrix.from_rows(data.draw(_rows(k, len(rows))),
+                             ncols=len(rows)) @ a
+    else:
+        b = Matrix.from_rows(data.draw(_rows(k, nc)), ncols=nc)
+    sol = solve_xa_b(a, b)
+    want = fraction_solve_xa_b(rows, b.data, nc)
+    if want is None:
+        assert sol is None
+    else:
+        assert sol.shape == (k, len(rows)) and _exact_types(sol)
+        assert sol.data == want
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: _rows(n, n)))
+def test_minimal_polynomial_matches_the_fraction_reference(rows):
+    p = minimal_polynomial(Matrix.from_rows(rows, ncols=len(rows)))
+    assert all(type(x) in (int, Fraction) for x in p)
+    assert p == fraction_minimal_polynomial(rows)
