@@ -25,6 +25,7 @@ from .errors import (
 )
 from .linalg import (
     Matrix, exact, rank, right_kernel, left_kernel, rref, seeded_combinations,
+    SEARCH_BUDGET, SEARCH_SEED,
 )
 
 
@@ -319,14 +320,15 @@ class BoundQuiverAlgebra:
 
     # -- symmetric structure ----------------------------------------------
 
-    def symmetric_form(self, budget=64, seed=0):
+    def symmetric_form(self):
         """Linear functional L with L(xy) = L(yx) and nondegenerate pairing
         (x, y) -> L(xy), or None if the search finds none.
 
         The symmetric functionals form a linear space; nondegeneracy is an
-        open condition, so basis vectors of that space plus a budget of
-        seeded integer combinations are tried.  A returned functional is a
-        certificate; None is only a failed search.
+        open condition, so basis vectors of that space and then seeded
+        integer combinations, SEARCH_BUDGET candidates in all from
+        SEARCH_SEED, are tried.  A returned functional is a certificate;
+        None is only a failed search.
         """
         if self._symform is not False:
             return self._symform
@@ -351,7 +353,7 @@ class BoundQuiverAlgebra:
             space = Matrix.identity(n)
         result = None
         cands = [space.column(j) for j in range(space.ncols)]
-        for lam in seeded_combinations(cands, budget, seed):
+        for lam in seeded_combinations(cands, SEARCH_BUDGET, SEARCH_SEED):
             gram = []
             for i in range(n):
                 row = [0] * n

@@ -231,27 +231,34 @@ def row_space(mat):
     return Matrix(R.data[:len(piv)], len(piv), mat.ncols)
 
 
-def right_kernel(mat):
-    """Columns x with mat @ x = 0, one per free column, reduced form."""
+def _kernel_vectors(mat):
+    """Vectors x with mat @ x = 0, one per free column of the RREF, with 1
+    at the free column and minus the pivot rows' entries there."""
     R, piv = rref(mat)
     pivset = set(piv)
-    free = [c for c in range(mat.ncols) if c not in pivset]
-    cols = []
-    for fc in free:
-        v = [0] * mat.ncols
-        v[fc] = 1
-        for r, pc in enumerate(piv):
-            v[pc] = -R.data[r][fc]
-        cols.append(v)
-    if not cols:
-        return Matrix.zeros(mat.ncols, 0)
-    return Matrix([[cols[j][i] for j in range(len(cols))]
-                   for i in range(mat.ncols)], mat.ncols, len(cols))
+    out = []
+    for fc in range(mat.ncols):
+        if fc not in pivset:
+            v = [0] * mat.ncols
+            v[fc] = 1
+            for r, pc in enumerate(piv):
+                v[pc] = -R.data[r][fc]
+            out.append(v)
+    return out
+
+
+def right_kernel(mat):
+    """Columns x with mat @ x = 0, one per free column, reduced form."""
+    cols = _kernel_vectors(mat)
+    return Matrix([[v[i] for v in cols] for i in range(mat.ncols)],
+                  mat.ncols, len(cols))
 
 
 def left_kernel(mat):
-    """Rows x with x @ mat = 0, stacked as a matrix."""
-    return right_kernel(mat.transpose()).transpose()
+    """Rows x with x @ mat = 0, stacked as a matrix: the right kernel of
+    the transpose, built row by row."""
+    rows = _kernel_vectors(mat.transpose())
+    return Matrix(rows, len(rows), mat.nrows)
 
 
 def solve_linear(a, b):
@@ -262,22 +269,34 @@ def solve_linear(a, b):
     """
     if a.nrows != b.nrows:
         raise ValueError("solve_linear shape mismatch")
-    aug = hstack([a, b])
-    R, piv = rref(aug)
-    for c in piv:
-        if c >= a.ncols:
-            return None
+    R, piv = rref(hstack([a, b]))
+    if piv and piv[-1] >= a.ncols:
+        return None
     sol = [[0] * b.ncols for _ in range(a.ncols)]
     for r, pc in enumerate(piv):
-        for j in range(b.ncols):
-            sol[pc][j] = R.data[r][a.ncols + j]
+        sol[pc] = R.data[r][a.ncols:]
     return Matrix(sol, a.ncols, b.ncols)
 
 
 def solve_xa_b(a, b):
-    """Solve X @ a = b for X (row convention); None when inconsistent."""
-    sol = solve_linear(a.transpose(), b.transpose())
-    return None if sol is None else sol.transpose()
+    """Solve X @ a = b for X (row convention); None when inconsistent.
+
+    This is a^T @ X^T = b^T: the augmented system is built from the columns
+    of a and b, and X is written row by row from its RREF."""
+    if a.ncols != b.ncols:
+        raise ValueError("solve_xa_b shape mismatch")
+    k = a.nrows
+    aug = [[r[j] for r in a.data] + [r[j] for r in b.data]
+           for j in range(a.ncols)]
+    R, piv = rref(Matrix(aug, a.ncols, k + b.nrows))
+    if piv and piv[-1] >= k:
+        return None
+    sol = [[0] * k for _ in range(b.nrows)]
+    for r, pc in enumerate(piv):
+        row = R.data[r]
+        for i in range(b.nrows):
+            sol[i][pc] = row[k + i]
+    return Matrix(sol, b.nrows, k)
 
 
 # -- minimal polynomial ----------------------------------------------------
@@ -308,6 +327,13 @@ def minimal_polynomial(mat):
 
 
 # -- seeded search candidates ----------------------------------------------
+
+# The candidates of every seeded search (decompose's splitting endomorphism,
+# Algebra.symmetric_form's nondegenerate functional): how many are made, and
+# the seed of their coefficients.
+SEARCH_BUDGET = 64
+SEARCH_SEED = 0
+
 
 def linear_combination(coeffs, vectors):
     """Sum of c * v over the nonzero coefficients, built in one pass over

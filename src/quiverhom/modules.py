@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
+from math import comb, gcd, isqrt, lcm
 
 from .errors import (
     CertificateFailure, DecompositionInconclusive, InvalidParameters,
@@ -21,7 +22,7 @@ from .errors import (
 from .linalg import (
     Matrix, exact, hstack, vstack, rank, rref, right_kernel, left_kernel,
     row_space, solve_xa_b, minimal_polynomial, poly_eval_matrix,
-    seeded_combinations,
+    seeded_combinations, SEARCH_BUDGET, SEARCH_SEED,
 )
 
 
@@ -691,12 +692,87 @@ def _poly_of_map(f, coeffs):
     return ModuleMap(f.source, f.target, blocks, validate=False)
 
 
+def _primitive(coeffs):
+    """The integer polynomial (low degree first) that is a rational multiple
+    of coeffs with coprime coefficients and a positive leading one."""
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    g = gcd(*ints)
+    if ints[-1] < 0:
+        g = -g
+    return [c // g for c in ints]
+
+
+def _divisors(n):
+    """Positive divisors of a nonzero int, by trial division."""
+    n = abs(n)
+    low = [d for d in range(1, isqrt(n) + 1) if not n % d]
+    return sorted(set(low + [n // d for d in low]))
+
+
+def _divide_linear(f, q, p):
+    """The integer quotient of f (low degree first) by q*x - p, or None
+    when q*x - p does not divide f.  With gcd(p, q) = 1 the linear factor
+    is primitive, so by Gauss's lemma it divides f over Q exactly when the
+    synthetic division below stays in the integers and leaves no
+    remainder."""
+    out = [0] * (len(f) - 1)
+    b = 0
+    for k in range(len(f) - 1, 0, -1):
+        b, r = divmod(f[k] + p * b, q)
+        if r:
+            return None
+        out[k - 1] = b
+    return out if f[0] + p * b == 0 else None
+
+
 def _coprime_split(coeffs):
-    """Split a polynomial (low degree first) into coprime factors g1, g2:
+    """Split a polynomial (low degree first) into coprime factors g1, g2,
+    both integer coefficient lists; None when the polynomial is a power of
+    one irreducible.
+
     g1 is the power of the first irreducible factor in sympy's factor_list
-    order and g2 the product of the rest, both as exact coefficient lists
-    (linalg.exact).  None when the polynomial is a power of one irreducible.  sympy
-    is imported here, so only a module that needs splitting pays for it."""
+    order and g2 the product of the rest.  factor_list returns primitive
+    integer factors with positive leading coefficients, sorted by degree,
+    then multiplicity, then coefficients leading first.  So whenever the
+    polynomial has a rational root its first factor is linear, q*x - p with
+    q > 0 and gcd(p, q) = 1, and that order picks the least
+    (multiplicity, q, -p).  Those linear factors are found here in integer
+    arithmetic: the power of x, then the roots p/q with p dividing the
+    lowest nonzero coefficient and q the leading one of the primitive part,
+    each divided out with its multiplicity.  g2 is the primitive part
+    divided by g1.  Only a polynomial with no rational root goes to sympy,
+    which is imported then and not before."""
+    f = _primitive(coeffs)
+    low = next(c for c in f if c)
+    cands = [(1, 0)] + [(q, s * p) for q in _divisors(f[-1])
+                        for p in _divisors(low) for s in (1, -1)
+                        if gcd(p, q) == 1]
+    roots = []
+    rest = f
+    for q, p in cands:
+        e = 0
+        while len(rest) > 1:
+            quo = _divide_linear(rest, q, p)
+            if quo is None:
+                break
+            rest, e = quo, e + 1
+        if e:
+            roots.append((e, q, p))
+    if not roots:
+        return _sympy_split(coeffs)
+    if len(roots) == 1 and len(rest) == 1:
+        return None
+    e, q, p = min(roots, key=lambda t: (t[0], t[1], -t[2]))
+    g2 = f
+    for _ in range(e):
+        g2 = _divide_linear(g2, q, p)
+    return [[comb(e, k) * q ** k * (-p) ** (e - k) for k in range(e + 1)], g2]
+
+
+def _sympy_split(coeffs):
+    """_coprime_split by sympy's factor_list, for a polynomial with no
+    rational root."""
     import sympy
     x = sympy.Symbol("x")
     poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
@@ -729,7 +805,7 @@ def _trace_form_rank(endos):
     return rank(Matrix(gram, k, k))
 
 
-def decompose(m, budget=64, seed=0):
+def decompose(m):
     """Indecomposable summands, via kernels of polynomials in endomorphisms.
 
     The certificates of indecomposability come first: a one-dimensional
@@ -737,17 +813,17 @@ def decompose(m, budget=64, seed=0):
     the radical of the trace form is rad End(M) in characteristic 0, so
     rank one means End(M) is local with residue field Q; every
     endomorphism is then a scalar plus a nilpotent and none can split M.
-    Only otherwise does the seeded search look for an endomorphism whose
-    minimal polynomial has two coprime factors, and split M into their
-    kernels.  If the search finds none, DecompositionInconclusive is
-    raised.
+    Only otherwise does the seeded search (SEARCH_BUDGET candidates from
+    SEARCH_SEED) look for an endomorphism whose minimal polynomial has two
+    coprime factors, and split M into their kernels.  If the search finds
+    none, DecompositionInconclusive is raised.
     """
     if m.total_dim == 0:
         return []
     endos = hom_basis(m, m)
     if len(endos) == 1 or _trace_form_rank(endos) == 1:
         return [m]
-    for f in _seeded_maps(endos, budget, seed):
+    for f in _seeded_maps(endos, SEARCH_BUDGET, SEARCH_SEED):
         split = _coprime_split(minimal_polynomial(f.total_matrix()))
         if split is None:
             continue
@@ -755,7 +831,7 @@ def decompose(m, budget=64, seed=0):
         if k1.total_dim + k2.total_dim != m.total_dim or k1.total_dim == 0 \
                 or k2.total_dim == 0:
             raise CertificateFailure("fitting split does not add up")
-        return decompose(k1, budget, seed) + decompose(k2, budget, seed)
+        return decompose(k1) + decompose(k2)
     raise DecompositionInconclusive(
         "no splitting endomorphism found and local certificate failed")
 

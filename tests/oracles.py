@@ -9,6 +9,9 @@ test, so nothing here depends on the package's own truncation search.
 fraction_rref and the functions built on it are the reference for the
 package's linear algebra: the same pivot rule and output bases, computed
 with every entry a Fraction, on plain lists of rows.
+
+sympy_coprime_split is the reference for modules._coprime_split: the split
+read off sympy's factor_list for every polynomial.
 """
 from fractions import Fraction
 
@@ -129,3 +132,33 @@ def fraction_minimal_polynomial(rows):
         if sol is not None:
             return [-x for x in sol[0]] + [Fraction(1)]
         flat.append(target)
+
+
+def sympy_coprime_split(coeffs):
+    """[g1, g2] for a polynomial (low degree first): g1 the power of the
+    first factor in sympy's factor_list order, g2 the product of the rest,
+    both as integer lists low degree first; None for a power of one
+    irreducible."""
+    x = sympy.Symbol("x")
+    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(coeffs)], x)
+    _, facs = poly.factor_list()
+    if len(facs) < 2:
+        return None
+    g2 = sympy.Poly(1, x)
+    for p, e in facs[1:]:
+        g2 = g2 * p ** e
+    out = []
+    for g in (facs[0][0] ** facs[0][1], g2):
+        cs = [sympy.Rational(c) for c in reversed(g.all_coeffs())]
+        assert all(c.q == 1 for c in cs)
+        out.append([int(c.p) for c in cs])
+    return out
+
+
+def is_irreducible_over_q(coeffs):
+    """True when the polynomial (low degree first, degree >= 1) has no
+    nontrivial factorization over Q, by sympy."""
+    x = sympy.Symbol("x")
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(coeffs)], x).is_irreducible

@@ -1,6 +1,8 @@
 """Projectives are built once per vertex tuple, relations are checked once
-per construction, and sympy is imported only when decompose splits a
-module.
+per construction, and sympy is imported only for a minimal polynomial with
+no rational root: decompose splits off linear factors in integer arithmetic,
+in the order sympy's factor_list would give, so the paper examples never
+load sympy.
 
 Constructions that prove their relations (sub_representation,
 quotient_by_rows, dualize) skip Representation._check_relations, and maps
@@ -8,11 +10,16 @@ that commute with the arrows by construction (projective_map, the
 inclusion of sub_representation) skip the ModuleMap check; the
 differential tests run each check on every construction anyway and assert
 that nothing fails and that no answer changes."""
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from oracles import is_irreducible_over_q, sympy_coprime_split
 
 from quiverhom import homology, modules
 from quiverhom.algebra import Path, bnlambda_family, nakayama_from_kupisch
@@ -196,13 +203,48 @@ def test_each_projective_is_built_once(monkeypatch):
     assert len(built) == len(requested)
 
 
-# -- sympy only when decompose splits ----------------------------------------
+# -- sympy only for a minimal polynomial with no rational root --------------
+
+def _fresh(code):
+    """stdout of code run in a new interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(modules.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=env).stdout
+
 
 def test_import_leaves_sympy_out():
     code = "import sys, quiverhom, quiverhom.cli; print('sympy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert _fresh(code).strip() == "False"
+
+
+def test_paper_examples_that_split_leave_sympy_out():
+    # each of these decomposes modules by splitting minimal polynomials
+    code = "\n".join([
+        "import io, sys",
+        "from quiverhom import cli",
+        "from quiverhom.verify import verify_paper_example",
+        "ids = ['ex3.5', 'ex3.6-d2', 'lemma4.3-n3', 'lemma4.3-n4']",
+        "passed = [verify_paper_example(i)['pass'] for i in ids]",
+        "out, sys.stdout = sys.stdout, io.TextIOWrapper(io.BytesIO())",
+        "code = cli.main(['tilting', 'bnlambda:3,1', '--format', 'structured'])",
+        "sys.stdout = out",
+        "print(passed, code, 'sympy' in sys.modules)",
+    ])
+    assert _fresh(code).split() == ["[True,", "True,", "True,", "True]", "0",
+                                    "False"]
+
+
+def _times(*polys):
+    out = [Fraction(1)]
+    for p in polys:
+        prod = [Fraction(0)] * (len(out) + len(p) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(p):
+                prod[i + j] += a * b
+        out = prod
+    return out
 
 
 def test_coprime_split():
@@ -213,6 +255,42 @@ def test_coprime_split():
     assert _coprime_split(fr(0, 0, -1, 1)) == [fr(-1, 1), fr(0, 0, 1)]
     assert _coprime_split(fr(0, 0, 1)) is None
     assert _coprime_split(fr(2, 0, 1)) is None
+    # (x^2 + 1)(x^2 + 2) has no rational root, so sympy splits it
+    assert _coprime_split(_times(fr(1, 0, 1), fr(2, 0, 1))) == \
+        [fr(1, 0, 1), fr(2, 0, 1)]
+
+
+_root = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+_coeff = st.fractions(min_value=-5, max_value=5, max_denominator=3)
+
+
+@st.composite
+def _split_inputs(draw):
+    """A monic polynomial over Q (low degree first, Fraction entries): a
+    product of linear factors with multiplicities, with or without an
+    irreducible quadratic or cubic cofactor."""
+    linear = draw(st.lists(st.tuples(_root, st.integers(1, 3)), max_size=4))
+    polys = [[-r, Fraction(1)] for r, e in linear for _ in range(e)]
+    deg = draw(st.sampled_from([0, 2, 3]))
+    if deg:
+        cof = draw(st.lists(_coeff, min_size=deg, max_size=deg)) + [Fraction(1)]
+        assume(is_irreducible_over_q(cof))
+        polys.append(cof)
+    assume(polys)
+    return _times(*polys), bool(linear)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_split_inputs())
+def test_coprime_split_matches_sympy(case):
+    f, has_root = case
+    with patch.object(modules, "_sympy_split",
+                      side_effect=AssertionError("sympy for a rational root")
+                      if has_root else modules._sympy_split):
+        got = _coprime_split(f)
+    assert got == sympy_coprime_split(f)
+    if got is not None:
+        assert all(type(c) is int for g in got for c in g)
 
 
 def test_split_summands_keep_their_order():
