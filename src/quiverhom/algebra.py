@@ -24,8 +24,8 @@ from .errors import (
     QuotientCollapse,
 )
 from .linalg import (
-    Matrix, exact, rank, right_kernel, left_kernel, rref, seeded_combinations,
-    SEARCH_BUDGET, SEARCH_SEED,
+    Matrix, exact, rank, reduce_row, right_kernel, left_kernel, rref,
+    seeded_combinations, SEARCH_BUDGET, SEARCH_SEED,
 )
 
 
@@ -205,15 +205,6 @@ def monomial_relation(quiver, names):
 def combination_relation(quiver, combo):
     """combo: iterable of (coeff, list of arrow names)."""
     return Relation([(c, quiver.path_from_names(names)) for c, names in combo])
-
-
-def _reduce_row(vec, R, piv):
-    for r, c in enumerate(piv):
-        f = vec[c]
-        if f:
-            row = R.data[r]
-            vec = [a - f * b for a, b in zip(vec, row)]
-    return vec
 
 
 class BoundQuiverAlgebra:
@@ -405,7 +396,7 @@ class BoundQuiverAlgebra:
 
         kept = [v for v in self.quiver.vertices if v not in killed]
         for v in kept:
-            res = _reduce_row(self.element_vector(self.idempotent(v)), R, piv)
+            res = reduce_row(self.element_vector(self.idempotent(v)), R, piv)
             if not any(res):
                 raise QuotientCollapse("idempotent of %r dies" % (v,))
         sub = self.quiver.subquiver(kept)
@@ -417,7 +408,7 @@ class BoundQuiverAlgebra:
             for p in level:
                 word = tuple(amap[i] for i in p.word)
                 x = self.path_normal_form(Path(p.source, p.target, word))
-                res = _reduce_row(self.element_vector(x), R, piv)
+                res = reduce_row(self.element_vector(x), R, piv)
                 groups.setdefault((p.source, p.target), []).append((p, res))
         rels = []
         for key in sorted(groups, key=lambda st: (sub.vertex_index(st[0]),
@@ -486,7 +477,7 @@ def build_algebra(quiver, relations, loewy_cap=12):
         for p in by_len[N]:
             vec = [0] * nc
             vec[col_of[p.key()]] = 1
-            if any(_reduce_row(vec, R, piv)):
+            if any(reduce_row(vec, R, piv)):
                 closed = False
                 break
         if not closed:

@@ -14,7 +14,7 @@ from .errors import CertificateFailure, NotGeneratorCogenerator
 from .linalg import Matrix, rank, rref, row_space, left_kernel, solve_linear
 from .modules import (
     ModuleMap, direct_sum, dualize, decompose,
-    hom_basis, iso_test, kernel_of_map, projective_from_vertices,
+    hom_basis, iso_test, kernel_of_map, map_in_span, projective_from_vertices,
     projective_map, projective_rep, radical_rows, regular_rep,
     injective_rep, summand_inclusion, cokernel_of_map,
 )
@@ -284,21 +284,12 @@ class ShortExact:
             raise CertificateFailure("middle term has wrong dimension")
 
     def is_split(self):
-        """True iff the projection admits a section."""
-        maps = hom_basis(self.quot, self.mid)
-        if not maps:
-            return self.quot.is_zero()
-        cols = []
-        for h in maps:
-            comp = h.then(self.proj)
-            cols.append([x for v in self.quot.algebra.quiver.vertices
-                         for row in comp.block(v).data for x in row])
-        target = [x for v in self.quot.algebra.quiver.vertices
-                  for row in Matrix.identity(self.quot.dims[v]).data for x in row]
-        a = Matrix([[cols[j][i] for j in range(len(cols))]
-                    for i in range(len(target))], len(target), len(cols))
-        b = Matrix([[t] for t in target], len(target), 1)
-        return solve_linear(a, b) is not None
+        """True iff the projection admits a section: the identity of quot
+        is a combination of the Hom-basis maps quot -> mid followed by the
+        projection."""
+        return map_in_span(ModuleMap.identity(self.quot),
+                           [h.then(self.proj)
+                            for h in hom_basis(self.quot, self.mid)])
 
 
 def extension_from_cocycle(m, psi):

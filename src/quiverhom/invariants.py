@@ -33,6 +33,18 @@ def projective_injective_vertex_set(algebra):
     return algebra._cache["inj_is_proj"]
 
 
+def injective_projective_vertices(algebra):
+    """Vertices v, in quiver order, whose indecomposable projective P(v)
+    is injective.  Not projective_injective_vertex_set, which lists the v
+    with I(v) projective: the two sets are equally large but index the
+    same modules by different vertices."""
+    if "proj_is_inj" not in algebra._cache:
+        algebra._cache["proj_is_inj"] = tuple(
+            v for v in algebra.quiver.vertices
+            if is_injective_mod(projective_rep(algebra, v)))
+    return algebra._cache["proj_is_inj"]
+
+
 def dominant_dimension(m, bound=64):
     """Number of leading projective terms of the minimal injective
     resolution; a resolution that ends while still inside projectives is
@@ -94,8 +106,7 @@ def global_dimension(algebra, bound=64):
 
 
 def is_selfinjective(algebra):
-    return all(is_injective_mod(projective_rep(algebra, v))
-               for v in algebra.quiver.vertices)
+    return injective_projective_vertices(algebra) == algebra.quiver.vertices
 
 
 def gorenstein_dimension(algebra, bound=64):
@@ -189,8 +200,7 @@ def minimal_faithful_projinj(algebra, bound=64):
     if dom.eq(0):
         raise DominantDimensionZero(
             "no faithful projective-injective: dominant dimension 0")
-    verts = [v for v in algebra.quiver.vertices
-             if is_injective_mod(projective_rep(algebra, v))]
+    verts = list(injective_projective_vertices(algebra))
     ea = direct_sum([projective_rep(algebra, v) for v in verts]) \
         if verts else zero_rep(algebra)
     if not is_faithful(ea):

@@ -231,6 +231,18 @@ def row_space(mat):
     return Matrix(R.data[:len(piv)], len(piv), mat.ncols)
 
 
+def reduce_row(vec, R, piv):
+    """vec minus its multiples of the pivot rows of (R, piv) = rref(...):
+    zero at every pivot column, and zero everywhere exactly when vec lies
+    in the row space."""
+    for r, c in enumerate(piv):
+        f = vec[c]
+        if f:
+            row = R.data[r]
+            vec = [a - f * b for a, b in zip(vec, row)]
+    return vec
+
+
 def _kernel_vectors(mat):
     """Vectors x with mat @ x = 0, one per free column of the RREF, with 1
     at the free column and minus the pivot rows' entries there."""

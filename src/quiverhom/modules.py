@@ -20,8 +20,8 @@ from .errors import (
     CertificateFailure, DecompositionInconclusive, InvalidParameters,
 )
 from .linalg import (
-    Matrix, exact, hstack, vstack, rank, rref, right_kernel, left_kernel,
-    row_space, solve_xa_b, minimal_polynomial, poly_eval_matrix,
+    Matrix, exact, hstack, vstack, rank, reduce_row, rref, right_kernel,
+    left_kernel, row_space, solve_xa_b, minimal_polynomial, poly_eval_matrix,
     seeded_combinations, SEARCH_BUDGET, SEARCH_SEED,
 )
 
@@ -31,8 +31,8 @@ class Representation:
 
     Every instance satisfies the relations of its algebra: either its
     relations were checked when it was built (validate=True, the default,
-    used for simples, projectives, transported modules and every module that
-    comes from a catalog, the DSL or a caller), or it was built from checked
+    used for simples, projectives and every module that comes from a
+    catalog, the DSL or a caller), or it was built from checked
     modules by a construction whose docstring proves the relations hold:
     sub_representation, quotient_by_rows, dualize, or direct_sum and
     zero_rep, where they hold summand by summand."""
@@ -360,9 +360,10 @@ def radical_rows(m):
 
 
 def radical_power_rows(m, k):
+    """Row space of the k-th radical power at each vertex, k >= 1."""
     q = m.algebra.quiver
-    cur = {v: Matrix.identity(m.dims[v]) for v in q.vertices}
-    for _ in range(k):
+    cur = radical_rows(m)
+    for _ in range(k - 1):
         nxt = {}
         for v in q.vertices:
             pieces = [cur[a.source] @ m.mats[a.index] for a in q.arrows_to(v)]
@@ -474,13 +475,7 @@ def quotient_by_rows(m, rows_by_vertex):
     dims = {v: len(npv[v]) for v in q.vertices}
 
     def project(v, vec):
-        R, piv = red[v]
-        vec = list(vec)
-        for r, c in enumerate(piv):
-            f = vec[c]
-            if f:
-                row = R.data[r]
-                vec = [x - f * y for x, y in zip(vec, row)]
+        vec = reduce_row(vec, *red[v])
         return [vec[c] for c in npv[v]]
 
     blocks = {}
@@ -563,16 +558,8 @@ def hom_basis(m, n):
                     rows.append(row)
     mat = Matrix(rows, len(rows), total) if rows else Matrix.zeros(0, total)
     ker = right_kernel(mat)
-    out = []
-    for c in range(ker.ncols):
-        col = ker.column(c)
-        blocks = {}
-        for v in q.vertices:
-            data = [[col[offs[v] + i * n.dims[v] + j] for j in range(n.dims[v])]
-                    for i in range(m.dims[v])]
-            blocks[v] = Matrix(data, m.dims[v], n.dims[v])
-        out.append(ModuleMap(m, n, blocks, validate=False))
-    return out
+    zero = ModuleMap.zero(m, n)
+    return [_map_from_flat(zero, ker.column(c)) for c in range(ker.ncols)]
 
 
 def is_faithful(m):
@@ -609,6 +596,18 @@ def flat_blocks(f):
     """Entries of the blocks of a map, vertex by vertex in quiver order,
     each block row by row."""
     return [x for b in f.blocks.values() for row in b.data for x in row]
+
+
+def map_in_span(h, maps):
+    """True when the map h is a linear combination of the maps, all of
+    them with the block shapes of h; decided by one exact solve on the
+    flat_blocks layout."""
+    target = flat_blocks(h)
+    if not maps:
+        return not any(target)
+    rows = [flat_blocks(f) for f in maps]
+    return solve_xa_b(Matrix(rows, len(rows), len(target)),
+                      Matrix([target], 1, len(target))) is not None
 
 
 def _map_from_flat(like, vec):
@@ -835,16 +834,3 @@ def decompose(m):
     raise DecompositionInconclusive(
         "no splitting endomorphism found and local certificate failed")
 
-
-def transport_to_quotient(m, quot):
-    """Reinterpret a module with zero components at the removed vertices as
-    a module over the quotient algebra (matched by vertex label and arrow
-    name)."""
-    for v in m.algebra.quiver.vertices:
-        if v not in quot.quiver._vindex and m.dims[v]:
-            raise InvalidParameters(
-                "module has support at removed vertex %r" % (v,))
-    dims = {v: m.dims[v] for v in quot.quiver.vertices}
-    orig = m.algebra.quiver
-    mats = {a.index: m.mats[orig.arrow(a.name).index] for a in quot.quiver.arrows}
-    return Representation(quot, dims, mats)

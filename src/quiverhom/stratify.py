@@ -21,21 +21,20 @@ from .errors import (
     NotTilting, PreconditionFailed, TooManyVertices,
 )
 from .homology import (
-    cosyzygy, ext1_cocycles, ext_dims, extension_from_cocycle,
-    is_injective_mod, mueller_domdim,
+    cosyzygy, ext1_cocycles, ext_dims, extension_from_cocycle, mueller_domdim,
 )
 from .invariants import (
     algebra_dominant_dimension, auslander_gorenstein_parameter,
     canonical_test_set, codominant_dimension, dominant_dimension,
     gi_dimension, global_dimension, gorenstein_dimension, gp_dimension,
-    injective_dimension, projective_dimension,
+    injective_dimension, injective_projective_vertices, projective_dimension,
 )
-from .linalg import Matrix, hstack, solve_xa_b
+from .linalg import hstack
 from .modules import (
-    ModuleMap, cokernel_of_map, decompose, direct_sum, dualize, flat_blocks,
-    hom_basis, iso_test, kernel_of_map, projective_rep, quotient_by_submodule,
-    radical_power_rows, radical_rows, regular_rep, same_add_closure,
-    simple_rep, socle_submodule, sub_representation, transport_to_quotient,
+    ModuleMap, cokernel_of_map, decompose, direct_sum, dualize, hom_basis,
+    iso_test, kernel_of_map, map_in_span, projective_rep,
+    quotient_by_submodule, radical_power_rows, radical_rows, regular_rep,
+    same_add_closure, simple_rep, socle_submodule, sub_representation,
     vertex_trace,
 )
 
@@ -53,8 +52,6 @@ class StratData:
         self.deltabar = {}
         self.nabla = {}
         self.nablabar = {}
-        self.op_delta = {}
-        self.op_deltabar = {}
         self.standardly_stratified = None
         self.delta_filtered_regular = None
         self.properly_stratified = None
@@ -98,8 +95,8 @@ def _standard_at(algebra, v, cut):
 
 def standard_modules(a, order):
     """StratData with the families filled: standards and proper standards
-    on the right, their opposite-side versions, and the costandards as
-    duals of the latter."""
+    on the right, and the costandards as duals of the opposite side's
+    (proper) standards."""
     order = tuple(order)
     if sorted(order) != sorted(a.quiver.vertices):
         raise NotApplicable("order must be a permutation of the vertices")
@@ -109,10 +106,8 @@ def standard_modules(a, order):
         higher = order[pos + 1:]
         strat.delta[v] = _standard_at(a, v, higher)
         strat.deltabar[v] = _standard_at(a, v, higher + (v,))
-        strat.op_delta[v] = _standard_at(op, v, higher)
-        strat.op_deltabar[v] = _standard_at(op, v, higher + (v,))
-        strat.nabla[v] = dualize(strat.op_delta[v])
-        strat.nablabar[v] = dualize(strat.op_deltabar[v])
+        strat.nabla[v] = dualize(_standard_at(op, v, higher))
+        strat.nablabar[v] = dualize(_standard_at(op, v, higher + (v,)))
     return strat
 
 
@@ -126,8 +121,9 @@ def _top_proper_standard(algebra, t):
 def _peel(cur, alg, t, proper):
     """One step of the trace recursion at the top vertex t: (k, quotient)
     with k the multiplicity of the layer and quotient cur modulo the trace
-    of t, still over alg; None when the layer fails.  Both layers are
-    decided by counting dimensions.
+    of t, over cur's algebra; None when the layer fails.  alg is the
+    algebra whose projective (or proper standard) at t sizes the layer.
+    Both layers are decided by counting dimensions.
 
     The trace u = cur e_t A is generated by its component at t, so its top
     is k = dim u_t - dim (rad u)_t copies of the simple at t, and its
@@ -148,9 +144,15 @@ def _peel(cur, alg, t, proper):
 
 
 def _filt_core(m, algebra, order, proper):
-    """Trace recursion from the top of the order: peel the top vertex,
-    pass to the quotient algebra, repeat; the last quotient must be zero."""
-    cur, alg = m, algebra
+    """Trace recursion from the top of the order: peel the top vertex t
+    off m, repeat on the quotient; the last quotient must be zero.
+
+    The module stays over the algebra A throughout.  Once the vertices S
+    above t are peeled off it is annihilated by Ae_SA, so its trace at t,
+    the radical of that trace and the quotient are the same over A as over
+    A/Ae_SA; _peel reads the layer size from that quotient algebra, the
+    one _regular_step uses, cached per S."""
+    cur = m
     mult = {}
     for idx in range(len(order) - 1, -1, -1):
         t = order[idx]
@@ -158,17 +160,12 @@ def _filt_core(m, algebra, order, proper):
             for w in order[:idx + 1]:
                 mult[w] = 0
             return True, mult
+        alg = algebra.quotient_by_idempotent_ideal(frozenset(order[idx + 1:]))
         step = _peel(cur, alg, t, proper)
         if step is None:
             return False, None
-        mult[t], quot = step
-        if idx == 0:
-            if not quot.is_zero():
-                return False, None
-            return True, mult
-        alg = alg.quotient_by_idempotent_ideal(frozenset([t]))
-        cur = transport_to_quotient(quot, alg)
-    return True, mult
+        mult[t], cur = step
+    return (True, mult) if cur.is_zero() else (False, None)
 
 
 def _regular_step(a, t, above, proper):
@@ -209,13 +206,11 @@ def filtration_test(m, family, strat):
     if family in ("nabla", "nablabar"):
         probe = dualize(m)
         alg = strat.algebra.opposite_algebra()
-        fam = strat.op_delta if family == "nabla" else strat.op_deltabar
-        proper = family == "nablabar"
     else:
         probe = m
         alg = strat.algebra
-        fam = strat.delta if family == "delta" else strat.deltabar
-        proper = family == "deltabar"
+    fam = getattr(strat, family)
+    proper = family.endswith("bar")
     ok, mult = _filt_core(probe, alg, strat.order, proper)
     if not ok:
         return False, None
@@ -361,58 +356,49 @@ def _tilting_certificate(a, strat, basic, bound):
     return pd
 
 
-def characteristic_tilting(a, strat, bound=64, route="auto"):
+def characteristic_tilting(a, strat, bound=64):
     """The characteristic tilting module of the stratified structure.
 
     On a certified Auslander-Gorenstein algebra the candidates are the
     projective-injectives plus a cosyzygy of the remaining projectives;
-    otherwise (or on request) iterated universal extensions of the
-    standard modules are used.  Either way the result carries the full
-    filtration and orthogonality certificate."""
+    otherwise, or when no candidate passes, iterated universal extensions
+    of the standard modules are used.  Either way the result carries the
+    full filtration and orthogonality certificate."""
     if strat.standardly_stratified is None:
         raise NotApplicable("classify the order before asking for a tilting")
     if not strat.standardly_stratified:
         raise NotStratified("algebra is not standardly stratified "
                             "for this order")
-    if route in ("auto", "cosyzygy"):
-        try:
-            r = auslander_gorenstein_parameter(a, bound)
-        except NotAuslanderGorenstein:
-            if route == "cosyzygy":
-                raise
-            r = None
-        if r is not None:
-            got = _ag_route(a, strat, r, bound)
-            if got is not None:
-                return got
-            if route == "cosyzygy":
-                raise CertificateFailure(
-                    "no cosyzygy candidate passed the tilting certificate")
+    try:
+        r = auslander_gorenstein_parameter(a, bound)
+    except NotAuslanderGorenstein:
+        r = None
+    if r is not None:
+        got = _ag_route(a, strat, r, bound)
+        if got is not None:
+            return got
     return _extension_route(a, strat, bound)
 
 
+def _cosyzygy_candidate(a, i):
+    """Basic parts of the projective-injectives plus the i-th cosyzygy of
+    the sum of the other projectives."""
+    pins = injective_projective_vertices(a)
+    parts = [projective_rep(a, v) for v in pins]
+    rest = [projective_rep(a, v) for v in a.quiver.vertices if v not in pins]
+    if rest:
+        parts.append(cosyzygy(direct_sum(rest), i))
+    return _basic_parts(parts)
+
+
 def _ag_route(a, strat, r, bound):
-    everts = [v for v in a.quiver.vertices if _is_inj_proj(a, v)]
-    pins = [projective_rep(a, v) for v in everts]
-    rest = [projective_rep(a, v) for v in a.quiver.vertices
-            if v not in everts]
-    if not rest:
-        basic = _basic_parts(pins)
-        pd = _tilting_certificate(a, strat, basic, bound)
-        if pd is not None:
-            return TiltingData(direct_sum(basic), basic, pd, "cosyzygy")
-        return None
+    """The first cosyzygy candidate, i = 0 .. r, that passes the tilting
+    certificate with projective dimension i; None when none does."""
     for i in range(r + 1):
-        x = cosyzygy(direct_sum(rest), i)
-        basic = _basic_parts(pins + [x])
-        pd = _tilting_certificate(a, strat, basic, bound)
-        if pd == i:
-            return TiltingData(direct_sum(basic), basic, pd, "cosyzygy")
+        basic = _cosyzygy_candidate(a, i)
+        if _tilting_certificate(a, strat, basic, bound) == i:
+            return TiltingData(direct_sum(basic), basic, i, "cosyzygy")
     return None
-
-
-def _is_inj_proj(a, v):
-    return is_injective_mod(projective_rep(a, v))
 
 
 def _extension_route(a, strat, bound):
@@ -476,15 +462,8 @@ def _factors_through(j0, h, cols, pair_homs):
     """Does the map h: x -> summand j0 factor through the kept columns?
     The factorization space is spanned by the composites of each kept
     column with the homs between the relevant summands."""
-    rows = []
-    for j, g in cols:
-        for phi in pair_homs(j, j0):
-            rows.append(flat_blocks(g.then(phi)))
-    target = flat_blocks(h)
-    if not rows:
-        return all(c == 0 for c in target)
-    mat = Matrix(rows, len(rows), len(target))
-    return solve_xa_b(mat, Matrix([target], 1, len(target))) is not None
+    return map_in_span(h, [g.then(phi) for j, g in cols
+                           for phi in pair_homs(j, j0)])
 
 
 def _min_left_approx(x, summands):
@@ -613,13 +592,7 @@ def verify_main_equivalences(a, strat, testset=None, bound=64):
         strat.tilting = characteristic_tilting(a, strat, bound)
     tilt = strat.tilting
     i = tilt.projdim
-    everts = sorted(v for v in a.quiver.vertices if _is_inj_proj(a, v))
-    pins = [projective_rep(a, v) for v in everts]
-    rest = [projective_rep(a, v) for v in a.quiver.vertices
-            if v not in everts]
-    candidate = _basic_parts(pins + ([cosyzygy(direct_sum(rest), i)]
-                                     if rest else []))
-    cond1 = same_add_closure(tilt.summands, candidate)
+    cond1 = same_add_closure(tilt.summands, _cosyzygy_candidate(a, i))
     cond2 = (all(dominant_dimension(strat.delta[v], bound).geq(r - i)
                  for v in strat.order)
              and all(codominant_dimension(strat.nablabar[v], bound).geq(i)

@@ -13,15 +13,14 @@ from .catalog import (
 from .errors import ProjectiveInput, UnknownExampleId
 from .homology import (
     cosyzygy, ext_dim, ext_dims, ext_dims_proj, injective_term_vertices,
-    is_injective_mod, is_projective, mueller_domdim, projective_resolution,
-    syzygy,
+    is_projective, mueller_domdim, projective_resolution, syzygy,
 )
 from .invariants import (
     algebra_dominant_dimension, all_uniserial_quotients,
     auslander_gorenstein_parameter, canonical_test_set, codominant_dimension,
     dominant_dimension, gendo_gorenstein_check, global_dimension,
-    gorenstein_dimension, injective_dimension, projective_dimension,
-    verify_dom_gproj,
+    gorenstein_dimension, injective_dimension, injective_projective_vertices,
+    projective_dimension, verify_dom_gproj,
 )
 from .linalg import Matrix, left_kernel, rank, right_kernel, solve_xa_b
 from .modules import (
@@ -66,7 +65,7 @@ class Checks:
 
 
 def _serial_tower(n, bound):
-    """Linear Nakayama tower: both headline dimensions equal the vertex
+    """Cyclic Nakayama tower: both headline dimensions equal the vertex
     count, one order is quasi-hereditary, and the standard/costandard
     filtration classes match the dominant/codominant ones."""
     c = Checks()
@@ -215,8 +214,7 @@ def _two_way_tower(n, bound):
     t = characteristic_tilting(b, st, bound)
     st.tilting = t
     c.expect("tilting projective dimension", t.projdim, n - 1)
-    pins = [projective_rep(b, v) for v in b.quiver.vertices
-            if is_injective_mod(projective_rep(b, v))]
+    pins = [projective_rep(b, v) for v in injective_projective_vertices(b)]
     c.hold("tilting = faithful projective-injective plus one simple",
            same_add_closure(t.summands, pins + [simple_rep(b, 1)]))
     out = verify_duality_consequences(b, st, bound=bound)

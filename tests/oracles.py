@@ -12,6 +12,9 @@ with every entry a Fraction, on plain lists of rows.
 
 sympy_coprime_split is the reference for modules._coprime_split: the split
 read off sympy's factor_list for every polynomial.
+
+nakayama_injective_projectives lists the projective-injectives of a cyclic
+Nakayama algebra from its Kupisch series alone.
 """
 from fractions import Fraction
 
@@ -162,3 +165,14 @@ def is_irreducible_over_q(coeffs):
     x = sympy.Symbol("x")
     return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
                        for c in reversed(coeffs)], x).is_irreducible
+
+
+def nakayama_injective_projectives(kupisch):
+    """Vertices i, ascending, whose projective P(i) is injective over the
+    cyclic Nakayama algebra with this Kupisch series k.  The radical of
+    P(i-1) (indices mod n) is the quotient of P(i) of length k[i-1] - 1,
+    so P(i) embeds properly in P(i-1) exactly when k[i-1] - 1 >= k[i];
+    a series drops by at most one a step, so P(i) is injective exactly
+    when k[i-1] <= k[i]."""
+    k = list(kupisch)
+    return [i for i in range(len(k)) if k[i - 1] <= k[i]]

@@ -27,7 +27,7 @@ def run_group(label, ids):
 
 
 def test_linear_nakayama_towers():
-    run_group("linear towers: gldim = domdim = n, rotated order "
+    run_group("cyclic towers: gldim = domdim = n, rotated order "
               "quasi-hereditary, filtration classes match dominant classes",
               ["ex3.1-n3", "ex3.1-n4", "ex3.1-n5"])
 

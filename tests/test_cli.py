@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, both output formats, and stable
 structured bytes."""
 import json
+import os
 import subprocess
 import sys
 
@@ -28,8 +29,14 @@ order 1 2 3
 
 
 def run_cli(*argv, stdin=None):
+    """Exit code, stdout and stderr of the command line in a new
+    interpreter that imports this package's source."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run([sys.executable, "-m", "quiverhom", *argv],
-                          capture_output=True, input=stdin, text=True)
+                          capture_output=True, input=stdin, text=True,
+                          env=env)
     return proc.returncode, proc.stdout, proc.stderr
 
 

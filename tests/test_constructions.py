@@ -31,7 +31,7 @@ from quiverhom.modules import (
     ModuleMap, Representation, decompose, direct_sum, dualize,
     projective_from_vertices, projective_map, projective_rep,
     quotient_by_rows, regular_rep, simple_rep, sub_representation,
-    transport_to_quotient, uniserial_quotient, vertex_trace, _coprime_split,
+    uniserial_quotient, vertex_trace, _coprime_split,
 )
 from quiverhom.stratify import search_orders
 from quiverhom.verify import verify_paper_example
@@ -146,10 +146,8 @@ def test_proven_constructions_skip_the_relation_check(monkeypatch):
     assert calls == [p]
     s = simple_rep(a, 1)
     assert calls == [p, s]
-    t = transport_to_quotient(s, a.quotient_by_idempotent_ideal([0]))
-    assert calls == [p, s, t]
     m = Representation(a, {0: 1}, {})
-    assert calls == [p, s, t, m]
+    assert calls == [p, s, m]
 
 
 def test_rows_that_are_not_closed_are_refused():

@@ -1,11 +1,13 @@
 """Dimension invariants against hand-checked and cross-validated values."""
 import pytest
 
+from oracles import nakayama_injective_projectives
+
 from quiverhom.algebra import (
     bnlambda_family, klein_four_like, nakayama_from_kupisch,
     symmetric_chain_family,
 )
-from quiverhom import modules
+from quiverhom import modules, verify
 from quiverhom.errors import (
     DecompositionInconclusive, DominantDimensionZero, NotAuslanderGorenstein,
 )
@@ -14,9 +16,9 @@ from quiverhom.invariants import (
     algebra_dominant_dimension, all_uniserial_quotients, auslander_gorenstein_parameter,
     canonical_test_set, codominant_dimension, dominant_dimension,
     gendo_gorenstein_check, gi_dimension, global_dimension, gorenstein_dimension,
-    gp_dimension, injective_dimension, invariant_report, is_gorenstein_projective,
-    is_selfinjective, minimal_faithful_projinj, projective_dimension,
-    verify_dom_gproj,
+    gp_dimension, injective_dimension, injective_projective_vertices,
+    invariant_report, is_gorenstein_projective, is_selfinjective,
+    minimal_faithful_projinj, projective_dimension, verify_dom_gproj,
 )
 from quiverhom.homology import injective_term_vertices, projective_resolution
 from quiverhom.modules import (
@@ -75,6 +77,25 @@ def test_minimal_faithful_23(a23):
     verts, ea = minimal_faithful_projinj(a23)
     assert verts == [1]
     assert ea.dim_vector() == projective_rep(a23, 1).dim_vector()
+
+
+def test_injective_projectives_of_every_registry_kupisch_series(
+        monkeypatch):
+    series = []
+    real = verify.nakayama_from_kupisch
+
+    def record(kupisch, *args, **kwargs):
+        series.append(list(kupisch))
+        return real(kupisch, *args, **kwargs)
+    monkeypatch.setattr(verify, "nakayama_from_kupisch", record)
+    for eid in verify.all_example_ids():
+        verify.verify_paper_example(eid)
+    assert [2, 2, 3] in series and [4, 5, 5] in series
+    for k in series:
+        a = nakayama_from_kupisch(k)
+        want = nakayama_injective_projectives(k)
+        assert list(injective_projective_vertices(a)) == want
+        assert is_selfinjective(a) == (len(want) == len(k))
 
 
 def test_projinj_module_has_terminated_resolution(a23):

@@ -8,7 +8,6 @@ from quiverhom.algebra import (
     Quiver, build_algebra, klein_four_like, monomial_relation,
     nakayama_from_kupisch,
 )
-from quiverhom.errors import InvalidParameters
 from quiverhom.linalg import Matrix, seeded_combinations
 from quiverhom.modules import (
     Representation, ModuleMap, zero_rep, simple_rep, projective_rep,
@@ -18,7 +17,7 @@ from quiverhom.modules import (
     sub_representation, vertex_trace, cyclic_submodule, quotient_by_rows,
     quotient_by_submodule, kernel_of_map, cokernel_of_map, hom_basis,
     iso_test, decompose, uniserial_quotient, radical_power_rows,
-    is_faithful, transport_to_quotient, _seeded_maps,
+    is_faithful, _seeded_maps,
 )
 from quiverhom.invariants import all_uniserial_quotients, canonical_test_set
 
@@ -178,18 +177,6 @@ def test_hom_maps_are_natural(naka223):
     n = injective_rep(naka223, 1)
     for f in hom_basis(m, n):
         ModuleMap(m, n, f.blocks, validate=True)
-
-
-def test_transport_to_quotient(naka223):
-    b = naka223.quotient_by_idempotent_ideal([0])
-    s = simple_rep(naka223, 1)
-    t = transport_to_quotient(s, b)
-    assert t.dim_vector() == (1, 0)
-    p1 = projective_rep(naka223, 1)
-    t2 = transport_to_quotient(p1, b)
-    assert t2.total_dim == 2
-    with pytest.raises(InvalidParameters):
-        transport_to_quotient(projective_rep(naka223, 2), b)
 
 
 def test_zero_module_edge_cases(naka223):

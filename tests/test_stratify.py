@@ -10,6 +10,7 @@ from quiverhom.algebra import (
     bnlambda_family, klein_four_like, nakayama_from_kupisch,
     symmetric_chain_family,
 )
+from quiverhom.catalog import parse_construction
 from quiverhom.dsl import parse_algebra_dsl
 from quiverhom.errors import (
     CertificateFailure, DecompositionInconclusive, NotApplicable,
@@ -159,8 +160,8 @@ def _tower(n):
 
 def _reference_rows(a):
     """search_orders as the trace recursion runs order by order: the
-    regular module through _filt_core, along its own chain of quotients,
-    cross-checked against the families of standard_modules."""
+    regular module through _filt_core, cross-checked against the families
+    of standard_modules."""
     op = a.opposite_algebra()
     reg = regular_rep(a)
     rows = []
@@ -269,6 +270,27 @@ def test_search_orders_shares_steps_between_orders(monkeypatch):
     assert len(traces) <= 3 * n * 2 ** (n - 1)
 
 
+@pytest.mark.parametrize("spec, order", [
+    ("kupisch:2,2,3", (1, 2, 0)), ("bnlambda:4,1,1", (1, 2, 3, 4))])
+def test_filtrations_walk_the_classified_quotients(spec, order):
+    # every family's walk reads A/Ae_SA, S the vertices above each layer,
+    # from the quotients that classifying the order built on each side,
+    # and builds none over a quotient
+    a = parse_construction(spec)
+    st = classify_stratification(a, order)
+    sides = (a, a.opposite_algebra())
+
+    def snapshot():
+        return [(set(side._quotients),
+                 {s: set(q._quotients) for s, q in side._quotients.items()})
+                for side in sides]
+    before = snapshot()
+    for _, m in canonical_test_set(a):
+        for family in stratify.FAMILIES:
+            filtration_test(m, family, st)
+    assert snapshot() == before
+
+
 def test_tampered_standard_dims_fail_the_cross_check():
     a = nakayama_from_kupisch([2, 2, 3])
     # (1, 2, 0) filters the regular module by standards, 0 on top twice
@@ -296,7 +318,7 @@ def test_inconclusive_iso_is_never_a_negative(monkeypatch):
     with pytest.raises(DecompositionInconclusive):
         stratify._basic_parts([x, y])
     with pytest.raises(DecompositionInconclusive):
-        characteristic_tilting(a, st, route="extension")
+        stratify._extension_route(a, st, 64)
     # Y+X after X+Y in the test set is neither dropped nor kept on an
     # undecided test
     with pytest.raises(DecompositionInconclusive):
