@@ -7,6 +7,13 @@ projectives is the tuple of generator images, so Hom(P, n) is a direct sum
 of components of n and the differentials become explicit rational matrices.
 The public ext_dim runs the computation on both sides of the duality and
 insists the answers agree.
+
+A resolution is one step (cover and inclusion of the first syzygy) plus a
+link to the resolution of the syzygy.  Each algebra keeps a table of the
+modules it has resolved, keyed by their data, so a module or syzygy equal
+to one already there shares its resolution: every cover, kernel,
+presentation and extension-group matrix is made once per distinct
+module, and a periodic resolution is a cycle of links.
 """
 from __future__ import annotations
 
@@ -43,67 +50,104 @@ def projective_cover(m):
 
 
 class ProjectiveResolution:
-    """Minimal resolution, extended lazily; term i is the i-th projective,
-    syzygy i the kernel reached after i covers.
+    """Minimal projective resolution of a module: its projective cover,
+    the inclusion of the first syzygy into the cover, and a link to the
+    resolution of that syzygy.  Term i, syzygy i and differential i lie i
+    links down the chain, which is walked in a loop.
 
-    Per degree it keeps the cover, the inclusion of the syzygy and, once
-    asked for, the presentation of differential i as generator-to-generator
-    algebra elements (see _presentation_elements).  The presentation does
-    not depend on the target of an extension group, so every target reads
-    the same entries; the composed differential itself is not kept."""
+    Every resolution is the one its module has in the algebra's table
+    (see projective_resolution), so a syzygy with the data of a module
+    already resolved is that module, and two modules with equal syzygies
+    share the rest of their resolutions: every later term, presentation
+    and extension-group matrix.  A periodic chain closes into a cycle.
+    When a syzygy is found in the table, its inclusion is rebuilt with
+    the module in the table as source and not checked again: its blocks
+    are those of the kernel's inclusion, and the two sources have equal
+    components and arrow matrices, so the same squares commute.
+
+    Each link is made once, on demand, and keeps the presentation of the
+    differential from the next term into its own, as generator-to-
+    generator algebra elements (see _presentation_elements).  The
+    presentation does not depend on the target of an extension group, so
+    every target reads the same entries."""
 
     def __init__(self, m):
         self.module = m
-        self.syz = [m]
-        self.covers = []
-        self.incls = []
-        self.presentations = {}
+        self._cover = self._incl = self._next = self._presentation = None
 
-    def extend(self, upto):
-        while len(self.covers) <= upto:
-            P, f = projective_cover(self.syz[-1])
+    def _link(self):
+        """This resolution, with its cover, inclusion and link made."""
+        if self._next is None:
+            P, f = projective_cover(self.module)
             ker, incl = kernel_of_map(f)
-            self.covers.append(f)
-            self.incls.append(incl)
-            self.syz.append(ker)
+            nxt = projective_resolution(ker)
+            if nxt.module is not ker:
+                incl = ModuleMap(nxt.module, P, incl.blocks, validate=False)
+            self._cover, self._incl, self._next = f, incl, nxt
+        return self
+
+    def _at(self, i):
+        """The resolution of syzygy i, i links down."""
+        res = self
+        for _ in range(i):
+            nxt = res._next
+            res = nxt if nxt is not None else res._link()._next
+        return res
 
     def term(self, i):
-        self.extend(i)
-        return self.covers[i].source
+        return self.cover(i).source
 
     def cover(self, i):
-        self.extend(i)
-        return self.covers[i]
+        return self._at(i)._link()._cover
+
+    def inclusion(self, i):
+        """Inclusion of syzygy i + 1 into term i."""
+        return self._at(i)._link()._incl
 
     def syzygy(self, i):
-        if i == 0:
-            return self.module
-        self.extend(i - 1)
-        return self.syz[i]
+        return self._at(i).module
 
     def differential(self, i):
         if i < 1:
             raise ValueError("differentials start at 1")
-        self.extend(i)
-        return self.covers[i].then(self.incls[i - 1])
+        return self.cover(i).then(self.inclusion(i - 1))
 
     def presentation(self, i):
-        """Generator-to-generator entries of differential i, built once."""
-        got = self.presentations.get(i)
-        if got is None:
-            got = self.presentations[i] = _presentation_elements(
-                self.differential(i))
-        return got
+        """Generator-to-generator entries of differential i, built once
+        per link."""
+        if i < 1:
+            raise ValueError("differentials start at 1")
+        res = self._at(i - 1)
+        if res._presentation is None:
+            res._presentation = _presentation_elements(res.differential(1))
+        return res._presentation
 
 
 def projective_resolution(m):
-    if "projres" not in m._cache:
-        m._cache["projres"] = ProjectiveResolution(m)
-    return m._cache["projres"]
+    """The resolution of m, shared by every module with m's data.
+
+    The algebra's table keys each resolved module on its dimension vector
+    and the hashes of its arrow matrices, and a hit counts only when every
+    arrow matrix is equal, so a hash collision costs a comparison and
+    nothing else.  The table holds references to the modules and their
+    resolutions, never copies of their matrices."""
+    res = m._cache.get("projres")
+    if res is None:
+        key = ("projres", m.dim_vector(),
+               tuple(hash(mat) for mat in m.mats.values()))
+        bucket = m.algebra._cache.setdefault(key, [])
+        for res in bucket:
+            if all(res.module.mats[a] == mat for a, mat in m.mats.items()):
+                break
+        else:
+            res = ProjectiveResolution(m)
+            bucket.append(res)
+        m._cache["projres"] = res
+    return res
 
 
 def syzygy(m, i):
-    return projective_resolution(m).syzygy(i)
+    return m if i == 0 else projective_resolution(m).syzygy(i)
 
 
 def is_projective(m):
@@ -176,24 +220,48 @@ def _coord_matrix(P0, P1, ents, n):
     return Matrix(out, h0, h1)
 
 
-def _ext_data(m, n, imax):
-    """Coordinate matrices, coordinate-space dimensions and ranks for
-    degrees 0..imax, cached per target module."""
-    res = projective_resolution(m)
+def _ext_lists(m, n):
+    """The cached coordinate matrices, coordinate-space dimensions and
+    ranks of m against the target n, degree by degree."""
     cache = m._cache.setdefault("extco", {})
     if id(n) not in cache:
         cache[id(n)] = (n, [], [], [])
-    _, Bs, hs, ranks = cache[id(n)]
-    res.extend(imax + 1)
-    while len(Bs) <= imax:
-        i = len(Bs)
-        P = res.term(i)
-        hs.append(_hom_offsets(P, n)[1])
-        Bs.append(_coord_matrix(P, res.term(i + 1), res.presentation(i + 1), n))
-        if i and not (Bs[i - 1] @ Bs[i]).is_zero():
-            raise CertificateFailure("coordinate complex fails to compose to zero")
-        ranks.append(rank(Bs[i]))
-    return Bs, hs, ranks
+    return cache[id(n)][1:]
+
+
+def _ext_data(m, n, imax):
+    """Coordinate matrices, coordinate-space dimensions and ranks for
+    degrees 0..imax, cached per target module.
+
+    Degree i of m is degree 0 of its syzygy i, so degree 0 is built once
+    per resolution in the chain, on the module the resolution belongs to,
+    and every list holds references to it.  Two consecutive matrices are
+    checked to compose to zero once per link, when the list of the upper
+    module first grows past degree 0; a cycle's closing link is one of
+    them."""
+    mine = _ext_lists(m, n)
+    if len(mine[0]) > imax:
+        return mine
+    res = projective_resolution(m)
+    above = None
+    for i in range(imax + 1):
+        Bs, hs, ranks = here = _ext_lists(res.module, n)
+        if not Bs:
+            P = res.term(0)
+            Bs.append(_coord_matrix(P, res.term(1), res.presentation(1), n))
+            hs.append(_hom_offsets(P, n)[1])
+            ranks.append(rank(Bs[0]))
+        if above is not None and len(above[0]) == 1:
+            if not (above[0][0] @ Bs[0]).is_zero():
+                raise CertificateFailure("coordinate complex fails to compose to zero")
+            for lst, got in zip(above, here):
+                lst.append(got[0])
+        if len(mine[0]) == i:
+            for lst, got in zip(mine, here):
+                lst.append(got[0])
+        above = here
+        res = res._at(1)
+    return mine
 
 
 def ext_dims_proj(m, n, imax):
@@ -298,7 +366,7 @@ def extension_from_cocycle(m, psi):
     res = projective_resolution(m)
     n = psi.target
     omega = res.syzygy(1)
-    incl = res.incls[0]
+    incl = res.inclusion(0)
     cover0 = res.cover(0)
     ns = direct_sum([n, res.term(0)])
     g = ModuleMap(omega, ns,
@@ -332,7 +400,6 @@ def transpose_of(m):
     a = m.algebra
     op = a.opposite_algebra()
     res = projective_resolution(m)
-    res.extend(1)
     P0, P1 = res.term(0), res.term(1)
     ents = res.presentation(1)
     P0op = projective_from_vertices(op, [v for v, _ in P0.proj_gen])

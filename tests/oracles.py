@@ -13,12 +13,23 @@ with every entry a Fraction, on plain lists of rows.
 sympy_coprime_split is the reference for modules._coprime_split: the split
 read off sympy's factor_list for every polynomial.
 
+flat_resolution is the reference for homology.ProjectiveResolution: the
+minimal resolution built degree by degree with one cover and one kernel
+each, every syzygy a new module, nothing shared between modules.
+flat_ext_dims reads extension dimensions off it, with ranks from
+fraction_rref.
+
 nakayama_injective_projectives lists the projective-injectives of a cyclic
 Nakayama algebra from its Kupisch series alone.
 """
 from fractions import Fraction
 
 import sympy
+
+from quiverhom.homology import (
+    _coord_matrix, _hom_offsets, _presentation_elements, projective_cover,
+)
+from quiverhom.modules import kernel_of_map
 
 
 def word_space_dimension(vertices, arrows, relations, loewy):
@@ -176,3 +187,32 @@ def nakayama_injective_projectives(kupisch):
     when k[i-1] <= k[i]."""
     k = list(kupisch)
     return [i for i in range(len(k)) if k[i - 1] <= k[i]]
+
+
+def flat_resolution(m, depth):
+    """(covers, inclusions, syzygies) of the minimal resolution of m for
+    degrees 0..depth: cover i maps term i onto syzygy i, inclusion i puts
+    syzygy i + 1 into term i, and syzygy 0 is m."""
+    covers, incls, syz = [], [], [m]
+    while len(covers) <= depth:
+        P, f = projective_cover(syz[-1])
+        ker, incl = kernel_of_map(f)
+        covers.append(f)
+        incls.append(incl)
+        syz.append(ker)
+    return covers, incls, syz
+
+
+def flat_ext_dims(flat, n, imax):
+    """Dimensions of Ext^0..Ext^imax(m, n) from flat_resolution(m, d),
+    d > imax: the homology of Hom(term, n) in generator coordinates."""
+    covers, incls, _ = flat
+    hs, ranks = [], []
+    for i in range(imax + 1):
+        P0, P1 = covers[i].source, covers[i + 1].source
+        d = covers[i + 1].then(incls[i])
+        B = _coord_matrix(P0, P1, _presentation_elements(d), n)
+        hs.append(_hom_offsets(P0, n)[1])
+        ranks.append(len(fraction_rref(B.data, B.ncols)[1]))
+    return [hs[i] - ranks[i] - (ranks[i - 1] if i else 0)
+            for i in range(imax + 1)]

@@ -15,13 +15,17 @@ from quiverhom.homology import (
     is_projective, mueller_domdim, projective_cover, projective_resolution,
     syzygy, tau_minus, transpose_of,
 )
-from quiverhom.invariants import canonical_test_set, projective_dimension
+from quiverhom.invariants import (
+    canonical_test_set, dominant_dimension, projective_dimension,
+)
 from quiverhom.linalg import Matrix
 from quiverhom.modules import (
     cyclic_submodule, direct_sum, dualize, iso_test, projective_rep,
     regular_rep, simple_rep, summand_inclusion, summand_projection,
 )
 from quiverhom.values import Dim
+
+from oracles import flat_ext_dims, flat_resolution
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +70,6 @@ def test_syzygy_chain_223(a223):
 
 def test_resolution_differentials_compose_to_zero(a223):
     res = ProjectiveResolution(simple_rep(a223, 0))
-    res.extend(3)
     for i in range(2, 4):
         assert res.differential(i).then(res.differential(i - 1)).is_zero()
 
@@ -111,6 +114,17 @@ def test_coordinate_matrices_match_the_composed_differentials(spec):
     assert nonzero
 
 
+def _distinct_data(mods):
+    """Number of modules among mods that differ in their dimension vector
+    or one of their arrow matrices."""
+    seen = []
+    for x in mods:
+        data = (x.dim_vector(), x.mats)
+        if data not in seen:
+            seen.append(data)
+    return len(seen)
+
+
 def test_presentations_are_built_once_per_degree(monkeypatch):
     a = nakayama_from_kupisch([3, 4, 4])
     targets = [m for _, m in canonical_test_set(a)]
@@ -127,17 +141,80 @@ def test_presentations_are_built_once_per_degree(monkeypatch):
     for n in targets:
         ext_dims_proj(m, n, imax)
     assert len(targets) > 1
-    assert len(built) == imax + 1
-    # the other side of the duality resolves each dual target once more
+    # one presentation per distinct first step of degrees 0..imax
+    own = _distinct_data(flat_resolution(m, imax)[2][:imax + 1])
+    assert len(built) == own
+    # the other side of the duality resolves the dual targets, whose
+    # syzygies are shared between them as well
     for n in targets:
         ext_dims(m, n, imax)
-    duals = {id(projective_resolution(dualize(n))) for n in targets}
-    assert len(built) == (imax + 1) * (1 + len(duals))
-    assert sorted(projective_resolution(m).presentations) == \
-        list(range(1, imax + 2))
+    duals = _distinct_data([x for n in targets for x in
+                            flat_resolution(dualize(n), imax)[2][:imax + 1]])
+    assert len(built) == own + duals
+    for i in range(1, imax + 2):
+        projective_resolution(m).presentation(i)
+    assert len(built) == own + duals
     # the transpose reads the presentation of degree 1 that is kept
     transpose_of(m)
-    assert len(built) == (imax + 1) * (1 + len(duals))
+    assert len(built) == own + duals
+
+
+SHARING_SPECS = ["kupisch:2,2,3", "kupisch:3,4,4", "kupisch:4,5,5",
+                 "bnlambda:3,1", "symmetric_chain:2"]
+
+
+@pytest.mark.parametrize("spec", SHARING_SPECS)
+def test_shared_resolutions_match_the_flat_reference(spec):
+    mods = [m for _, m in canonical_test_set(parse_construction(spec))]
+    flats = [flat_resolution(m, 8) for m in mods]
+    for m, (covers, _, syz) in zip(mods, flats):
+        res = projective_resolution(m)
+        for i in range(9):
+            assert res.term(i).proj_summand_vertices == \
+                covers[i].source.proj_summand_vertices
+            assert res.syzygy(i).dim_vector() == syz[i].dim_vector()
+            assert res.syzygy(i).mats == syz[i].mats
+    for m, flat in zip(mods, flats):
+        for n in mods:
+            assert ext_dims(m, n, 6) == flat_ext_dims(flat, n, 6)
+
+
+def test_hash_collisions_are_settled_by_the_matrices(monkeypatch):
+    def ext_table(spec):
+        mods = [m for _, m in canonical_test_set(parse_construction(spec))]
+        return [[ext_dims(m, n, 4) for n in mods] for m in mods]
+
+    want = ext_table("kupisch:3,4,4")
+    monkeypatch.setattr(Matrix, "__hash__", lambda self: 0)
+    assert ext_table("kupisch:3,4,4") == want
+    a = nakayama_from_kupisch([2, 2, 3])
+    p0 = projective_rep(a, 0)
+    split = direct_sum([simple_rep(a, 0), simple_rep(a, 1)])
+    assert split.dim_vector() == p0.dim_vector()
+    assert split.mats != p0.mats
+    assert projective_resolution(split) is not projective_resolution(p0)
+    assert projective_resolution(split).term(0).proj_summand_vertices == (0, 1)
+    assert is_projective(p0) and not is_projective(split)
+
+
+def test_deep_chains_are_walked_in_a_loop(monkeypatch):
+    covers = []
+    orig = homology.projective_cover
+
+    def counted(m):
+        covers.append(m)
+        return orig(m)
+
+    monkeypatch.setattr(homology, "projective_cover", counted)
+    d = dominant_dimension(simple_rep(symmetric_chain_family(2), 1), 2000)
+    assert str(d) == ">=2000" and d.note == "bound reached"
+    assert len(covers) <= 10
+    a = nakayama_from_kupisch([4, 5, 5])
+    want = {0: [1] + [0, 0, 1, 1] * 10, 1: [1] + [0, 0, 1, 1] * 10,
+            2: [1] + [0] * 40}
+    for v in a.quiver.vertices:
+        s = simple_rep(a, v)
+        assert ext_dims(s, s, 1000)[:41] == want[v]
 
 
 def test_injective_envelope_223(a223):
