@@ -396,7 +396,8 @@ class BoundQuiverAlgebra:
 
         kept = [v for v in self.quiver.vertices if v not in killed]
         for v in kept:
-            res = reduce_row(self.element_vector(self.idempotent(v)), R, piv)
+            res = reduce_row(self.element_vector(self.idempotent(v)), R.data,
+                             piv)
             if not any(res):
                 raise QuotientCollapse("idempotent of %r dies" % (v,))
         sub = self.quiver.subquiver(kept)
@@ -408,7 +409,7 @@ class BoundQuiverAlgebra:
             for p in level:
                 word = tuple(amap[i] for i in p.word)
                 x = self.path_normal_form(Path(p.source, p.target, word))
-                res = reduce_row(self.element_vector(x), R, piv)
+                res = reduce_row(self.element_vector(x), R.data, piv)
                 groups.setdefault((p.source, p.target), []).append((p, res))
         rels = []
         for key in sorted(groups, key=lambda st: (sub.vertex_index(st[0]),
@@ -477,7 +478,7 @@ def build_algebra(quiver, relations, loewy_cap=12):
         for p in by_len[N]:
             vec = [0] * nc
             vec[col_of[p.key()]] = 1
-            if any(reduce_row(vec, R, piv)):
+            if any(reduce_row(vec, R.data, piv)):
                 closed = False
                 break
         if not closed:

@@ -14,8 +14,8 @@ import sys
 
 from . import catalog, dsl, verify
 from .errors import (
-    ExtProjective, NotInSubcategory, ParseError, ProjectiveInput,
-    QuiverhomError, UnknownExampleId,
+    ExtProjective, MembershipUndecided, NotInSubcategory, ParseError,
+    ProjectiveInput, QuiverhomError, UnknownExampleId,
 )
 from .homology import projective_resolution
 from .invariants import (
@@ -168,10 +168,14 @@ def _cmd_relar(args):
         if m.is_zero():
             continue
         try:
-            res = relative_ar_sequence(m, args.level)
+            res = relative_ar_sequence(m, args.level, args.bound)
         except (NotInSubcategory, ExtProjective, ProjectiveInput) as e:
             rows.append({"module": name,
                          "status": _RELAR_SKIP[type(e).__name__]})
+            continue
+        except MembershipUndecided as e:
+            rows.append({"module": name,
+                         "status": "undecided at bound %d" % e.bound})
             continue
         rows.append({
             "module": name,

@@ -82,6 +82,16 @@ class NotInSubcategory(QuiverhomError):
     """Module lies outside the requested dominant-dimension subcategory."""
 
 
+class MembershipUndecided(QuiverhomError):
+    """The bound cut the dominant dimension off below the level, so
+    membership in the subcategory is not settled; bound is the floor the
+    computation certified."""
+
+    def __init__(self, message, bound):
+        self.bound = bound
+        super().__init__(message)
+
+
 class ExtProjective(QuiverhomError):
     """Module is relatively projective; no almost split sequence ends in it."""
 

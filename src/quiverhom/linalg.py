@@ -22,6 +22,7 @@ row-language counterparts.
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from fractions import Fraction
 
 
@@ -231,16 +232,63 @@ def row_space(mat):
     return Matrix(R.data[:len(piv)], len(piv), mat.ncols)
 
 
-def reduce_row(vec, R, piv):
-    """vec minus its multiples of the pivot rows of (R, piv) = rref(...):
-    zero at every pivot column, and zero everywhere exactly when vec lies
-    in the row space."""
-    for r, c in enumerate(piv):
+def reduce_row(vec, rows, piv):
+    """vec minus its multiples of the echelon rows, rows[r] with leading
+    entry 1 at column piv[r] and piv increasing (the pivot rows of an rref,
+    or the rows of an Echelon): zero at every pivot column, and zero
+    everywhere exactly when vec lies in their span.  Row r is zero left of
+    its pivot, so clearing column piv[r] leaves the earlier pivot columns
+    clear."""
+    for row, c in zip(rows, piv):
         f = vec[c]
         if f:
-            row = R.data[r]
             vec = [a - f * b for a, b in zip(vec, row)]
     return vec
+
+
+class Echelon:
+    """Row echelon basis of a growing subspace of Q^n: rows with leading
+    entry 1, kept in increasing pivot order, never reduced above their
+    pivots.  Rows are shared, never mutated, so a copy is cheap."""
+
+    __slots__ = ("rows", "pivots")
+
+    def __init__(self, rows=(), pivots=()):
+        self.rows = list(rows)
+        self.pivots = list(pivots)
+
+    def __len__(self):
+        return len(self.pivots)
+
+    def copy(self):
+        return Echelon(self.rows, self.pivots)
+
+    def add(self, vec):
+        """Put vec into the span; returns the new basis row, or None when
+        vec already lies in the span."""
+        vec = reduce_row(vec, self.rows, self.pivots)
+        for c, x in enumerate(vec):
+            if x:
+                break
+        else:
+            return None
+        if x != 1:
+            vec = [_divide(y, x) if y else 0 for y in vec]
+        i = bisect(self.pivots, c)
+        self.pivots.insert(i, c)
+        self.rows.insert(i, vec)
+        return vec
+
+    def complete(self, n):
+        """Add the unit rows at the columns below n that carry no pivot, so
+        the span becomes all of Q^n; returns the added rows."""
+        free = sorted(set(range(n)).difference(self.pivots))
+        added = [[int(j == c) for j in range(n)] for c in free]
+        for c, row in zip(free, added):
+            i = bisect(self.pivots, c)
+            self.pivots.insert(i, c)
+            self.rows.insert(i, row)
+        return added
 
 
 def _kernel_vectors(mat):

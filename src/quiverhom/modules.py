@@ -440,13 +440,6 @@ def sub_representation(m, rows_by_vertex, close=True):
     return sub, incl
 
 
-def vertex_trace(m, t):
-    """Smallest submodule containing the whole component at t; this is the
-    image of every map from the projective at t, i.e. M e_t A."""
-    rows = {t: Matrix.identity(m.dims[t])}
-    return sub_representation(m, rows, close=True)
-
-
 def cyclic_submodule(m, v, row):
     return sub_representation(m, {v: [list(row)]}, close=True)
 
@@ -470,7 +463,7 @@ def quotient_by_rows(m, rows_by_vertex):
         elif not isinstance(rows, Matrix):
             rows = Matrix([list(r) for r in rows], len(rows), m.dims[v])
         R, piv = rref(rows)
-        red[v] = (R, piv)
+        red[v] = (R.data, piv)
         npv[v] = [c for c in range(m.dims[v]) if c not in piv]
     dims = {v: len(npv[v]) for v in q.vertices}
 

@@ -9,8 +9,9 @@ cocycle when the pairing space is one-dimensional.
 from __future__ import annotations
 
 from .errors import (
-    CertificateFailure, ExtProjective, InvalidParameters, NotApplicable,
-    NotInSubcategory, ProjectiveInput, UniquenessViolation,
+    CertificateFailure, ExtProjective, InvalidParameters,
+    MembershipUndecided, NotApplicable, NotInSubcategory, ProjectiveInput,
+    UniquenessViolation,
 )
 from .homology import (
     ar_translate, cosyzygy, ext_dim, ext1_cocycles, extension_from_cocycle,
@@ -50,10 +51,24 @@ def omega_approximation(m, n):
     return nonproj, proj
 
 
-def relative_ar_translate(m, level):
+def _settled_domdim(m, level, bound):
+    """The dominant dimension of m up to the bound, when it settles
+    whether m lies in the subcategory of the level.  A value cut off by
+    the bound below the level settles nothing and raises
+    MembershipUndecided, so it is never read as outside."""
+    dd = dominant_dimension(m, bound)
+    if not dd.geq(level) and dd.kind == "at_least":
+        raise MembershipUndecided(
+            "dominant dimension %s at bound %d does not settle level %d"
+            % (dd, bound, level), dd.n)
+    return dd
+
+
+def relative_ar_translate(m, level, bound=64):
     """Relative translate of m in the category of modules of dominant
     dimension at least the level: the unique indecomposable summand of the
-    approximated ordinary translate that m pairs with in degree one."""
+    approximated ordinary translate that m pairs with in degree one.
+    Membership is decided up to the bound (see _settled_domdim)."""
     if level < 0:
         raise InvalidParameters("level must be non-negative, got %d" % level)
     if m.is_zero():
@@ -61,10 +76,10 @@ def relative_ar_translate(m, level):
     parts = decompose(m)
     if len(parts) != 1:
         raise NotApplicable("module must be indecomposable")
-    if not dominant_dimension(m).geq(level):
+    dd = _settled_domdim(m, level, bound)
+    if not dd.geq(level):
         raise NotInSubcategory(
-            "dominant dimension %s is below level %d"
-            % (dominant_dimension(m), level))
+            "dominant dimension %s is below level %d" % (dd, level))
     t = ar_translate(m)
     if t.is_zero():
         raise ExtProjective("translate vanishes; module is relatively "
@@ -91,20 +106,20 @@ def relative_ar_translate(m, level):
     return RelativeARResult(m, level, y, ext_dim(m, y, 1))
 
 
-def relative_ar_sequence(m, level):
+def relative_ar_sequence(m, level, bound=64):
     """Relative almost split sequence ending in m, when determined.
 
     The middle term is constructed from the unique extension cocycle when
     the pairing space is one-dimensional; otherwise the result carries the
     translate with the determinacy flag down."""
-    res = relative_ar_translate(m, level)
+    res = relative_ar_translate(m, level, bound)
     if res.ext1_dim != 1:
         return res
     ses = extension_from_cocycle(m, ext1_cocycles(m, res.translate)[0])
     if ses.is_split():
         raise CertificateFailure("almost split candidate splits")
     for name, end in (("left", res.translate), ("right", m)):
-        if not dominant_dimension(end).geq(level):
+        if not _settled_domdim(end, level, bound).geq(level):
             raise CertificateFailure(
                 "%s end of the sequence leaves the subcategory" % name)
     res.middle = ses.mid

@@ -1,7 +1,8 @@
 """Stratifications of a bound quiver algebra along a vertex order.
 
 Builds the four families of standard-type modules, decides filtration
-membership by the trace recursion, classifies orders (standardly and
+membership by the trace recursion, run as a chain of submodules of the
+module itself (see _Chain), classifies orders (standardly and
 properly stratified, quasi-hereditary), constructs and certifies the
 characteristic tilting module, and provides the extensional verifiers for
 the tilting-orthogonality and duality consequences.  Also contains the
@@ -29,13 +30,12 @@ from .invariants import (
     gi_dimension, global_dimension, gorenstein_dimension, gp_dimension,
     injective_dimension, injective_projective_vertices, projective_dimension,
 )
-from .linalg import hstack
+from .linalg import Echelon, Matrix, hstack
 from .modules import (
     ModuleMap, cokernel_of_map, decompose, direct_sum, dualize, hom_basis,
     iso_test, kernel_of_map, map_in_span, projective_rep,
     quotient_by_submodule, radical_power_rows, radical_rows, regular_rep,
     same_add_closure, simple_rep, socle_submodule, sub_representation,
-    vertex_trace,
 )
 
 FAMILIES = ("delta", "deltabar", "nabla", "nablabar")
@@ -118,73 +118,145 @@ def _top_proper_standard(algebra, t):
     return algebra._cache[key]
 
 
-def _peel(cur, alg, t, proper):
-    """One step of the trace recursion at the top vertex t: (k, quotient)
-    with k the multiplicity of the layer and quotient cur modulo the trace
-    of t, over cur's algebra; None when the layer fails.  alg is the
-    algebra whose projective (or proper standard) at t sizes the layer.
-    Both layers are decided by counting dimensions.
+class _Chain:
+    """The trace recursion on a module M as one increasing chain of
+    submodules 0 = U_0 <= U_1 <= ... <= M, each held as an Echelon per
+    vertex in M's own coordinates; no quotient module is built.
 
-    The trace u = cur e_t A is generated by its component at t, so its top
-    is k = dim u_t - dim (rad u)_t copies of the simple at t, and its
-    projective cover P_t^k -> u is onto.  Hence u is a direct sum of k
-    copies of P_t iff dim u = k dim P_t.  The proper layer is accepted on
-    the count dim u = dim(cur at t) times dim(proper standard at t), which
-    forces a filtration."""
-    u, incl = vertex_trace(cur, t)
+    grow(t) makes U_k, the smallest submodule containing U_{k-1} and the
+    whole component M_t.  It completes the basis at t to all of M_t and
+    then runs a worklist: every new basis row at a vertex v goes through
+    each arrow a: v -> w once, and its image joins the basis at w, as a
+    new row to push in turn, unless it lies in the span there already (a
+    basis that is all of M_w is not asked).
+    When the worklist is empty, every basis row at every v has had its
+    image under every arrow out of v put into the span at the target (the
+    rows of U_{k-1} in earlier calls), so U_k M_a <= U_k at the target of
+    each arrow: U_k is closed under the arrows and hence a submodule.  It
+    contains U_{k-1} and M_t, and every row added is an image of a row of
+    it, so it is the smallest such submodule.  Each basis row is pushed
+    once over the whole walk, so the walk costs about one closure of M.
+
+    The counts are those of the walk that passes to quotients.  By
+    induction the module layered at step k is M/U_{k-1}: submodules of
+    M/U_{k-1} are the U/U_{k-1} with U_{k-1} <= U, so the trace of t in
+    M/U_{k-1}, the smallest submodule containing its component at t, is
+    u = U_k/U_{k-1}, and (M/U_{k-1})/u = M/U_k.  Hence dim u = dim U_k -
+    dim U_{k-1}.  The proper layer reads dim (M/U_{k-1})_t = dim M_t -
+    dim U_{k-1,t}.  The plain layer reads the top of u at t: u_t is
+    M_t/U_{k-1,t}, and (rad u)_t is the sum of the images of u_s under
+    the arrows a: s -> t, i.e. (U_{k-1,t} + sum U_{k,s} M_a)/U_{k-1,t}.
+    Rows of U_{k-1} map into U_{k-1,t}, so that span is U_{k-1,t} plus
+    the images at t of the rows new in U_k, which the worklist produces
+    anyway."""
+
+    def __init__(self, m):
+        q = m.algebra.quiver
+        self.dims = m.dims
+        self.basis = {v: Echelon() for v in q.vertices}
+        self.arrows = {v: [(a.target, m.mats[a.index]) for a in
+                           q.arrows_from(v) if m.dims[a.target]]
+                       for v in q.vertices}
+        self.dim = 0
+        self.total = m.total_dim
+
+    def full(self):
+        return self.dim == self.total
+
+    def grow(self, t, proper):
+        """Extend the chain by the trace of t in M/U_{k-1}; returns (k,
+        dim U_k - dim U_{k-1}), k the multiplicity the layer claims."""
+        dims = self.dims
+        basis = self.basis
+        below = len(basis[t])
+        rad = None if proper else basis[t].copy()
+        new = basis[t].complete(dims[t])
+        size = len(new)
+        pending = {t: new} if new else {}
+        while pending:
+            v, rows = pending.popitem()
+            block = Matrix(rows, len(rows), dims[v])
+            for w, mat in self.arrows[v]:
+                into = basis[w]
+                for img in (block @ mat).data:
+                    if w == t and rad is not None:
+                        rad.add(img)
+                    if len(into) < dims[w]:
+                        row = into.add(img)
+                        if row is not None:
+                            size += 1
+                            pending.setdefault(w, []).append(row)
+        self.dim += size
+        return dims[t] - (below if proper else len(rad)), size
+
+
+def _layer(chain, alg, t, proper):
+    """One layer of the trace recursion at the top vertex t: the chain
+    grows by the trace of t, and the layer's multiplicity k is returned,
+    or None when the layer fails.  alg is the algebra whose projective (or
+    proper standard) at t sizes the layer.  Both layers are decided by
+    counting dimensions.
+
+    The trace u is generated by its component at t, so its top at t has
+    dimension k = dim u_t - dim (rad u)_t, and its projective cover
+    P_t^k -> u is onto.  Hence u is a direct sum of k copies of P_t iff
+    dim u = k dim P_t.  The proper layer is accepted on the count dim u =
+    dim(M/U_{k-1} at t) times dim(proper standard at t), which forces a
+    filtration."""
+    k, size = chain.grow(t, proper)
     if proper:
-        k = cur.dims[t]
         d = sum(_top_proper_standard(alg, t).dims.values())
     else:
-        k = u.dims[t] - radical_rows(u)[t].nrows
         d = sum(projective_rep(alg, t).dims.values())
-    if sum(u.dims.values()) != k * d:
-        return None
-    return k, quotient_by_submodule(cur, incl)[0]
+    return k if size == k * d else None
 
 
 def _filt_core(m, algebra, order, proper):
-    """Trace recursion from the top of the order: peel the top vertex t
-    off m, repeat on the quotient; the last quotient must be zero.
+    """Trace recursion from the top of the order, on one _Chain of
+    submodules of m: layer the top vertex t, repeat with the next; the
+    chain must reach m.
 
     The module stays over the algebra A throughout.  Once the vertices S
-    above t are peeled off it is annihilated by Ae_SA, so its trace at t,
-    the radical of that trace and the quotient are the same over A as over
-    A/Ae_SA; _peel reads the layer size from that quotient algebra, the
+    above t are layered, M/U_{k-1} is annihilated by Ae_SA, so its trace
+    at t and the radical of that trace are the same over A as over
+    A/Ae_SA; _layer reads the layer size from that quotient algebra, the
     one _regular_step uses, cached per S."""
-    cur = m
+    chain = _Chain(m)
     mult = {}
     for idx in range(len(order) - 1, -1, -1):
         t = order[idx]
-        if cur.is_zero():
+        if chain.full():
             for w in order[:idx + 1]:
                 mult[w] = 0
             return True, mult
         alg = algebra.quotient_by_idempotent_ideal(frozenset(order[idx + 1:]))
-        step = _peel(cur, alg, t, proper)
-        if step is None:
+        k = _layer(chain, alg, t, proper)
+        if k is None:
             return False, None
-        mult[t], cur = step
-    return (True, mult) if cur.is_zero() else (False, None)
+        mult[t] = k
+    return (True, mult) if chain.full() else (False, None)
 
 
 def _regular_step(a, t, above, proper):
-    """_peel at t on the regular module of A/Ae_SA, S the vertices above t.
-    Peeling S off the regular module of A leaves exactly that module, so
-    the step depends on (t, S) and not on the order of S.  Cached in
-    a._cache as (k, quotient is zero), or None for a failed layer."""
-    key = ("peel", t, above, proper)
+    """The first layer, at t, of a _Chain on the regular module of
+    A/Ae_SA, S the vertices above t.  The layers of S span the trace
+    Ae_SA of S in the regular module of A, which leaves exactly that
+    module, so the step depends on (t, S) and not on the order of S.
+    Cached in a._cache as (k, the chain reaches the module), or None for a
+    failed layer."""
+    key = ("layer", t, above, proper)
     if key not in a._cache:
         alg = a.quotient_by_idempotent_ideal(above)
-        step = _peel(regular_rep(alg), alg, t, proper)
-        a._cache[key] = None if step is None else (step[0], step[1].is_zero())
+        chain = _Chain(regular_rep(alg))
+        k = _layer(chain, alg, t, proper)
+        a._cache[key] = None if k is None else (k, chain.full())
     return a._cache[key]
 
 
 def _regular_walk(a, order, proper):
     """Multiplicities of the trace recursion on the regular module along
     the order, from the shared steps; None at the first failing step or
-    when the last quotient is nonzero."""
+    when the last layer does not reach the whole module."""
     mult = {}
     for idx in range(len(order) - 1, -1, -1):
         step = _regular_step(a, order[idx], frozenset(order[idx + 1:]), proper)
@@ -199,8 +271,13 @@ def _dimdict(rep):
 
 
 def filtration_test(m, family, strat):
-    """(passes, multiplicities) for a filtration by the named family;
-    multiplicities are cross-checked against the dimension vector."""
+    """(passes, multiplicities) for a filtration by the named family.
+
+    The standard families walk m, the costandard ones its dual over the
+    opposite algebra, along one _Chain of submodules from the top of the
+    order (_filt_core); each layer only counts dimensions, and no trace or
+    quotient module is built.  The multiplicities of a passing walk are
+    cross-checked against the dimension vectors of the family."""
     if family not in FAMILIES:
         raise NotApplicable("unknown family %r" % (family,))
     if family in ("nabla", "nablabar"):
@@ -258,9 +335,12 @@ def check_asserted_duality(a):
 def _order_flags(a, order):
     """The five stratification flags of the order, from the shared steps.
     Each walk goes top-down and stops at its first failing step, as the
-    trace recursion does; a regular module that passes a (proper) standard
-    walk is cross-checked against the dimension vectors of the (proper)
-    standard modules.  The opposite side only needs its proper walk.
+    trace recursion does.  A step is the first layer of a _Chain on the
+    regular module of A/Ae_SA (_regular_step), which counts the layer in
+    that module's own coordinates.  A regular module that passes a
+    (proper) standard walk is cross-checked against the dimension vectors
+    of the (proper) standard modules.  The opposite side only needs its
+    proper walk.
 
     Quasi-hereditary is decided from its definition: standardly stratified
     with every End(delta(v)) a division ring.  End(delta(v)) is
@@ -305,7 +385,7 @@ def search_orders(a, bound=64):
     Every flag is decided by walks over steps that depend only on a vertex
     t and the set S of vertices above it (see _regular_step), so the n!
     orders share n * 2^(n-1) steps per kind of walk instead of n * n!.
-    The steps are cached in a._cache under ("peel", t, S, proper), on the
+    The steps are cached in a._cache under ("layer", t, S, proper), on the
     opposite algebra's _cache for the opposite side; the quotient algebras
     A/Ae_SA are cached per frozenset S, at most 2^n - 2 per side; the
     standard modules' dimension vectors are cached under ("stddims", v,

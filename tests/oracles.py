@@ -19,6 +19,10 @@ each, every syzygy a new module, nothing shared between modules.
 flat_ext_dims reads extension dimensions off it, with ranks from
 fraction_rref.
 
+quotient_tower_walk is the reference for stratify._filt_core: the trace
+recursion as it ran before the submodule chain, building the trace of the
+top vertex and the quotient by it as modules at every layer.
+
 nakayama_injective_projectives lists the projective-injectives of a cyclic
 Nakayama algebra from its Kupisch series alone.
 """
@@ -29,7 +33,12 @@ import sympy
 from quiverhom.homology import (
     _coord_matrix, _hom_offsets, _presentation_elements, projective_cover,
 )
-from quiverhom.modules import kernel_of_map
+from quiverhom.linalg import Matrix
+from quiverhom.modules import (
+    kernel_of_map, projective_rep, quotient_by_submodule, radical_rows,
+    sub_representation,
+)
+from quiverhom.stratify import _top_proper_standard
 
 
 def word_space_dimension(vertices, arrows, relations, loewy):
@@ -216,3 +225,34 @@ def flat_ext_dims(flat, n, imax):
         ranks.append(len(fraction_rref(B.data, B.ncols)[1]))
     return [hs[i] - ranks[i] - (ranks[i - 1] if i else 0)
             for i in range(imax + 1)]
+
+
+def quotient_tower_walk(m, algebra, order, proper):
+    """(ok, multiplicities) of the trace recursion on m along the order,
+    over algebra: at each layer t, from the top of the order, build the
+    trace u of t in the current module and the quotient by it.  The layer
+    has k = dim u_t - dim (rad u)_t (plain) or k = dim of the current
+    module at t (proper), and passes when dim u is k times the dimension
+    of the projective (or the proper standard) at t over A/Ae_SA, S the
+    vertices above t."""
+    cur = m
+    mult = {}
+    for idx in range(len(order) - 1, -1, -1):
+        t = order[idx]
+        if cur.is_zero():
+            for w in order[:idx + 1]:
+                mult[w] = 0
+            return True, mult
+        alg = algebra.quotient_by_idempotent_ideal(frozenset(order[idx + 1:]))
+        u, incl = sub_representation(cur, {t: Matrix.identity(cur.dims[t])})
+        if proper:
+            k = cur.dims[t]
+            d = sum(_top_proper_standard(alg, t).dims.values())
+        else:
+            k = u.dims[t] - radical_rows(u)[t].nrows
+            d = sum(projective_rep(alg, t).dims.values())
+        if sum(u.dims.values()) != k * d:
+            return False, None
+        mult[t] = k
+        cur = quotient_by_submodule(cur, incl)[0]
+    return (True, mult) if cur.is_zero() else (False, None)

@@ -88,6 +88,26 @@ def test_quasi_hereditary_does_not_depend_on_bound(capsys):
         [[1, 2, 0], [2, 1, 0]]
 
 
+def test_relar_leaves_modules_cut_off_by_the_bound_undecided(capsys):
+    # at --bound 0 a dominant dimension of at least 1 reads ">=0": those
+    # modules are undecided, not outside the subcategory, and every other
+    # row is the row of the default bound
+    rows = {}
+    for bound in ("0", "64"):
+        assert cli.main(["relar", "kupisch:3,4,4", "--bound", bound,
+                         "--format", "structured"]) == 0
+        rows[bound] = {r["module"]: r["status"] for r in
+                       json.loads(capsys.readouterr().out)["modules"]}
+    undecided = {name for name, status in rows["0"].items()
+                 if status == "undecided at bound 0"}
+    assert undecided == {"P(0)", "rad P(0)", "P(0)/soc", "P(1)", "S(1)",
+                         "rad P(1)", "syz2 S(1)", "P(2)"}
+    assert {name: rows["64"][name] for name in rows["0"]
+            if name not in undecided} == {
+        name: status for name, status in rows["0"].items()
+        if name not in undecided}
+
+
 def test_relar_reports_the_almost_split_sequence():
     rc, out, _ = run_cli("relar", "kupisch:2,3", "--level", "1",
                          "--format", "structured")

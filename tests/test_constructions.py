@@ -31,7 +31,7 @@ from quiverhom.modules import (
     ModuleMap, Representation, decompose, direct_sum, dualize,
     projective_from_vertices, projective_map, projective_rep,
     quotient_by_rows, regular_rep, simple_rep, sub_representation,
-    uniserial_quotient, vertex_trace, _coprime_split,
+    uniserial_quotient, _coprime_split,
 )
 from quiverhom.stratify import search_orders
 from quiverhom.verify import verify_paper_example
@@ -100,7 +100,7 @@ def test_proven_maps_skip_the_arrow_check(monkeypatch):
 
     monkeypatch.setattr(ModuleMap, "__init__", recorded)
     f = projective_map(p, simple_rep(a, 0), [[1]])
-    _, incl = vertex_trace(p, 1)
+    _, incl = sub_representation(p, {1: Matrix.identity(p.dims[1])})
     assert flags == [False, False]
     assert f.is_surjective() and incl.is_injective()
 
@@ -139,7 +139,7 @@ def test_proven_constructions_skip_the_relation_check(monkeypatch):
     projective_rep(a, 2)
     projective_from_vertices(a, [2])
     assert calls == [p]
-    sub, incl = vertex_trace(p, 0)
+    sub, incl = sub_representation(p, {0: Matrix.identity(p.dims[0])})
     quot, _ = quotient_by_rows(p, incl.blocks)
     dualize(sub)
     dualize(quot)

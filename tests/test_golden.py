@@ -53,6 +53,13 @@ COMMANDS = [
      ["stratify", "bnlambda:4,1,1", "--all-orders"], ""),
     ("verify-paper-all", ["verify-paper", "all"], ""),
 ]
+# the remaining order-search algebras
+COMMANDS += [
+    ("stratify-all-orders-" + spec.replace(":", "-").replace(",", "-"),
+     ["stratify", spec, "--all-orders"], "")
+    for spec in ("kupisch:2,2,3", "kupisch:2,2,2,3", "kupisch:2,2,2,2,3",
+                 "kupisch:2,2,2,2,2,3", "bnlambda:5,1,1,1", "kupisch:3,4,4")
+]
 
 
 def run(args, stdin):

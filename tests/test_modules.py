@@ -14,7 +14,7 @@ from quiverhom.modules import (
     projective_from_vertices, projective_map, regular_rep, injective_rep,
     dualize, direct_sum, summand_inclusion, summand_projection,
     radical_rows, top_dims, socle_dims, socle_submodule,
-    sub_representation, vertex_trace, cyclic_submodule, quotient_by_rows,
+    sub_representation, cyclic_submodule, quotient_by_rows,
     quotient_by_submodule, kernel_of_map, cokernel_of_map, hom_basis,
     iso_test, decompose, uniserial_quotient, radical_power_rows,
     is_faithful, _seeded_maps,
@@ -82,7 +82,8 @@ def test_yoneda_hom_dims(naka223):
 
 def test_vertex_trace(naka223):
     p2 = projective_rep(naka223, 2)
-    sub, incl = vertex_trace(p2, 0)
+    # the trace of vertex 0: the smallest submodule containing P(2)e_0
+    sub, incl = sub_representation(p2, {0: Matrix.identity(p2.dims[0])})
     assert sub.dim_vector() == (1, 1, 0)
     assert incl.is_injective()
 
@@ -110,7 +111,7 @@ def test_projective_map_cover(naka223):
 
 def test_quotient_roundtrip(naka223):
     p = projective_rep(naka223, 2)
-    sub, incl = vertex_trace(p, 0)
+    sub, incl = sub_representation(p, {0: Matrix.identity(p.dims[0])})
     quot, proj = quotient_by_submodule(p, incl)
     assert quot.total_dim == p.total_dim - sub.total_dim
     assert incl.then(proj).is_zero()

@@ -5,7 +5,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from quiverhom import homology, invariants, modules, stratify
+from quiverhom import homology, invariants, linalg, modules, stratify
 from quiverhom.algebra import (
     bnlambda_family, klein_four_like, nakayama_from_kupisch,
     symmetric_chain_family,
@@ -22,7 +22,7 @@ from quiverhom.invariants import (
 )
 from quiverhom.modules import (
     direct_sum, dualize, iso_test, projective_rep, quotient_by_submodule,
-    radical_rows, regular_rep, simple_rep, sub_representation, vertex_trace,
+    radical_rows, regular_rep, simple_rep, sub_representation,
 )
 from quiverhom.stratify import (
     characteristic_cotilting, characteristic_tilting, classify_stratification,
@@ -31,6 +31,8 @@ from quiverhom.stratify import (
     verify_main_equivalences, verify_tilting,
 )
 from quiverhom.values import Dim
+
+from oracles import quotient_tower_walk
 
 
 @pytest.fixture(scope="module")
@@ -211,7 +213,7 @@ def test_search_orders_matches_order_by_order_recursion(build):
 def _iso_reference_layer(cur, alg, t):
     """The standard layer as decided by an isomorphism test: k = dim u /
     dim P_t when that divides, then u against P_t^k; None on failure."""
-    u, _ = vertex_trace(cur, t)
+    u, _ = sub_representation(cur, {t: linalg.Matrix.identity(cur.dims[t])})
     du = sum(u.dims.values())
     p = projective_rep(alg, t)
     dp = sum(p.dims.values())
@@ -234,9 +236,9 @@ def test_standard_layer_count_matches_the_iso_reference(build):
                 for above in combinations(rest, r):
                     alg = side.quotient_by_idempotent_ideal(frozenset(above))
                     cur = regular_rep(alg)
-                    step = stratify._peel(cur, alg, t, False)
-                    want = _iso_reference_layer(cur, alg, t)
-                    assert (None if step is None else step[0]) == want
+                    step = stratify._layer(stratify._Chain(cur), alg, t,
+                                           False)
+                    assert step == _iso_reference_layer(cur, alg, t)
 
 
 @REFERENCE_ALGEBRAS
@@ -255,10 +257,11 @@ def _quotients_built(alg):
 
 
 def test_search_orders_shares_steps_between_orders(monkeypatch):
-    traces = []
-    real = stratify.vertex_trace
-    monkeypatch.setattr(stratify, "vertex_trace",
-                        lambda m, t: traces.append(t) or real(m, t))
+    layers = []
+    real = stratify._Chain.grow
+    monkeypatch.setattr(stratify._Chain, "grow",
+                        lambda chain, t, proper: layers.append(t)
+                        or real(chain, t, proper))
     n = 5
     a = _tower(n)
     search_orders(a)
@@ -267,7 +270,7 @@ def test_search_orders_shares_steps_between_orders(monkeypatch):
         assert 0 < _quotients_built(side) <= 2 ** n - 2
     # each (t, set above t) step once per walk: two walks on A, one on A^op;
     # order by order, the 120 orders took 516 steps
-    assert len(traces) <= 3 * n * 2 ** (n - 1)
+    assert 0 < len(layers) <= 3 * n * 2 ** (n - 1)
 
 
 @pytest.mark.parametrize("spec, order", [
@@ -289,6 +292,47 @@ def test_filtrations_walk_the_classified_quotients(spec, order):
         for family in stratify.FAMILIES:
             filtration_test(m, family, st)
     assert snapshot() == before
+
+
+@REFERENCE_ALGEBRAS
+def test_filtrations_match_the_quotient_tower_walk(build):
+    # every order for n <= 4, the identity and reversed orders above that;
+    # on the loop algebras the plain and proper walks differ
+    a = build()
+    op = a.opposite_algebra()
+    verts = sorted(a.quiver.vertices)
+    orders = (list(permutations(verts)) if len(verts) <= 4
+              else [tuple(verts), tuple(reversed(verts))])
+    mods = [m for _, m in canonical_test_set(a)]
+    for order in orders:
+        st = standard_modules(a, order)
+        for m in mods:
+            for family in stratify.FAMILIES:
+                side, probe = ((op, dualize(m)) if family.startswith("nabla")
+                               else (a, m))
+                want = quotient_tower_walk(probe, side, order,
+                                           family.endswith("bar"))
+                assert filtration_test(m, family, st) == want
+
+
+@pytest.mark.parametrize("spec, order", [
+    ("kupisch:2,2,3", (1, 2, 0)), ("bnlambda:4,1,1", (1, 2, 3, 4))])
+def test_filtrations_build_no_module(monkeypatch, spec, order):
+    # once the order is classified, a walk only counts dimensions: no
+    # quotient module and no arrow matrix of a submodule is computed
+    a = parse_construction(spec)
+    st = classify_stratification(a, order)
+    mods = [m for _, m in canonical_test_set(a)]
+
+    def refuse(*args):
+        raise AssertionError("module constructed during a filtration walk")
+    for module in (modules, stratify):
+        for name in ("quotient_by_rows", "solve_xa_b"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    assert filtration_test(regular_rep(a), "delta", st)[0]
+    for m in mods:
+        for family in stratify.FAMILIES:
+            filtration_test(m, family, st)
 
 
 def test_tampered_standard_dims_fail_the_cross_check():
