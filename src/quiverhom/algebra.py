@@ -24,7 +24,7 @@ from .errors import (
     QuotientCollapse,
 )
 from .linalg import (
-    Matrix, exact, rank, reduce_row, right_kernel, left_kernel, rref,
+    Matrix, exact, rank, reduce_row, right_kernel, rref,
     seeded_combinations, SEARCH_BUDGET, SEARCH_SEED,
 )
 
@@ -264,15 +264,6 @@ class BoundQuiverAlgebra:
                         out[k] = out.get(k, 0) + ab * c
         return {k: v for k, v in out.items() if v}
 
-    def path_normal_form(self, path):
-        """Image of an arbitrary quiver path in the algebra."""
-        x = self.idempotent(path.source)
-        for ai in path.word:
-            x = self.multiply(x, {self._arrow_basis[ai]: 1})
-            if not x:
-                return {}
-        return x
-
     def element_vector(self, x):
         row = [0] * self.dim
         for k, c in x.items():
@@ -366,9 +357,26 @@ class BoundQuiverAlgebra:
     # -- quotients ---------------------------------------------------------
 
     def quotient_by_idempotent_ideal(self, killed):
-        """Quotient by the two-sided ideal generated by the idempotents of
-        the given vertices, rebuilt as a bound quiver algebra on the kept
-        vertices.  Cached per vertex set."""
+        """A/Ae_SA, S the given vertices, presented on the full subquiver
+        Q' of the kept vertices by the images of A's relations.  Cached
+        per vertex set.
+
+        Let pi: kQ -> kQ' kill every path through a vertex of S and keep
+        every other path.  It is a surjective algebra map whose kernel is
+        the ideal generated by e_S, so A/Ae_SA = kQ'/pi(I), and pi(I) is
+        generated by the images pi(r) of A's relations r: each keeps the
+        terms whose path avoids S.  A's closure at its Loewy bound N (every
+        path of length N lies in I) maps under pi to the closure of the
+        quotient at or below N, so build_algebra finds the truncation level
+        within the cap N.  The row reduction of the relation rows depends
+        only on their span, so the quotient has the deglex basis and
+        multiplication table of every presentation of pi(I).  Its dimension
+        is checked against an independent count: the rank of Ae_SA in A's
+        basis.
+
+        Modules over the quotient are validated against these images of
+        A's relations, the same kind of check A makes of its own modules:
+        neither checks the truncation J^N."""
         killed = frozenset(killed)
         unknown = killed - set(self.quiver.vertices)
         if unknown:
@@ -401,28 +409,13 @@ class BoundQuiverAlgebra:
             if not any(res):
                 raise QuotientCollapse("idempotent of %r dies" % (v,))
         sub = self.quiver.subquiver(kept)
-        amap = {a.index: self.quiver.arrow(a.name).index for a in sub.arrows}
-
-        by_len = sub.paths_by_length(self.loewy_bound)
-        groups = {}
-        for level in by_len[2:]:
-            for p in level:
-                word = tuple(amap[i] for i in p.word)
-                x = self.path_normal_form(Path(p.source, p.target, word))
-                res = reduce_row(self.element_vector(x), R.data, piv)
-                groups.setdefault((p.source, p.target), []).append((p, res))
-        rels = []
-        for key in sorted(groups, key=lambda st: (sub.vertex_index(st[0]),
-                                                  sub.vertex_index(st[1]))):
-            items = groups[key]
-            emat = Matrix([res for _, res in items], len(items), n)
-            K = left_kernel(emat)
-            for r in range(K.nrows):
-                terms = [(K.entry(r, c), items[c][0]) for c in range(K.ncols)
-                         if K.entry(r, c)]
-                if terms:
-                    rels.append(Relation(terms))
-        quo = build_algebra(sub, rels, loewy_cap=max(2, self.loewy_bound))
+        index = {self.quiver.arrow(a.name).index: a.index for a in sub.arrows}
+        images = [Relation([(c, Path(p.source, p.target,
+                                     tuple(index[i] for i in p.word)))
+                            for c, p in r.terms
+                            if all(i in index for i in p.word)])
+                  for r in self.relations]
+        quo = build_algebra(sub, images, loewy_cap=max(2, self.loewy_bound))
         if quo.dim != qdim:
             raise CertificateFailure(
                 "quotient rebuild dimension %d, expected %d" % (quo.dim, qdim))

@@ -18,7 +18,7 @@ module, and a periodic resolution is a cycle of links.
 from __future__ import annotations
 
 from .errors import CertificateFailure, NotGeneratorCogenerator
-from .linalg import Matrix, rank, rref, row_space, left_kernel, solve_linear
+from .linalg import Echelon, Matrix, rank, rref, left_kernel, solve_linear
 from .modules import (
     ModuleMap, direct_sum, dualize, decompose,
     hom_basis, iso_test, kernel_of_map, map_in_span, projective_from_vertices,
@@ -295,7 +295,9 @@ def ext_dim(m, n, i):
 
 def ext1_cocycles(m, n):
     """One representative map syzygy(m) -> n per basis vector of the first
-    extension group."""
+    extension group: the cocycles, rows of the left kernel of B1, that
+    grow the span of the coboundaries (the row space of B0) and of the
+    cocycles kept before them, one Echelon pass over the kernel rows."""
     if m.is_zero() or n.is_zero():
         return []
     res = projective_resolution(m)
@@ -305,15 +307,10 @@ def ext1_cocycles(m, n):
     ker = left_kernel(B1)
     if ker.nrows == 0:
         return []
-    im = row_space(B0)
-    reps = []
-    seen = im
-    for r in range(ker.nrows):
-        cand = Matrix([ker.row(r)], 1, ker.ncols)
-        grown = row_space(Matrix(seen.data + cand.data, seen.nrows + 1, ker.ncols))
-        if grown.nrows > seen.nrows:
-            seen = grown
-            reps.append(ker.row(r))
+    R, piv = rref(B0)
+    seen = Echelon(R.data[:len(piv)], piv)
+    reps = [ker.row(r) for r in range(ker.nrows)
+            if seen.add(ker.row(r)) is not None]
     offs1, _ = _hom_offsets(P1, n)
     cover1 = res.cover(1)
     omega = res.syzygy(1)

@@ -13,8 +13,8 @@ from .errors import (
     NotAuslanderGorenstein, NotGorensteinCertified, ZeroModule,
 )
 from .homology import (
-    cosyzygy, ext_dims, generator_cogenerator_check,
-    is_injective_mod, is_projective, projective_resolution, syzygy,
+    cosyzygy, ext_dims, is_injective_mod, is_projective, mueller_domdim,
+    projective_resolution, syzygy,
 )
 from .modules import (
     direct_sum, dualize, injective_rep, is_faithful, iso_test,
@@ -214,27 +214,23 @@ def minimal_faithful_projinj(algebra, bound=64):
 
 def gendo_gorenstein_check(algebra, n, bound=64):
     """For a certified symmetric algebra and a module n making the regular
-    module plus n a generator-cogenerator: locate the first nonvanishing
-    self-extension degree k of the pair, certify the (k+1)-th syzygy of n
-    is isomorphic to n, and return k+1, the common dominant and Gorenstein
-    dimension of the endomorphism algebra of the pair."""
+    module plus n a generator-cogenerator: read the first nonvanishing
+    self-extension degree k of the pair off homology.mueller_domdim, which
+    certifies the generator-cogenerator and returns k + 1, certify the
+    (k+1)-th syzygy of n is isomorphic to n, and return k+1, the common
+    dominant and Gorenstein dimension of the endomorphism algebra of the
+    pair."""
     if not algebra.is_symmetric:
         raise NotApplicable("needs a certified symmetric algebra")
-    generator_cogenerator_check(algebra, n)
-    g = direct_sum([regular_rep(algebra), n])
-    k = None
-    for i in range(1, bound + 1):
-        if ext_dims(n, g, i)[i]:
-            k = i
-            break
-    if k is None:
+    d = mueller_domdim(algebra, n, bound)
+    if not d.is_exact:
         raise CertificateFailure(
             "no self-extension found within bound; cannot certify")
-    r = iso_test(syzygy(n, k + 1), n)
+    r = iso_test(syzygy(n, d.n), n)
     if not r.is_iso:
         raise CertificateFailure(
-            "syzygy periodicity certificate failed at degree %d" % (k + 1))
-    return k + 1
+            "syzygy periodicity certificate failed at degree %d" % d.n)
+    return d.n
 
 
 # -- canonical test sets ---------------------------------------------------
@@ -269,12 +265,8 @@ def canonical_test_set(algebra, depth=2, extras=()):
             named.append(("syz%d S(%s)" % (k, v), syzygy(simple_rep(algebra, v), k)))
             named.append(("cosyz%d S(%s)" % (k, v),
                           cosyzygy(simple_rep(algebra, v), k)))
-    kup = getattr(algebra, "kupisch", None)
-    if kup:
-        for v, c in zip(algebra.quiver.vertices, kup):
-            for k in range(1, c + 1):
-                named.append(("e%sA/e%sJ%d" % (v, v, k),
-                              uniserial_quotient(algebra, v, k)))
+    if getattr(algebra, "kupisch", None):
+        named.extend(all_uniserial_quotients(algebra))
     named.extend(extras)
     return _dedupe(named)
 

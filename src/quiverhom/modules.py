@@ -322,9 +322,8 @@ def summand_inclusion(total, reps, idx):
     r = reps[idx]
     blocks = {}
     for v in total.algebra.quiver.vertices:
-        b = Matrix.zeros(r.dims[v], total.dims[v])
+        rows = [[0] * total.dims[v] for _ in range(r.dims[v])]
         lo, _hi = sl[v]
-        rows = [list(row) for row in b.data]
         for i in range(r.dims[v]):
             rows[i][lo + i] = 1
         blocks[v] = Matrix(rows, r.dims[v], total.dims[v])
@@ -332,16 +331,11 @@ def summand_inclusion(total, reps, idx):
 
 
 def summand_projection(total, reps, idx):
-    sl = total.summand_slices[idx]
-    r = reps[idx]
-    blocks = {}
-    for v in total.algebra.quiver.vertices:
-        rows = [[0] * r.dims[v] for _ in range(total.dims[v])]
-        lo, _hi = sl[v]
-        for i in range(r.dims[v]):
-            rows[lo + i][i] = 1
-        blocks[v] = Matrix(rows, total.dims[v], r.dims[v])
-    return ModuleMap(total, r, blocks, validate=False)
+    """The blockwise transpose of summand_inclusion."""
+    incl = summand_inclusion(total, reps, idx)
+    return ModuleMap(total, reps[idx],
+                     {v: b.transpose() for v, b in incl.blocks.items()},
+                     validate=False)
 
 
 # -- radical, top, socle ---------------------------------------------------

@@ -111,13 +111,6 @@ def standard_modules(a, order):
     return strat
 
 
-def _top_proper_standard(algebra, t):
-    key = ("topdbar", t)
-    if key not in algebra._cache:
-        algebra._cache[key] = _standard_at(algebra, t, (t,))
-    return algebra._cache[key]
-
-
 class _Chain:
     """The trace recursion on a module M as one increasing chain of
     submodules 0 = U_0 <= U_1 <= ... <= M, each held as an Echelon per
@@ -194,8 +187,9 @@ def _layer(chain, alg, t, proper):
     """One layer of the trace recursion at the top vertex t: the chain
     grows by the trace of t, and the layer's multiplicity k is returned,
     or None when the layer fails.  alg is the algebra whose projective (or
-    proper standard) at t sizes the layer.  Both layers are decided by
-    counting dimensions.
+    proper standard) at t sizes the layer: the proper standard's size is
+    read from its dimension vector, cached per algebra by _standard_dims.
+    Both layers are decided by counting dimensions.
 
     The trace u is generated by its component at t, so its top at t has
     dimension k = dim u_t - dim (rad u)_t, and its projective cover
@@ -205,7 +199,7 @@ def _layer(chain, alg, t, proper):
     filtration."""
     k, size = chain.grow(t, proper)
     if proper:
-        d = sum(_top_proper_standard(alg, t).dims.values())
+        d = sum(_standard_dims(alg, t, frozenset({t})).values())
     else:
         d = sum(projective_rep(alg, t).dims.values())
     return k if size == k * d else None
@@ -482,15 +476,22 @@ def _ag_route(a, strat, r, bound):
 
 
 def _extension_route(a, strat, bound):
+    """Iterated universal extensions (Ringel): for each v, start from
+    delta(v) and, while some delta(w) with w at or below v in the order has
+    Ext^1(delta(w), x) nonzero, replace x by the middle term of the
+    extension 0 -> x -> mid -> delta(w) -> 0 of the first cocycle, x the
+    submodule.  At most bound extensions per v; the basic parts of the
+    results must pass the tilting certificate."""
     grown = []
     for pos, v in enumerate(strat.order):
         x = strat.delta[v]
         for _ in range(bound):
             grew = False
             for w in strat.order[:pos + 1]:
-                cocycles = ext1_cocycles(x, strat.delta[w])
+                cocycles = ext1_cocycles(strat.delta[w], x)
                 if cocycles:
-                    x = extension_from_cocycle(x, cocycles[0]).mid
+                    x = extension_from_cocycle(strat.delta[w],
+                                               cocycles[0]).mid
                     grew = True
                     break
             if not grew:
@@ -646,10 +647,8 @@ def _leq(d, k):
 
 
 def default_testset(a, strat, r, bound=64):
-    extras = [("delta(%s)" % v, strat.delta[v]) for v in strat.order]
-    extras += [("deltabar(%s)" % v, strat.deltabar[v]) for v in strat.order]
-    extras += [("nabla(%s)" % v, strat.nabla[v]) for v in strat.order]
-    extras += [("nablabar(%s)" % v, strat.nablabar[v]) for v in strat.order]
+    extras = [("%s(%s)" % (fam, v), getattr(strat, fam)[v])
+              for fam in FAMILIES for v in strat.order]
     if strat.tilting is not None:
         extras += [("tilt%d" % i, s)
                    for i, s in enumerate(strat.tilting.summands)]

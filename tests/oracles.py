@@ -25,20 +25,29 @@ top vertex and the quotient by it as modules at every layer.
 
 nakayama_injective_projectives lists the projective-injectives of a cyclic
 Nakayama algebra from its Kupisch series alone.
+
+path_normal_form is the image of a quiver path in an algebra, a product
+of arrow elements.  rediscovered_quotient is the reference for
+BoundQuiverAlgebra.quotient_by_idempotent_ideal: the presentation of
+A/Ae_SA found from scratch, as the package built it before it took the
+images of A's relations.  Every path of the kept subquiver up to A's Loewy
+bound is taken to its normal form in A and reduced modulo the ideal, and
+the relations are a left kernel per pair of endpoints.
 """
 from fractions import Fraction
 
 import sympy
 
+from quiverhom.algebra import Path, Relation, build_algebra
 from quiverhom.homology import (
     _coord_matrix, _hom_offsets, _presentation_elements, projective_cover,
 )
-from quiverhom.linalg import Matrix
+from quiverhom.linalg import Matrix, left_kernel, reduce_row, rref
 from quiverhom.modules import (
     kernel_of_map, projective_rep, quotient_by_submodule, radical_rows,
     sub_representation,
 )
-from quiverhom.stratify import _top_proper_standard
+from quiverhom.stratify import _standard_at
 
 
 def word_space_dimension(vertices, arrows, relations, loewy):
@@ -247,7 +256,7 @@ def quotient_tower_walk(m, algebra, order, proper):
         u, incl = sub_representation(cur, {t: Matrix.identity(cur.dims[t])})
         if proper:
             k = cur.dims[t]
-            d = sum(_top_proper_standard(alg, t).dims.values())
+            d = sum(_standard_at(alg, t, (t,)).dims.values())
         else:
             k = u.dims[t] - radical_rows(u)[t].nrows
             d = sum(projective_rep(alg, t).dims.values())
@@ -256,3 +265,50 @@ def quotient_tower_walk(m, algebra, order, proper):
         mult[t] = k
         cur = quotient_by_submodule(cur, incl)[0]
     return (True, mult) if cur.is_zero() else (False, None)
+
+
+def path_normal_form(alg, path):
+    """Image of an arbitrary quiver path in the algebra, as an element
+    dict."""
+    x = alg.idempotent(path.source)
+    for ai in path.word:
+        x = alg.multiply(x, {alg._arrow_basis[ai]: 1})
+        if not x:
+            return {}
+    return x
+
+
+def rediscovered_quotient(alg, killed):
+    """A/Ae_SA, S = killed (a proper nonempty vertex set), presented by
+    relations rediscovered from A's multiplication: for each pair of
+    endpoints, the combinations of kept paths of length 2 .. N (N A's
+    Loewy bound) that lie in Ae_SA.  Built afresh, never cached."""
+    n = alg.dim
+    rows = []
+    for k in killed:
+        for i, p in enumerate(alg.basis):
+            for j, q in enumerate(alg.basis):
+                if p.target == k and q.source == k and alg.mult[i][j]:
+                    rows.append(alg.element_vector(alg.mult[i][j]))
+    R, piv = rref(Matrix(rows, len(rows), n) if rows else Matrix.zeros(0, n))
+    sub = alg.quiver.subquiver([v for v in alg.quiver.vertices
+                                if v not in killed])
+    amap = {a.index: alg.quiver.arrow(a.name).index for a in sub.arrows}
+    groups = {}
+    for level in sub.paths_by_length(alg.loewy_bound)[2:]:
+        for p in level:
+            word = tuple(amap[i] for i in p.word)
+            x = path_normal_form(alg, Path(p.source, p.target, word))
+            res = reduce_row(alg.element_vector(x), R.data, piv)
+            groups.setdefault((p.source, p.target), []).append((p, res))
+    rels = []
+    for key in sorted(groups, key=lambda st: (sub.vertex_index(st[0]),
+                                              sub.vertex_index(st[1]))):
+        items = groups[key]
+        K = left_kernel(Matrix([res for _, res in items], len(items), n))
+        for r in range(K.nrows):
+            terms = [(K.entry(r, c), items[c][0]) for c in range(K.ncols)
+                     if K.entry(r, c)]
+            if terms:
+                rels.append(Relation(terms))
+    return build_algebra(sub, rels, loewy_cap=max(2, alg.loewy_bound))

@@ -143,6 +143,21 @@ def test_verify_paper_single_id_passes():
     assert "pass: yes" in out
 
 
+@pytest.mark.parametrize("example_id", ["ex3.6-d1", "ex3.6-d2"])
+def test_verify_paper_sequences_cut_off_by_the_bound_fail(example_id):
+    # at bound 0 the dominant dimensions read ">=0": membership is
+    # undecided, which fails the check instead of passing it
+    rc, out, _ = run_cli("verify-paper", example_id, "--bound", "0",
+                         "--format", "structured")
+    assert rc == 3
+    checks = json.loads(out)["results"][0]["checks"]
+    assert checks and all(not c["ok"] for c in checks)
+    assert {c["detail"] for c in checks} == {"undecided at bound 0"}
+    rc, out, _ = run_cli("verify-paper", example_id, "--bound", "1")
+    assert rc == 0
+    assert "pass: yes" in out
+
+
 def test_unknown_benchmark_id_is_a_parse_error():
     rc, _, err = run_cli("verify-paper", "nope")
     assert rc == 2

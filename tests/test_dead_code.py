@@ -47,3 +47,23 @@ def test_every_method_is_referenced():
                and not (node.name.startswith("__")
                         and node.name.endswith("__"))]
     assert _unreferenced(defined) == []
+
+
+def test_every_import_is_used():
+    """Every name a package module imports is used in that module, apart
+    from the re-exports of __init__.py and __future__ imports."""
+    unused = []
+    for name, tree in _trees():
+        if name == "__init__.py":
+            continue
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported.update(alias.asname or alias.name.split(".")[0]
+                                for alias in node.names)
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += [(name, b) for b in sorted(imported - used)]
+    assert unused == []

@@ -34,6 +34,21 @@ loewy_cap 4
 duality asserted
 """
 
+# the loop-back algebra of test_stratify: a loop x at 1, a: 1 -> 2 and
+# b: 2 -> 1
+LOOP_BACK = """\
+algebra loop
+vertices 1 2
+arrow x : 1 -> 1
+arrow a : 1 -> 2
+arrow b : 2 -> 1
+relations:
+    x*x
+    a*b
+    x*a
+loewy_cap 4
+"""
+
 # (file stem, arguments before --format, stdin)
 COMMANDS = [
     ("analyze-kupisch-2-2-3", ["analyze", "kupisch:2,2,3"], ""),
@@ -60,6 +75,15 @@ COMMANDS += [
     for spec in ("kupisch:2,2,3", "kupisch:2,2,2,3", "kupisch:2,2,2,2,3",
                  "kupisch:2,2,2,2,2,3", "bnlambda:5,1,1,1", "kupisch:3,4,4")
 ]
+# quotients with loops and non-monomial relations
+COMMANDS += [
+    ("stratify-all-orders-" + spec.replace(":", "-").replace(",", "-")
+     .replace("@", "-at-"), ["stratify", spec, "--all-orders"], "")
+    for spec in ("symmetric_chain:3", "endo-of:symmetric_chain:2@2",
+                 "endo-of:symmetric_chain:3@2")
+]
+COMMANDS.append(("stratify-all-orders-stdin-loop-back",
+                 ["stratify", "-", "--all-orders"], LOOP_BACK))
 
 
 def run(args, stdin):

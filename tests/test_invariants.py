@@ -9,7 +9,8 @@ from quiverhom.algebra import (
 )
 from quiverhom import modules, verify
 from quiverhom.errors import (
-    DecompositionInconclusive, DominantDimensionZero, NotAuslanderGorenstein,
+    CertificateFailure, DecompositionInconclusive, DominantDimensionZero,
+    NotApplicable, NotAuslanderGorenstein,
 )
 from quiverhom.homology import ext_dim, mueller_domdim, syzygy
 from quiverhom.invariants import (
@@ -125,6 +126,19 @@ def test_gendo_gorenstein_check_klein(klein):
     reg = regular_rep(klein)
     xa, _ = cyclic_submodule(reg, 1, [0, 1, 0, 0])
     assert gendo_gorenstein_check(klein, xa) == 2
+
+
+def test_gendo_gorenstein_check_refusals(klein, a223):
+    reg = regular_rep(klein)
+    xa, _ = cyclic_submodule(reg, 1, [0, 1, 0, 0])
+    # the first self-extension of the pair is in degree 1, past bound 0
+    with pytest.raises(CertificateFailure,
+                       match="^no self-extension found within bound; "
+                             "cannot certify$"):
+        gendo_gorenstein_check(klein, xa, bound=0)
+    with pytest.raises(NotApplicable,
+                       match="^needs a certified symmetric algebra$"):
+        gendo_gorenstein_check(a223, simple_rep(a223, 0))
 
 
 def test_455_auslander_gorenstein(a455):

@@ -10,7 +10,7 @@ from quiverhom.algebra import (
     bnlambda_family, klein_four_like, nakayama_from_kupisch,
     symmetric_chain_family,
 )
-from quiverhom.catalog import parse_construction
+from quiverhom.catalog import klein_endo_algebra, parse_construction
 from quiverhom.dsl import parse_algebra_dsl
 from quiverhom.errors import (
     CertificateFailure, DecompositionInconclusive, NotApplicable,
@@ -18,7 +18,8 @@ from quiverhom.errors import (
 )
 from quiverhom.homology import ext_dim
 from quiverhom.invariants import (
-    algebra_dominant_dimension, canonical_test_set, global_dimension,
+    algebra_dominant_dimension, auslander_gorenstein_parameter,
+    canonical_test_set, global_dimension,
 )
 from quiverhom.modules import (
     direct_sum, dualize, iso_test, projective_rep, quotient_by_submodule,
@@ -32,7 +33,7 @@ from quiverhom.stratify import (
 )
 from quiverhom.values import Dim
 
-from oracles import quotient_tower_walk
+from oracles import quotient_tower_walk, rediscovered_quotient
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +205,59 @@ REFERENCE_ALGEBRAS = pytest.mark.parametrize("build", [
         "loop", "loop-back"])
 
 
+QUOTIENT_ALGEBRAS = pytest.mark.parametrize(
+    "build", REFERENCE_ALGEBRAS.args[1] + [
+        lambda: symmetric_chain_family(2), lambda: symmetric_chain_family(3),
+        lambda: symmetric_chain_family(4), klein_endo_algebra,
+        lambda: parse_construction("endo-of:symmetric_chain:3@2")],
+    ids=REFERENCE_ALGEBRAS.kwargs["ids"] + [
+        "sym2", "sym3", "sym4", "klein-endo", "endo-sym3"])
+
+
+def _arrow_words(alg, relations):
+    """Each relation as its list of (coefficient, arrow names) terms."""
+    return [[(c, tuple(alg.quiver.arrows[i].name for i in p.word))
+             for c, p in r.terms] for r in relations]
+
+
+def _images_of_relations(a, kept):
+    """A's relations, each without the terms whose path visits a vertex
+    outside kept, in the form of _arrow_words; relations left with no
+    term are dropped."""
+    out = []
+    for terms in _arrow_words(a, a.relations):
+        terms = [(c, names) for c, names in terms
+                 if all(a.quiver.arrow(x).source in kept
+                        and a.quiver.arrow(x).target in kept for x in names)]
+        if terms:
+            out.append(terms)
+    return out
+
+
+@QUOTIENT_ALGEBRAS
+def test_quotients_match_the_rediscovered_presentation(build):
+    # on A and A^op, for every proper nonempty S: A/Ae_SA presented by
+    # the images of A's relations has the quiver, basis, Loewy bound and
+    # multiplication table of the presentation found from scratch
+    a = build()
+    for side in (a, a.opposite_algebra()):
+        verts = side.quiver.vertices
+        for size in range(1, len(verts)):
+            for killed in combinations(verts, size):
+                quo = side.quotient_by_idempotent_ideal(killed)
+                ref = rediscovered_quotient(side, frozenset(killed))
+                assert quo.quiver.vertices == ref.quiver.vertices
+                assert [(x.name, x.source, x.target)
+                        for x in quo.quiver.arrows] == \
+                    [(x.name, x.source, x.target) for x in ref.quiver.arrows]
+                assert [p.key() for p in quo.basis] == \
+                    [p.key() for p in ref.basis]
+                assert quo.loewy_bound == ref.loewy_bound
+                assert quo.mult == ref.mult
+                assert _arrow_words(quo, quo.relations) == \
+                    _images_of_relations(side, set(quo.quiver.vertices))
+
+
 @REFERENCE_ALGEBRAS
 def test_search_orders_matches_order_by_order_recursion(build):
     # separate instances, so neither run sees the other's caches
@@ -368,6 +422,48 @@ def test_inconclusive_iso_is_never_a_negative(monkeypatch):
     with pytest.raises(DecompositionInconclusive):
         canonical_test_set(a, extras=[("x+y", direct_sum([x, y])),
                                       ("y+x", direct_sum([y, x]))])
+
+
+@pytest.mark.parametrize("build, order", [
+    (lambda: parse_construction("bnlambda:2"), (1, 2)),
+    (lambda: parse_construction("bnlambda:3,1"), (1, 2, 3)),
+    (lambda: parse_construction("bnlambda:4,1,1"), (1, 2, 3, 4)),
+    (lambda: parse_construction("kupisch:2,2,3"), (1, 2, 0)),
+    (lambda: parse_construction("kupisch:2,2,2,3"), (1, 2, 3, 0)),
+    (klein_endo_algebra, (1, 2)),
+], ids=["b2", "b3", "b4", "223", "2223", "klein-endo"])
+def test_extension_route_agrees_with_the_cosyzygy_route(build, order):
+    # on Auslander-Gorenstein inputs both routes reach the characteristic
+    # tilting module: same projective dimension, same summands up to iso
+    a = build()
+    st = classify_stratification(a, order)
+    cos = stratify._ag_route(a, st, auslander_gorenstein_parameter(a), 64)
+    assert cos is not None and cos.route == "cosyzygy"
+    ext = stratify._extension_route(a, st, 64)
+    assert (ext.route, ext.projdim) == ("extension", cos.projdim)
+    assert same_add_closure(ext.summands, cos.summands)
+
+
+@pytest.mark.parametrize("spec, projdim, dims", [
+    ("bnlambda:3,0", 2, [(1, 0, 0), (2, 1, 0), (2, 2, 1)]),
+    ("bnlambda:4,0,1", 3,
+     [(1, 0, 0, 0), (2, 1, 0, 0), (2, 2, 1, 0), (0, 1, 2, 1)]),
+    ("bnlambda:4,0,0", 3,
+     [(1, 0, 0, 0), (2, 1, 0, 0), (2, 2, 1, 0), (2, 2, 2, 1)]),
+])
+def test_extension_route_builds_the_tilting_module(spec, projdim, dims):
+    # quasi-hereditary at the identity order with dominant dimension 0,
+    # so only the extension route applies
+    a = parse_construction(spec)
+    assert algebra_dominant_dimension(a) == Dim.exact(0)
+    st = classify_stratification(a, tuple(sorted(a.quiver.vertices)))
+    assert st.quasi_hereditary
+    t = characteristic_tilting(a, st)
+    assert (t.route, t.projdim) == ("extension", projdim)
+    assert [s.dim_vector() for s in t.summands] == dims
+    rep = verify_tilting(a, t.module)
+    assert rep["tilting"] and rep["cotilting"]
+    assert rep["projdim"] == Dim.exact(projdim)
 
 
 def test_quasi_hereditary_needs_no_global_dimension(monkeypatch):
