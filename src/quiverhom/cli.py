@@ -115,8 +115,7 @@ def _cmd_stratify(args):
     rep = _base(args, "stratify", echo)
     order = _pick_order(args, spec, a)
     if order is not None and not args.all_orders:
-        st = classify_stratification(a, order, args.bound,
-                                     duality_asserted=_duality(spec))
+        st = classify_stratification(a, order, duality_asserted=_duality(spec))
         rep["order"] = list(order)
         rep.update(st.flags())
         rep["families"] = [{
@@ -141,8 +140,7 @@ def _cmd_stratify(args):
 def _cmd_tilting(args):
     spec, a, echo = _load(args.input)
     order = _pick_order(args, spec, a) or tuple(sorted(a.quiver.vertices))
-    st = classify_stratification(a, order, args.bound,
-                                 duality_asserted=_duality(spec))
+    st = classify_stratification(a, order, duality_asserted=_duality(spec))
     t = characteristic_tilting(a, st, args.bound)
     st.tilting = t
     rep = _base(args, "tilting", echo)

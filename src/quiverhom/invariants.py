@@ -149,29 +149,27 @@ def auslander_gorenstein_parameter(algebra, bound=64):
     return g
 
 
-def is_gorenstein_projective(m, algebra=None, bound=64):
+def is_gorenstein_projective(m, bound=64):
     """Extension groups against the regular module vanish in degrees
     1..Gorenstein dimension; needs a certified Gorenstein algebra."""
-    algebra = algebra or m.algebra
-    g = certified_gorenstein_dimension(algebra, bound)
+    g = certified_gorenstein_dimension(m.algebra, bound)
     if m.is_zero():
         return True
-    exts = ext_dims(m, regular_rep(algebra), g)
+    exts = ext_dims(m, regular_rep(m.algebra), g)
     return all(exts[i] == 0 for i in range(1, g + 1))
 
 
-def gp_dimension(m, algebra=None, bound=64):
+def gp_dimension(m, bound=64):
     """Least j with the j-th syzygy Gorenstein projective; cross-checked
     against the top nonvanishing extension degree against the regular
     module."""
-    algebra = algebra or m.algebra
-    g = certified_gorenstein_dimension(algebra, bound)
+    g = certified_gorenstein_dimension(m.algebra, bound)
     if m.is_zero():
         return 0
-    exts = ext_dims(m, regular_rep(algebra), g)
+    exts = ext_dims(m, regular_rep(m.algebra), g)
     top = max((i for i in range(1, g + 1) if exts[i]), default=0)
     for j in range(g + 1):
-        if is_gorenstein_projective(syzygy(m, j), algebra, bound):
+        if is_gorenstein_projective(syzygy(m, j), bound):
             if j != top:
                 raise CertificateFailure(
                     "Gorenstein-projective dimension %d does not match the top "
@@ -181,10 +179,9 @@ def gp_dimension(m, algebra=None, bound=64):
         "no Gorenstein-projective syzygy within the Gorenstein dimension")
 
 
-def gi_dimension(m, algebra=None, bound=64):
-    algebra = algebra or m.algebra
-    certified_gorenstein_dimension(algebra, bound)
-    return gp_dimension(dualize(m), algebra.opposite_algebra(), bound)
+def gi_dimension(m, bound=64):
+    certified_gorenstein_dimension(m.algebra, bound)
+    return gp_dimension(dualize(m), bound)
 
 
 def minimal_faithful_projinj(algebra, bound=64):
@@ -296,8 +293,8 @@ def verify_dom_gproj(algebra, testset=None, bound=64):
     for name, m in testset:
         dom = dominant_dimension(m, bound)
         codom = codominant_dimension(m, bound)
-        gp = gp_dimension(m, algebra, bound)
-        gi = gi_dimension(m, algebra, bound)
+        gp = gp_dimension(m, bound)
+        gi = gi_dimension(m, bound)
         for j in range(r + 1):
             if dom.geq(r - j) != (gp <= j):
                 raise CertificateFailure(

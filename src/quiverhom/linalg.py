@@ -361,29 +361,31 @@ def solve_xa_b(a, b):
 
 # -- minimal polynomial ----------------------------------------------------
 
-def minimal_polynomial(mat):
-    """Monic minimal polynomial, coefficients low degree first.
+def minimal_polynomial(blocks):
+    """Monic minimal polynomial of the block-diagonal matrix with these
+    square blocks, coefficients low degree first.
 
-    The first linear dependence among I, M, M^2, ... is found by exact
+    Powers are taken block by block, and the first linear dependence among
+    I, M, M^2, ... is found among their concatenated block entries by exact
     elimination, so the result is the true minimal polynomial.
     """
-    n = mat.nrows
-    if mat.ncols != n:
+    if any(b.ncols != b.nrows for b in blocks):
         raise ValueError("minimal polynomial of non-square matrix")
-    if n == 0:
+
+    def flat(mats):
+        return Matrix.from_rows([[x for m in mats for r in m.data for x in r]])
+
+    power = [Matrix.identity(b.nrows) for b in blocks]
+    rows = flat(power)
+    if not rows.ncols:
         return [1]
-    powers = [Matrix.identity(n)]
-    flat = Matrix.from_rows([[x for r in powers[0].data for x in r]])
     while True:
-        nxt = powers[-1] @ mat
-        target = Matrix.from_rows([[x for r in nxt.data for x in r]])
-        sol = solve_xa_b(flat, target)
+        power = [p @ b for p, b in zip(power, blocks)]
+        target = flat(power)
+        sol = solve_xa_b(rows, target)
         if sol is not None:
-            coeffs = [-sol.data[0][i] for i in range(sol.ncols)]
-            coeffs.append(1)
-            return coeffs
-        powers.append(nxt)
-        flat = vstack([flat, target])
+            return [-c for c in sol.data[0]] + [1]
+        rows = vstack([rows, target])
 
 
 # -- seeded search candidates ----------------------------------------------

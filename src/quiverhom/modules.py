@@ -34,8 +34,9 @@ class Representation:
     used for simples, projectives and every module that comes from a
     catalog, the DSL or a caller), or it was built from checked
     modules by a construction whose docstring proves the relations hold:
-    sub_representation, quotient_by_rows, dualize, or direct_sum and
-    zero_rep, where they hold summand by summand."""
+    sub_representation, quotient_by_rows, dualize, or direct_sum, zero_rep
+    and projective_from_vertices of several vertices, where they hold
+    summand by summand."""
 
     def __init__(self, algebra, dims, mats, validate=True):
         self.algebra = algebra
@@ -94,15 +95,6 @@ class Representation:
             self._paths[key] = got
         return got
 
-    def total_path_action(self, p):
-        out = [[0] * self.total_dim for _ in range(self.total_dim)]
-        pa = self.path_action(p)
-        ro, co = self.offsets[p.source], self.offsets[p.target]
-        for i in range(pa.nrows):
-            for j in range(pa.ncols):
-                out[ro + i][co + j] = pa.data[i][j]
-        return Matrix(out, self.total_dim, self.total_dim)
-
     def __repr__(self):
         return "Representation(dim %s)" % (self.dim_vector(),)
 
@@ -141,18 +133,6 @@ class ModuleMap:
         return ModuleMap(self.source, other.target,
                          {v: self.blocks[v] @ other.blocks[v]
                           for v in self.blocks}, validate=False)
-
-    def total_matrix(self):
-        q = self.source.algebra.quiver
-        out = [[0] * self.target.total_dim for _ in range(self.source.total_dim)]
-        for v in q.vertices:
-            b = self.blocks[v]
-            ro = self.source.offsets[v]
-            co = self.target.offsets[v]
-            for i in range(b.nrows):
-                for j in range(b.ncols):
-                    out[ro + i][co + j] = b.data[i][j]
-        return Matrix(out, self.source.total_dim, self.target.total_dim)
 
     def is_zero(self):
         return all(b.is_zero() for b in self.blocks.values())
@@ -197,11 +177,21 @@ def projective_from_vertices(algebra, verts):
     basis recorded row by row so maps out of it can be written down from
     generator images alone.  Built once per vertex tuple and cached on the
     algebra; nothing changes a projective after it is built, so every
-    caller shares the module and its caches."""
+    caller shares the module and its caches.
+
+    Relations are checked on the single-vertex projectives only.  A sum of
+    several is not checked: at each vertex its rows are grouped by summand
+    j, each group in the path-basis order of P(v_j), and an arrow maps the
+    rows of summand j into those of summand j by P(v_j)'s own matrix.  So
+    every arrow matrix is block-diagonal in the checked P(v_j), and every
+    relation holds summand by summand, as in direct_sum."""
     verts = tuple(verts)
     key = ("projsum", verts)
     if key in algebra._cache:
         return algebra._cache[key]
+    if len(verts) > 1:
+        for v in verts:
+            projective_rep(algebra, v)
     q = algebra.quiver
     row_paths = {w: [] for w in q.vertices}
     for j, v in enumerate(verts):
@@ -221,7 +211,7 @@ def projective_from_vertices(algebra, verts):
                     row[pos[a.target][(j, k)]] = c
             rows.append(row)
         mats[a.index] = Matrix(rows, dims[a.source], dims[a.target])
-    rep = Representation(algebra, dims, mats)
+    rep = Representation(algebra, dims, mats, validate=len(verts) == 1)
     rep.proj_summand_vertices = verts
     rep.proj_row_paths = row_paths
     rep.proj_gen = [(v, pos[v][(j, algebra._idem[v])]) for j, v in enumerate(verts)]
@@ -550,15 +540,17 @@ def hom_basis(m, n):
 
 
 def is_faithful(m):
-    """True iff no nonzero algebra element acts as zero."""
-    a = m.algebra
-    if m.total_dim == 0:
-        return a.dim == 0
-    rows = []
-    for i in range(a.dim):
-        t = m.total_path_action(a.basis[i])
-        rows.append([x for r in t.data for x in r])
-    return rank(Matrix(rows, a.dim, m.total_dim ** 2)) == a.dim
+    """True iff no nonzero algebra element acts as zero.
+
+    A basis path acts only from its source's component to its target's, so
+    this holds iff, for each pair of endpoints, the flattened actions of the
+    basis paths between them are linearly independent."""
+    groups = {}
+    for p in m.algebra.basis:
+        groups.setdefault((p.source, p.target), []).append(
+            [x for r in m.path_action(p).data for x in r])
+    return all(rank(Matrix(rows, len(rows), len(rows[0]))) == len(rows)
+               for rows in groups.values())
 
 
 # -- isomorphism and decomposition -----------------------------------------
@@ -810,7 +802,7 @@ def decompose(m):
     if len(endos) == 1 or _trace_form_rank(endos) == 1:
         return [m]
     for f in _seeded_maps(endos, SEARCH_BUDGET, SEARCH_SEED):
-        split = _coprime_split(minimal_polynomial(f.total_matrix()))
+        split = _coprime_split(minimal_polynomial(list(f.blocks.values())))
         if split is None:
             continue
         k1, k2 = (kernel_of_map(_poly_of_map(f, g))[0] for g in split)

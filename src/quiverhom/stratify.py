@@ -18,8 +18,9 @@ from .algebra import (
     Quiver, build_algebra, combination_relation, monomial_relation,
 )
 from .errors import (
-    CertificateFailure, NotApplicable, NotAuslanderGorenstein, NotStratified,
-    NotTilting, PreconditionFailed, TooManyVertices,
+    CertificateFailure, NotApplicable, NotAuslanderGorenstein,
+    NotGorensteinCertified, NotStratified, NotTilting, PreconditionFailed,
+    TooManyVertices,
 )
 from .homology import (
     cosyzygy, ext1_cocycles, ext_dims, extension_from_cocycle, mueller_domdim,
@@ -361,9 +362,9 @@ def _order_flags(a, order):
     return flags
 
 
-def classify_stratification(a, order, bound=64, duality_asserted=False):
+def classify_stratification(a, order, duality_asserted=False):
     """StratData with all flags decided for this order; no flag depends on
-    bound."""
+    a dimension bound."""
     strat = standard_modules(a, order)
     if duality_asserted:
         check_asserted_duality(a)
@@ -480,12 +481,13 @@ def _extension_route(a, strat, bound):
     delta(v) and, while some delta(w) with w at or below v in the order has
     Ext^1(delta(w), x) nonzero, replace x by the middle term of the
     extension 0 -> x -> mid -> delta(w) -> 0 of the first cocycle, x the
-    submodule.  At most bound extensions per v; the basic parts of the
-    results must pass the tilting certificate."""
+    submodule.  At most bound extensions per v (a vertex that needs more
+    is refused, naming the bound); the basic parts of the results must
+    pass the tilting certificate."""
     grown = []
     for pos, v in enumerate(strat.order):
         x = strat.delta[v]
-        for _ in range(bound):
+        for _ in range(bound + 1):
             grew = False
             for w in strat.order[:pos + 1]:
                 cocycles = ext1_cocycles(strat.delta[w], x)
@@ -498,7 +500,8 @@ def _extension_route(a, strat, bound):
                 break
         else:
             raise CertificateFailure(
-                "universal extensions at %r did not stabilize" % (v,))
+                "universal extensions at %r did not stabilize within bound %d"
+                % (v, bound))
         grown.append(x)
     basic = _basic_parts(grown)
     pd = _tilting_certificate(a, strat, basic, bound)
@@ -516,7 +519,7 @@ def characteristic_cotilting(a, strat, bound=64):
     if not strat.properly_stratified:
         raise NotStratified("cotilting needs both sides stratified")
     op = a.opposite_algebra()
-    op_strat = classify_stratification(op, strat.order, bound)
+    op_strat = classify_stratification(op, strat.order)
     op_t = characteristic_tilting(op, op_strat, bound)
     summands = [dualize(s) for s in op_t.summands]
     return TiltingData(direct_sum(summands), summands,
@@ -646,7 +649,7 @@ def _leq(d, k):
         raise CertificateFailure("bound too small to settle %s <= %d" % (d, k))
 
 
-def default_testset(a, strat, r, bound=64):
+def default_testset(a, strat, r):
     extras = [("%s(%s)" % (fam, v), getattr(strat, fam)[v])
               for fam in FAMILIES for v in strat.order]
     if strat.tilting is not None:
@@ -677,7 +680,7 @@ def verify_main_equivalences(a, strat, testset=None, bound=64):
              and all(codominant_dimension(strat.nablabar[v], bound).geq(i)
                      for v in strat.order))
     if testset is None:
-        testset = default_testset(a, strat, r, bound)
+        testset = default_testset(a, strat, r)
     cond3 = True
     cond4 = True
     rows = []
@@ -691,7 +694,7 @@ def verify_main_equivalences(a, strat, testset=None, bound=64):
         if in_fnb and not codom.geq(i):
             cond3 = False
         pd_le = _leq(projective_dimension(m, bound), i)
-        gi_le = gi_dimension(m, a, bound) <= r - i
+        gi_le = gi_dimension(m, bound) <= r - i
         if pd_le != in_fd:
             cond4 = False
         if not (codom.geq(i) == gi_le == in_fnb):
@@ -711,7 +714,9 @@ def verify_duality_consequences(a, strat, testset=None, bound=64):
     tilting = cotilting: even Gorenstein dimension 2m with m the projective
     dimension of the tilting module, and the four filtration categories
     matching the dominant/codominant, Gorenstein and homological dimension
-    classes on the test set."""
+    classes on the test set.  A Gorenstein dimension cut off by the bound
+    raises NotGorensteinCertified; a certified one, exact or infinite, that
+    is not 2m is a CertificateFailure."""
     if not strat.duality_asserted:
         raise NotApplicable("duality was not asserted for this order")
     if not strat.properly_stratified:
@@ -723,26 +728,30 @@ def verify_duality_consequences(a, strat, testset=None, bound=64):
     if not same_add_closure(strat.tilting.summands, strat.cotilting.summands):
         raise NotApplicable("tilting and cotilting modules differ")
     m = strat.tilting.projdim
-    right, _, gor = gorenstein_dimension(a, bound)
+    right, left, gor = gorenstein_dimension(a, bound)
+    if "at_least" in (right.kind, left.kind):
+        raise NotGorensteinCertified(
+            "Gorenstein dimension %s / %s cut off by bound %d"
+            % (right, left, bound))
     if not gor or right.finite_value != 2 * m:
         raise CertificateFailure(
             "Gorenstein dimension %s is not twice the tilting projective "
             "dimension %d" % (right, m))
     if testset is None:
-        testset = default_testset(a, strat, max(m, 1), bound)
+        testset = default_testset(a, strat, max(m, 1))
     rows = []
     for name, x in testset:
         checks = {
             "F(deltabar)=Dom_m": filtration_test(x, "deltabar", strat)[0]
             == dominant_dimension(x, bound).geq(m),
             "Dom_m=GProj_m": dominant_dimension(x, bound).geq(m)
-            == (gp_dimension(x, a, bound) <= m),
+            == (gp_dimension(x, bound) <= m),
             "F(delta)=Proj_m": filtration_test(x, "delta", strat)[0]
             == _leq(projective_dimension(x, bound), m),
             "F(nablabar)=Codom_m": filtration_test(x, "nablabar", strat)[0]
             == codominant_dimension(x, bound).geq(m),
             "Codom_m=GInj_m": codominant_dimension(x, bound).geq(m)
-            == (gi_dimension(x, a, bound) <= m),
+            == (gi_dimension(x, bound) <= m),
             "F(nabla)=Inj_m": filtration_test(x, "nabla", strat)[0]
             == _leq(injective_dimension(x, bound), m),
         }

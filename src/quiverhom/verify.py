@@ -73,7 +73,7 @@ def _serial_tower(n, bound):
     c.expect("gldim", global_dimension(a, bound), Dim.exact(n))
     c.expect("domdim", algebra_dominant_dimension(a, bound), Dim.exact(n))
     order = tuple(range(1, n)) + (0,)
-    st = classify_stratification(a, order, bound)
+    st = classify_stratification(a, order)
     c.hold("quasi-hereditary at the rotated order", st.quasi_hereditary)
     uni = all_uniserial_quotients(a)
     c.expect("indecomposable count", len(uni), 2 * (n - 1) + 3)
@@ -134,7 +134,7 @@ def _klein_gendo(bound):
     cert = verify_endo_presentation(b)
     c.expect("endo ring dimension", (b.dim, cert["hom_dim"], cert["rank"]),
              (10, 10, 10))
-    st = classify_stratification(b, (1, 2), bound, duality_asserted=True)
+    st = classify_stratification(b, (1, 2), duality_asserted=True)
     c.hold("properly stratified with duality", st.properly_stratified)
     st.tilting = characteristic_tilting(b, st, bound)
     out = verify_duality_consequences(b, st, bound=bound)
@@ -221,7 +221,7 @@ def _two_way_tower(n, bound):
     c.hold("boundary simple self-extension gap over the chain",
            all(e == 0 for e in exts[1:2 * n - 1]) and exts[2 * n - 1] != 0,
            detail=exts[1:])
-    st = classify_stratification(b, tuple(range(1, n + 1)), bound,
+    st = classify_stratification(b, tuple(range(1, n + 1)),
                                  duality_asserted=True)
     c.hold("quasi-hereditary with duality", st.quasi_hereditary)
     t = characteristic_tilting(b, st, bound)
@@ -287,7 +287,7 @@ def _exact_core_battery(seed):
     return c
 
 
-def _simple_ext_support(bound):
+def _simple_ext_support():
     """Nonvanishing of Ext against a simple is read off the resolution
     terms: covers on one side, envelopes on the other."""
     c = Checks()
@@ -352,7 +352,7 @@ def _dominant_lower_bound(bound):
     return c
 
 
-def _ext_agreement(bound):
+def _ext_agreement():
     c = Checks()
     for a in (nakayama_from_kupisch([2, 2, 3]), nakayama_from_kupisch([4, 5]),
               symmetric_chain_family(2)):
@@ -446,7 +446,7 @@ def _stratified_gorenstein(bound):
         ("two-way chain n=4", bnlambda_family(4, (1, 1)), (1, 2, 3, 4)),
     ]
     for name, a, order in instances:
-        st = classify_stratification(a, order, bound, duality_asserted=True)
+        st = classify_stratification(a, order, duality_asserted=True)
         if not c.hold("%s: properly stratified" % name,
                       st.properly_stratified):
             continue
@@ -485,9 +485,9 @@ _register("thm4.7-n4", lambda bound, seed: _two_way_tower(4, bound))
 _register("lemma4.3-n3", lambda bound, seed: _chain_endo(3, bound))
 _register("lemma4.3-n4", lambda bound, seed: _chain_endo(4, bound))
 _register("props-core", lambda bound, seed: _exact_core_battery(seed))
-_register("props-benson", lambda bound, seed: _simple_ext_support(bound))
+_register("props-benson", lambda bound, seed: _simple_ext_support())
 _register("props-xidom", lambda bound, seed: _dominant_lower_bound(bound))
-_register("props-ext", lambda bound, seed: _ext_agreement(bound))
+_register("props-ext", lambda bound, seed: _ext_agreement())
 _register("props-omega", lambda bound, seed: _syzygy_image(bound))
 _register("props-quadruple", lambda bound, seed: _cosyzygy_class(bound))
 _register("props-mazov", lambda bound, seed: _stratified_gorenstein(bound))

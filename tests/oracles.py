@@ -23,6 +23,10 @@ quotient_tower_walk is the reference for stratify._filt_core: the trace
 recursion as it ran before the submodule chain, building the trace of the
 top vertex and the quotient by it as modules at every layer.
 
+total_space_is_faithful is the reference for modules.is_faithful: each
+basis element's action written out on the whole module, all of them
+flattened into one matrix whose rank must be the algebra's dimension.
+
 nakayama_injective_projectives lists the projective-injectives of a cyclic
 Nakayama algebra from its Kupisch series alone.
 
@@ -194,6 +198,24 @@ def is_irreducible_over_q(coeffs):
     x = sympy.Symbol("x")
     return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
                        for c in reversed(coeffs)], x).is_irreducible
+
+
+def total_space_is_faithful(m):
+    """True iff no nonzero algebra element acts as zero on m, read off the
+    total-space matrix of every basis path."""
+    a, n = m.algebra, m.total_dim
+    if n == 0:
+        return a.dim == 0
+    rows = []
+    for p in a.basis:
+        t = [[0] * n for _ in range(n)]
+        pa = m.path_action(p)
+        ro, co = m.offsets[p.source], m.offsets[p.target]
+        for i in range(pa.nrows):
+            for j in range(pa.ncols):
+                t[ro + i][co + j] = pa.data[i][j]
+        rows.append([x for r in t for x in r])
+    return len(fraction_rref(rows, n * n)[1]) == a.dim
 
 
 def nakayama_injective_projectives(kupisch):

@@ -158,6 +158,19 @@ def test_verify_paper_sequences_cut_off_by_the_bound_fail(example_id):
     assert "pass: yes" in out
 
 
+@pytest.mark.parametrize("example_id, bound", [
+    ("thm4.7-n4", 3), ("thm4.7-n4", 4), ("thm4.7-n4", 5), ("thm4.7-n3", 2),
+    ("thm4.7-n3", 3), ("thm4.7-n2", 1), ("ex3.5", 1),
+])
+def test_gorenstein_dimension_cut_off_by_the_bound_is_undecided(
+        example_id, bound, capsys):
+    assert cli.main(["verify-paper", example_id, "--bound", str(bound)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: Gorenstein dimension >=%d / >=%d cut off by "
+                   "bound %d\n" % (bound, bound, bound))
+    assert "is not twice" not in err
+
+
 def test_unknown_benchmark_id_is_a_parse_error():
     rc, _, err = run_cli("verify-paper", "nope")
     assert rc == 2

@@ -1,15 +1,16 @@
 """Projectives are built once per vertex tuple, relations are checked once
-per construction, and sympy is imported only for a minimal polynomial with
-no rational root: decompose splits off linear factors in integer arithmetic,
-in the order sympy's factor_list would give, so the paper examples never
-load sympy.
+per construction and once per indecomposable projective, and sympy is
+imported only for a minimal polynomial with no rational root: decompose
+splits off linear factors in integer arithmetic, in the order sympy's
+factor_list would give, so the paper examples never load sympy.
 
 Constructions that prove their relations (sub_representation,
-quotient_by_rows, dualize) skip Representation._check_relations, and maps
-that commute with the arrows by construction (projective_map, the
-inclusion of sub_representation) skip the ModuleMap check; the
-differential tests run each check on every construction anyway and assert
-that nothing fails and that no answer changes."""
+quotient_by_rows, dualize, sums of several projectives) skip
+Representation._check_relations, and maps that commute with the arrows by
+construction (projective_map, the inclusion of sub_representation) skip
+the ModuleMap check; the differential tests run each check on every
+construction anyway and assert that nothing fails and that no answer
+changes."""
 import os
 import subprocess
 import sys
@@ -20,9 +21,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from oracles import is_irreducible_over_q, sympy_coprime_split
+from test_stratify import REFERENCE_ALGEBRAS
 
 from quiverhom import homology, modules
 from quiverhom.algebra import Path, bnlambda_family, nakayama_from_kupisch
+from quiverhom.catalog import parse_construction
 from quiverhom.errors import CertificateFailure, InvalidParameters
 from quiverhom.homology import ext_dims, projective_cover
 from quiverhom.invariants import canonical_test_set
@@ -148,6 +151,26 @@ def test_proven_constructions_skip_the_relation_check(monkeypatch):
     assert calls == [p, s]
     m = Representation(a, {0: 1}, {})
     assert calls == [p, s, m]
+    # a sum of several projectives is checked only through its summands,
+    # each built and checked first unless it is built already
+    del calls[:]
+    projective_from_vertices(a, [0, 2, 2])
+    regular_rep(a)
+    checked = list(calls)
+    assert checked == [projective_rep(a, 0), projective_rep(a, 1)]
+
+
+@pytest.mark.parametrize("build", REFERENCE_ALGEBRAS.args[1] + [
+    lambda: parse_construction("endo-of:klein_four@1"),
+    lambda: parse_construction("endo-of:symmetric_chain:3@2"),
+], ids=REFERENCE_ALGEBRAS.kwargs["ids"] + ["klein-endo", "endo-sym3"])
+def test_sums_of_projectives_are_their_direct_sums(build):
+    a = build()
+    vs = list(a.quiver.vertices)
+    for verts in (vs, vs[::-1], vs + vs, [vs[0], vs[-1], vs[0]]):
+        got = projective_from_vertices(a, verts)
+        want = direct_sum([projective_rep(a, v) for v in verts])
+        assert got.dims == want.dims and got.mats == want.mats
 
 
 def test_rows_that_are_not_closed_are_refused():

@@ -67,3 +67,26 @@ def test_every_import_is_used():
                 if isinstance(node, ast.Name)}
         unused += [(name, b) for b in sorted(imported - used)]
     assert unused == []
+
+
+# search_orders(a, bound) keeps a bound that no flag depends on: the
+# benchmark in perfbench/workloads.py calls it with one.
+UNREAD_PARAMETERS = {("stratify.py", "search_orders", "bound")}
+
+
+def test_every_parameter_is_read():
+    """Every parameter of every package def other than self and cls is
+    read in its body (nested defs included); a parameter that nothing
+    reads is not kept."""
+    unread = []
+    for name, tree in _trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, DEFS):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + \
+                [a for a in (args.vararg, args.kwarg) if a]
+            read = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            unread += [(name, node.name, p.arg) for p in params
+                       if p.arg not in read | {"self", "cls"}]
+    assert sorted(set(unread) - UNREAD_PARAMETERS) == []

@@ -108,14 +108,14 @@ def test_stack_helpers():
 def test_minimal_polynomial_nilpotent():
     m = Matrix.from_rows([[0, 1], [0, 0]])
     # t^2
-    assert minimal_polynomial(m) == [Fraction(0), Fraction(0), Fraction(1)]
-    assert poly_eval_matrix(minimal_polynomial(m), m).is_zero()
+    assert minimal_polynomial([m]) == [Fraction(0), Fraction(0), Fraction(1)]
+    assert poly_eval_matrix(minimal_polynomial([m]), m).is_zero()
 
 
 def test_minimal_polynomial_idempotent():
     m = Matrix.from_rows([[1, 0], [0, 0]])
     # t^2 - t
-    assert minimal_polynomial(m) == [Fraction(0), Fraction(-1), Fraction(1)]
+    assert minimal_polynomial([m]) == [Fraction(0), Fraction(-1), Fraction(1)]
 
 
 def test_minimal_polynomial_annihilates():
@@ -123,7 +123,7 @@ def test_minimal_polynomial_annihilates():
     for _ in range(20):
         n = rng.randint(1, 4)
         m = _random_matrix(rng, n, n)
-        p = minimal_polynomial(m)
+        p = minimal_polynomial([m])
         assert p[-1] == 1
         assert poly_eval_matrix(p, m).is_zero()
 
@@ -193,6 +193,27 @@ def test_solve_xa_b_matches_the_fraction_reference(mat, data):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(st.integers(0, 6).flatmap(lambda n: _rows(n, n)))
 def test_minimal_polynomial_matches_the_fraction_reference(rows):
-    p = minimal_polynomial(Matrix.from_rows(rows, ncols=len(rows)))
+    p = minimal_polynomial([Matrix.from_rows(rows, ncols=len(rows))])
     assert all(type(x) in (int, Fraction) for x in p)
     assert p == fraction_minimal_polynomial(rows)
+
+
+def _block_diagonal(blocks):
+    n = sum(len(b) for b in blocks)
+    out = [[0] * n for _ in range(n)]
+    off = 0
+    for b in blocks:
+        for i, r in enumerate(b):
+            out[off + i][off:off + len(b)] = r
+        off += len(b)
+    return out
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 4).flatmap(lambda n: _rows(n, n)),
+                min_size=1, max_size=3))
+def test_minimal_polynomial_of_blocks_is_that_of_the_assembled_matrix(
+        blocks):
+    p = minimal_polynomial([Matrix.from_rows(b, ncols=len(b))
+                            for b in blocks])
+    assert p == fraction_minimal_polynomial(_block_diagonal(blocks))

@@ -3,6 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import total_space_is_faithful
+from test_stratify import REFERENCE_ALGEBRAS
+
 from quiverhom import linalg, modules
 from quiverhom.algebra import (
     Quiver, build_algebra, klein_four_like, monomial_relation,
@@ -171,6 +174,33 @@ def test_radical_power(naka223):
 def test_faithfulness(naka223):
     assert is_faithful(regular_rep(naka223))
     assert not is_faithful(simple_rep(naka223, 0))
+
+
+def _socle_quotients(a):
+    """A/kp for each basis path p that every arrow kills on both sides: kp
+    is a two-sided ideal, so A/kp is annihilated by p alone and fails
+    faithfulness at p's pair of endpoints only."""
+    reg = regular_rep(a)
+    arrows = a._arrow_basis.values()
+    out = []
+    for t in a.quiver.vertices:
+        for r, (_, i) in enumerate(reg.proj_row_paths[t]):
+            if a.basis[i].word and not any(a.mult[i][x] or a.mult[x][i]
+                                           for x in arrows):
+                row = [int(k == r) for k in range(reg.dims[t])]
+                out.append(quotient_by_rows(reg, {t: [row]})[0])
+    return out
+
+
+@REFERENCE_ALGEBRAS
+def test_faithfulness_matches_the_total_space_reference(build):
+    a = build()
+    mods = [m for _, m in canonical_test_set(a)] + [zero_rep(a),
+                                                    regular_rep(a)]
+    mods += _socle_quotients(a)
+    got = [is_faithful(m) for m in mods]
+    assert got == [total_space_is_faithful(m) for m in mods]
+    assert set(got) == {True, False}
 
 
 def test_hom_maps_are_natural(naka223):

@@ -466,6 +466,22 @@ def test_extension_route_builds_the_tilting_module(spec, projdim, dims):
     assert rep["projdim"] == Dim.exact(projdim)
 
 
+def test_extension_route_bound_caps_the_extensions():
+    # over bnlambda:3,0, delta(1) needs no extension, delta(2) one and
+    # delta(3) two; the refusal names the vertex and the bound
+    a = parse_construction("bnlambda:3,0")
+    st = classify_stratification(a, (1, 2, 3))
+    for bound, v in ((0, 2), (1, 3)):
+        with pytest.raises(CertificateFailure) as err:
+            stratify._extension_route(a, st, bound)
+        assert str(err.value) == ("universal extensions at %d did not "
+                                  "stabilize within bound %d" % (v, bound))
+    for bound in (2, 3):
+        t = stratify._extension_route(a, st, bound)
+        assert [s.dim_vector() for s in t.summands] == \
+            [(1, 0, 0), (2, 1, 0), (2, 2, 1)]
+
+
 def test_quasi_hereditary_needs_no_global_dimension(monkeypatch):
     # klein four: infinite global dimension whose syzygies never repeat
     def refuse(*args):
