@@ -29,13 +29,16 @@ from .values import Dim
 
 
 def projective_cover(m):
-    """(P, f) with f: P -> m the minimal surjection from a projective."""
+    """(P, f) with f: P -> m the minimal surjection from a projective.
+
+    The top of m at v has the basis of the unit rows off the pivot columns
+    of radical_rows(m)[v], an RREF whose rows each lead with 1 at their
+    pivot column."""
     rad = radical_rows(m)
     verts = []
     images = []
     for v in m.algebra.quiver.vertices:
-        _, piv = rref(rad[v])
-        pivset = set(piv)
+        pivset = {r.index(1) for r in rad[v].data}
         for c in range(m.dims[v]):
             if c not in pivset:
                 verts.append(v)

@@ -13,7 +13,7 @@ from .errors import (
     NotAuslanderGorenstein, NotGorensteinCertified, ZeroModule,
 )
 from .homology import (
-    cosyzygy, ext_dims, is_injective_mod, is_projective, mueller_domdim,
+    cosyzygy, ext_dims, is_injective_mod, mueller_domdim,
     projective_resolution, syzygy,
 )
 from .modules import (
@@ -24,20 +24,9 @@ from .modules import (
 from .values import Dim
 
 
-def projective_injective_vertex_set(algebra):
-    """Vertices whose indecomposable injective is projective."""
-    if "inj_is_proj" not in algebra._cache:
-        algebra._cache["inj_is_proj"] = frozenset(
-            v for v in algebra.quiver.vertices
-            if is_projective(injective_rep(algebra, v)))
-    return algebra._cache["inj_is_proj"]
-
-
 def injective_projective_vertices(algebra):
     """Vertices v, in quiver order, whose indecomposable projective P(v)
-    is injective.  Not projective_injective_vertex_set, which lists the v
-    with I(v) projective: the two sets are equally large but index the
-    same modules by different vertices."""
+    is injective."""
     if "proj_is_inj" not in algebra._cache:
         algebra._cache["proj_is_inj"] = tuple(
             v for v in algebra.quiver.vertices
@@ -48,10 +37,13 @@ def injective_projective_vertices(algebra):
 def dominant_dimension(m, bound=64):
     """Number of leading projective terms of the minimal injective
     resolution; a resolution that ends while still inside projectives is
-    reported as AtLeast(bound) with a termination note."""
+    reported as AtLeast(bound) with a termination note.  That resolution
+    is the dual of the projective resolution of D(m) over the opposite
+    algebra, so a term is projective when each of its summands P(v) is
+    injective there."""
     if m.is_zero():
         raise ZeroModule("dominant dimension of the zero module")
-    pj = projective_injective_vertex_set(m.algebra)
+    pj = injective_projective_vertices(m.algebra.opposite_algebra())
     res = projective_resolution(dualize(m))
     for t in range(bound + 1):
         if any(v not in pj for v in res.term(t).proj_summand_vertices):

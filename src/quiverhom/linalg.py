@@ -76,10 +76,6 @@ class Matrix:
     def identity(cls, n):
         return cls([[int(i == j) for j in range(n)] for i in range(n)], n, n)
 
-    @classmethod
-    def row_vector(cls, entries):
-        return cls.from_rows([list(entries)])
-
     # -- basics ------------------------------------------------------------
 
     @property

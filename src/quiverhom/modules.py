@@ -3,8 +3,7 @@
 Row convention throughout: vectors of the component at a vertex are rows, an
 arrow with source v and target w acts by right multiplication with a matrix
 of shape (dim at v, dim at w), and composing maps f then g multiplies their
-matrices in that order.  The total space of a module concatenates the
-components in quiver vertex order.
+matrices in that order.
 
 Duality is the vector space dual: it transposes all arrow matrices and
 yields a module over the opposite algebra.  Applying it twice returns the
@@ -21,7 +20,7 @@ from .errors import (
 )
 from .linalg import (
     Matrix, exact, hstack, vstack, rank, reduce_row, rref, right_kernel,
-    left_kernel, row_space, solve_xa_b, minimal_polynomial, poly_eval_matrix,
+    left_kernel, row_space, minimal_polynomial, poly_eval_matrix,
     seeded_combinations, SEARCH_BUDGET, SEARCH_SEED,
 )
 
@@ -52,12 +51,7 @@ class Representation:
                     "arrow %s matrix has shape %s, expected %s"
                     % (a.name, mat.shape, (self.dims[a.source], self.dims[a.target])))
             self.mats[a.index] = mat
-        self.offsets = {}
-        off = 0
-        for v in q.vertices:
-            self.offsets[v] = off
-            off += self.dims[v]
-        self.total_dim = off
+        self.total_dim = sum(self.dims.values())
         self._dual = None
         self._paths = {}
         self._cache = {}
@@ -252,7 +246,7 @@ def projective_map(proj, target, images):
             img = images[j]
             row = [0] * target.dims[w]
             if img is not None and any(img):
-                gm = Matrix.row_vector(img) @ target.path_action(p)
+                gm = Matrix([img], 1, len(img)) @ target.path_action(p)
                 row = gm.data[0]
             rows.append(row)
         blocks[w] = Matrix(rows, proj.dims[w], target.dims[w])
@@ -384,14 +378,23 @@ def sub_representation(m, rows_by_vertex, close=True):
     """Subrepresentation spanned by the given rows (per vertex), closed
     under the arrow action when close=True.  Returns (sub, inclusion).
 
-    Rows that are not closed raise CertificateFailure.  The relations are
-    not checked again: for every arrow a, solve_xa_b gives X_a with
-    span_s M_a = X_a span_t, so for every path and hence every relation
-    rho, span_s rho(M) = rho(X) span_t.  rho(M) = 0 and span_t has full
-    row rank, so rho(X) = 0.  Nor is the inclusion checked against the
+    Each span is held as the nonzero rows of its RREF.  Such a row is 1 at
+    its own pivot column, the first nonzero entry, and 0 at every other
+    pivot column, so a combination sum x_r B_r has the entry x_r at pivot
+    r.  For an arrow a: s -> t, if img = span_s M_a lies in span_t, then
+    X_a = img[:, piv_t] are its unique coordinates, and if it does not,
+    X_a span_t differs from img; so X_a span_t == img certifies X_a.  When
+    that check fails, close=True puts img into span_t and runs another
+    pass, and close=False raises CertificateFailure.  A pass that changes
+    no span has read every X_a against the final spans.
+
+    The relations are not checked again: span_s M_a = X_a span_t for
+    every arrow a, so for every path and hence every relation rho,
+    span_s rho(M) = rho(X) span_t.  rho(M) = 0 and span_t has full row
+    rank, so rho(X) = 0.  Nor is the inclusion checked against the
     arrows: its block at v is span_v, and span_s M_a = X_a span_t is
-    exactly the commuting square for the arrow a, which solve_xa_b has
-    just certified in exact arithmetic."""
+    exactly the commuting square for the arrow a, just certified in exact
+    arithmetic."""
     q = m.algebra.quiver
     spans = {}
     for v in q.vertices:
@@ -399,26 +402,25 @@ def sub_representation(m, rows_by_vertex, close=True):
         mat = rows if isinstance(rows, Matrix) else Matrix(
             [list(r) for r in rows], len(rows), m.dims[v])
         spans[v] = row_space(mat)
-    if close:
-        changed = True
-        while changed:
-            changed = False
-            for a in q.arrows:
-                if spans[a.source].nrows == 0:
-                    continue
-                img = spans[a.source] @ m.mats[a.index]
-                joint = row_space(vstack([spans[a.target], img]))
-                if joint.nrows != spans[a.target].nrows:
-                    spans[a.target] = joint
-                    changed = True
-    dims = {v: spans[v].nrows for v in q.vertices}
     mats = {}
-    for a in q.arrows:
-        img = spans[a.source] @ m.mats[a.index]
-        coords = solve_xa_b(spans[a.target], img)
-        if coords is None:
-            raise CertificateFailure("rows are not closed under the action")
-        mats[a.index] = coords
+    changed = True
+    while changed:
+        changed = False
+        for a in q.arrows:
+            span_t = spans[a.target]
+            img = spans[a.source] @ m.mats[a.index]
+            piv = [r.index(1) for r in span_t.data]
+            x = Matrix([[r[c] for c in piv] for r in img.data],
+                       img.nrows, len(piv))
+            if x @ span_t == img:
+                mats[a.index] = x
+            elif close:
+                spans[a.target] = row_space(vstack([span_t, img]))
+                changed = True
+            else:
+                raise CertificateFailure(
+                    "rows are not closed under the action")
+    dims = {v: spans[v].nrows for v in q.vertices}
     sub = Representation(m.algebra, dims, mats, validate=False)
     incl = ModuleMap(sub, m, dict(spans), validate=False)
     return sub, incl
@@ -432,14 +434,22 @@ def quotient_by_rows(m, rows_by_vertex):
     """Quotient by the subrepresentation spanned by the rows.  Returns
     (quotient, projection).
 
+    With R the RREF of the rows at v and free its non-pivot columns, the
+    quotient component has the basis of the unit rows at free, and the
+    projection pi_v sends the unit row c in free to the unit vector at c's
+    position in free, and the unit row at the pivot of R_r to -R_r
+    restricted to free: each is the unit row less its multiple of R_r,
+    which vanishes at every pivot.  Q_a is the rows of M_a at free[s]
+    times pi_t, the action on the lifted basis, projected.
+
     Rows that are not closed raise InvalidParameters from the check of the
     projection pi, which commutes with the arrows (M_a pi_t = pi_s Q_a)
     exactly when the rows are closed.  The relations are not checked
     again: for every relation rho, pi_s rho(Q) = rho(M) pi_t = 0, and pi_s
     is onto (its rows span the quotient component), so rho(Q) = 0."""
     q = m.algebra.quiver
-    red = {}
-    npv = {}
+    free = {}
+    blocks = {}
     for v in q.vertices:
         rows = rows_by_vertex.get(v)
         if rows is None:
@@ -447,25 +457,18 @@ def quotient_by_rows(m, rows_by_vertex):
         elif not isinstance(rows, Matrix):
             rows = Matrix([list(r) for r in rows], len(rows), m.dims[v])
         R, piv = rref(rows)
-        red[v] = (R.data, piv)
-        npv[v] = [c for c in range(m.dims[v]) if c not in piv]
-    dims = {v: len(npv[v]) for v in q.vertices}
-
-    def project(v, vec):
-        vec = reduce_row(vec, *red[v])
-        return [vec[c] for c in npv[v]]
-
-    blocks = {}
-    for v in q.vertices:
-        blocks[v] = Matrix([project(v, row) for row in
-                            Matrix.identity(m.dims[v]).data],
-                           m.dims[v], dims[v])
+        free[v] = [c for c in range(m.dims[v]) if c not in piv]
+        pi = [[int(c == f) for f in free[v]] for c in range(m.dims[v])]
+        for r, c in enumerate(piv):
+            pi[c] = [-R.data[r][f] for f in free[v]]
+        blocks[v] = Matrix(pi, m.dims[v], len(free[v]))
+    dims = {v: len(free[v]) for v in q.vertices}
     mats = {}
     for a in q.arrows:
-        lift = Matrix([[int(j == c) for j in range(m.dims[a.source])]
-                       for c in npv[a.source]],
-                      dims[a.source], m.dims[a.source])
-        mats[a.index] = lift @ m.mats[a.index] @ blocks[a.target]
+        ma = m.mats[a.index]
+        lifted = Matrix([ma.data[c] for c in free[a.source]],
+                        dims[a.source], ma.ncols)
+        mats[a.index] = lifted @ blocks[a.target]
     quot = Representation(m.algebra, dims, mats, validate=False)
     proj = ModuleMap(m, quot, blocks, validate=True)
     return quot, proj
@@ -579,14 +582,12 @@ def flat_blocks(f):
 
 def map_in_span(h, maps):
     """True when the map h is a linear combination of the maps, all of
-    them with the block shapes of h; decided by one exact solve on the
-    flat_blocks layout."""
+    them with the block shapes of h: when flat_blocks(h) leaves a zero
+    residual against the RREF of the maps' flat_blocks rows."""
     target = flat_blocks(h)
-    if not maps:
-        return not any(target)
-    rows = [flat_blocks(f) for f in maps]
-    return solve_xa_b(Matrix(rows, len(rows), len(target)),
-                      Matrix([target], 1, len(target))) is not None
+    R, piv = rref(Matrix([flat_blocks(f) for f in maps], len(maps),
+                         len(target)))
+    return not any(reduce_row(target, R.data, piv))
 
 
 def _map_from_flat(like, vec):

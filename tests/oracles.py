@@ -28,7 +28,16 @@ basis element's action written out on the whole module, all of them
 flattened into one matrix whose rank must be the algebra's dimension.
 
 nakayama_injective_projectives lists the projective-injectives of a cyclic
-Nakayama algebra from its Kupisch series alone.
+Nakayama algebra from its Kupisch series alone.  nakayama_combinatorics
+reads the projective, injective, dominant and codominant dimension of every
+uniserial module off the Kupisch series, with no linear algebra.
+
+solved_sub_representation and reduced_quotient_by_rows are the references
+for modules.sub_representation and modules.quotient_by_rows, as the package
+built them before it read their matrices off the reduced echelon rows: a
+fixpoint that re-reduces every target span on every pass followed by one
+solve_xa_b per arrow, and a projection that reduces one unit row per basis
+column, with the quotient's arrows taken through an explicit lift.
 
 path_normal_form is the image of a quiver path in an algebra, a product
 of arrow elements.  rediscovered_quotient is the reference for
@@ -46,10 +55,13 @@ from quiverhom.algebra import Path, Relation, build_algebra
 from quiverhom.homology import (
     _coord_matrix, _hom_offsets, _presentation_elements, projective_cover,
 )
-from quiverhom.linalg import Matrix, left_kernel, reduce_row, rref
+from quiverhom.errors import CertificateFailure
+from quiverhom.linalg import (
+    Matrix, left_kernel, reduce_row, row_space, rref, solve_xa_b, vstack,
+)
 from quiverhom.modules import (
-    kernel_of_map, projective_rep, quotient_by_submodule, radical_rows,
-    sub_representation,
+    ModuleMap, Representation, kernel_of_map, projective_rep,
+    quotient_by_submodule, radical_rows, sub_representation,
 )
 from quiverhom.stratify import _standard_at
 
@@ -206,11 +218,15 @@ def total_space_is_faithful(m):
     a, n = m.algebra, m.total_dim
     if n == 0:
         return a.dim == 0
+    offsets, off = {}, 0
+    for v in a.quiver.vertices:
+        offsets[v] = off
+        off += m.dims[v]
     rows = []
     for p in a.basis:
         t = [[0] * n for _ in range(n)]
         pa = m.path_action(p)
-        ro, co = m.offsets[p.source], m.offsets[p.target]
+        ro, co = offsets[p.source], offsets[p.target]
         for i in range(pa.nrows):
             for j in range(pa.ncols):
                 t[ro + i][co + j] = pa.data[i][j]
@@ -227,6 +243,142 @@ def nakayama_injective_projectives(kupisch):
     when k[i-1] <= k[i]."""
     k = list(kupisch)
     return [i for i in range(len(k)) if k[i - 1] <= k[i]]
+
+
+def nakayama_combinatorics(kupisch):
+    """{(i, l): dimensions} for every uniserial M(i, l), top i and length
+    l, over the cyclic Nakayama algebra with Kupisch series c = kupisch
+    (arrows i -> i+1, indices mod n).  The syzygy of M(i, l) is
+    M(i+l, c_i - l).  The injective envelope of a module with socle s is
+    the longest uniserial with socle s, of length
+    d_s = max{l : c_(s-l+1) >= l}, and the cosyzygy of M(i, l), socle
+    s = i+l-1, is M(s-d_s+1, d_s - l).  I(s) is projective iff
+    d_s = c_(s-d_s+1), and P(i) is injective iff d_(i+c_i-1) = c_i.
+
+    "pd" and "id" are ("exact", k) when the k+1-th syzygy (cosyzygy) is
+    zero, else ("infinite", period, onset) from the first repeated one,
+    onset >= 1, as invariants.projective_dimension counts them.  "domdim"
+    and "codomdim" are ("exact", t), t the first term of the injective
+    (projective) resolution that is not projective (injective), or
+    ("infinite",) when the resolution ends or repeats first."""
+    c = list(kupisch)
+    n = len(c)
+
+    def d(s):
+        return max(l for l in range(1, max(c) + 1) if c[(s - l + 1) % n] >= l)
+
+    def syzygy(i, l):
+        return (i + l) % n, c[i] - l
+
+    def cosyzygy(i, l):
+        s = (i + l - 1) % n
+        return (s - d(s) + 1) % n, d(s) - l
+
+    def dimension(state, step):
+        seen = {}
+        k = 0
+        while state[1]:
+            if state in seen:
+                return ("infinite", k - seen[state], seen[state])
+            if k:
+                seen[state] = k
+            state = step(*state)
+            k += 1
+        return ("exact", k - 1)
+
+    def leading(state, step, good):
+        seen = set()
+        t = 0
+        while state[1] and state not in seen:
+            if not good(*state):
+                return ("exact", t)
+            seen.add(state)
+            state = step(*state)
+            t += 1
+        return ("infinite",)
+
+    def injective_is_projective(i, l):
+        s = (i + l - 1) % n
+        return d(s) == c[(s - d(s) + 1) % n]
+
+    def projective_is_injective(i, l):
+        return d((i + c[i] - 1) % n) == c[i]
+
+    return {(i, l): {"pd": dimension((i, l), syzygy),
+                     "id": dimension((i, l), cosyzygy),
+                     "domdim": leading((i, l), cosyzygy,
+                                       injective_is_projective),
+                     "codomdim": leading((i, l), syzygy,
+                                         projective_is_injective)}
+            for i in range(n) for l in range(1, c[i] + 1)}
+
+
+def solved_sub_representation(m, rows_by_vertex, close=True):
+    """(sub, inclusion) spanned by the rows: every target span re-reduced
+    against each arrow's image until a pass changes none (close=True),
+    then X_a from solve_xa_b(span_t, span_s M_a), CertificateFailure when
+    it has no solution."""
+    q = m.algebra.quiver
+    spans = {}
+    for v in q.vertices:
+        rows = rows_by_vertex.get(v, [])
+        mat = rows if isinstance(rows, Matrix) else Matrix(
+            [list(r) for r in rows], len(rows), m.dims[v])
+        spans[v] = row_space(mat)
+    changed = close
+    while changed:
+        changed = False
+        for a in q.arrows:
+            if spans[a.source].nrows == 0:
+                continue
+            img = spans[a.source] @ m.mats[a.index]
+            joint = row_space(vstack([spans[a.target], img]))
+            if joint.nrows != spans[a.target].nrows:
+                spans[a.target] = joint
+                changed = True
+    mats = {}
+    for a in q.arrows:
+        coords = solve_xa_b(spans[a.target], spans[a.source] @ m.mats[a.index])
+        if coords is None:
+            raise CertificateFailure("rows are not closed under the action")
+        mats[a.index] = coords
+    sub = Representation(m.algebra, {v: spans[v].nrows for v in q.vertices},
+                         mats, validate=False)
+    return sub, ModuleMap(sub, m, dict(spans), validate=False)
+
+
+def reduced_quotient_by_rows(m, rows_by_vertex):
+    """(quotient, projection) by the span of the rows: each unit row
+    reduced against the RREF and kept at the non-pivot columns, each arrow
+    lift @ M_a @ projection; the projection checked against the arrows,
+    which raises InvalidParameters when the rows are not closed."""
+    q = m.algebra.quiver
+    red, npv = {}, {}
+    for v in q.vertices:
+        rows = rows_by_vertex.get(v)
+        if rows is None:
+            rows = Matrix.zeros(0, m.dims[v])
+        elif not isinstance(rows, Matrix):
+            rows = Matrix([list(r) for r in rows], len(rows), m.dims[v])
+        R, piv = rref(rows)
+        red[v] = (R.data, piv)
+        npv[v] = [c for c in range(m.dims[v]) if c not in piv]
+    dims = {v: len(npv[v]) for v in q.vertices}
+    blocks = {}
+    for v in q.vertices:
+        out = []
+        for row in Matrix.identity(m.dims[v]).data:
+            vec = reduce_row(row, *red[v])
+            out.append([vec[c] for c in npv[v]])
+        blocks[v] = Matrix(out, m.dims[v], dims[v])
+    mats = {}
+    for a in q.arrows:
+        lift = Matrix([[int(j == c) for j in range(m.dims[a.source])]
+                       for c in npv[a.source]],
+                      dims[a.source], m.dims[a.source])
+        mats[a.index] = lift @ m.mats[a.index] @ blocks[a.target]
+    quot = Representation(m.algebra, dims, mats, validate=False)
+    return quot, ModuleMap(m, quot, blocks, validate=True)
 
 
 def flat_resolution(m, depth):

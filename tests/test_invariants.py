@@ -1,7 +1,9 @@
 """Dimension invariants against hand-checked and cross-validated values."""
+from itertools import product
+
 import pytest
 
-from oracles import nakayama_injective_projectives
+from oracles import nakayama_combinatorics, nakayama_injective_projectives
 
 from quiverhom.algebra import (
     bnlambda_family, klein_four_like, nakayama_from_kupisch,
@@ -273,3 +275,46 @@ def test_syzygy_period_is_never_missed_on_a_stalled_test(monkeypatch, a455):
     monkeypatch.setattr(modules, "decompose", stall)
     with pytest.raises(DecompositionInconclusive):
         projective_dimension(m)
+
+
+def _cyclic_series(nmax, cmax):
+    """Every cyclic Kupisch series with at most nmax entries, each at most
+    cmax, once per rotation class (the least rotation)."""
+    out = []
+    for n in range(1, nmax + 1):
+        for c in product(range(2, cmax + 1), repeat=n):
+            if all(c[(i + 1) % n] >= c[i] - 1 for i in range(n)) and \
+                    c == min(c[i:] + c[:i] for i in range(n)):
+                out.append(list(c))
+    return out
+
+
+def _kind(d):
+    if d.is_exact:
+        return ("exact", d.n)
+    return ("infinite", d.period, d.onset) if d.is_infinite else (d.kind,)
+
+
+def test_nakayama_census_matches_the_combinatorial_oracle():
+    # every uniserial of every cyclic series with n <= 4, entries <= 6:
+    # pd and id exact or infinite with the same period and onset, domdim
+    # and codomdim exact where the oracle says so and never exact where it
+    # says infinity
+    series = _cyclic_series(4, 6)
+    assert len(series) == 65
+    bad, count = [], 0
+    for c in series:
+        a = nakayama_from_kupisch(c)
+        for (i, l), want in nakayama_combinatorics(c).items():
+            m = uniserial_quotient(a, i, l)
+            count += 1
+            got = {"pd": _kind(projective_dimension(m)),
+                   "id": _kind(injective_dimension(m))}
+            for key, f in (("domdim", dominant_dimension),
+                           ("codomdim", codominant_dimension)):
+                d = f(m)
+                got[key] = _kind(d) if d.is_exact else ("infinite",)
+            if got != want:
+                bad.append((c, i, l, got, want))
+    assert count == 844
+    assert bad == []

@@ -2,11 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import total_space_is_faithful
+from oracles import (
+    fraction_solve_xa_b, reduced_quotient_by_rows, solved_sub_representation,
+    total_space_is_faithful,
+)
 from test_stratify import REFERENCE_ALGEBRAS
 
 from quiverhom import linalg, modules
+from quiverhom.catalog import parse_construction
+from quiverhom.errors import CertificateFailure, InvalidParameters
 from quiverhom.algebra import (
     Quiver, build_algebra, klein_four_like, monomial_relation,
     nakayama_from_kupisch,
@@ -20,7 +26,7 @@ from quiverhom.modules import (
     sub_representation, cyclic_submodule, quotient_by_rows,
     quotient_by_submodule, kernel_of_map, cokernel_of_map, hom_basis,
     iso_test, decompose, uniserial_quotient, radical_power_rows,
-    is_faithful, _seeded_maps,
+    is_faithful, map_in_span, _map_from_flat, _seeded_maps,
 )
 from quiverhom.invariants import all_uniserial_quotients, canonical_test_set
 
@@ -345,3 +351,113 @@ def test_iso_test_matches_hom_dimensions_from_indecomposables(kupisch):
     reasons = _oracle_reasons(pairs, indecs)
     if kupisch == [3, 4, 4]:
         assert "summands differ" in reasons
+
+
+SUBQUOTIENT_ALGEBRAS = pytest.mark.parametrize(
+    "build", REFERENCE_ALGEBRAS.args[1] + [
+        lambda: parse_construction("endo-of:klein_four@1"),
+        lambda: parse_construction("endo-of:symmetric_chain:3@2")],
+    ids=REFERENCE_ALGEBRAS.kwargs["ids"] + ["klein-endo1", "endo-sym3"])
+
+_TEST_MODULES = {}
+
+
+def _test_modules(build):
+    """The canonical test modules of build(), made once per session."""
+    if build not in _TEST_MODULES:
+        _TEST_MODULES[build] = [m for _, m in canonical_test_set(build())]
+    return _TEST_MODULES[build]
+
+
+def _outcome(construct, m, rows, *close):
+    """(dims, arrow matrices, blocks of the map), or the type of the
+    refusal."""
+    try:
+        obj, f = construct(m, rows, *close)
+    except (CertificateFailure, InvalidParameters) as e:
+        return type(e)
+    return obj.dims, obj.mats, f.blocks
+
+
+def _with_dependent_rows(rows, data):
+    """The rows, some vertices with combinations of their rows appended
+    (a row twice, or the sum of two of them)."""
+    out = {}
+    for v, rs in rows.items():
+        rs = [list(r) for r in rs]
+        if rs and data.draw(st.booleans()):
+            pick = st.integers(0, len(rs) - 1)
+            i, j = data.draw(pick), data.draw(pick)
+            rs.append([2 * x - y for x, y in zip(rs[i], rs[j])])
+        out[v] = rs
+    return out
+
+
+@SUBQUOTIENT_ALGEBRAS
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(data=st.data())
+def test_sub_and_quotient_match_the_solved_references(build, data):
+    # random rows (mostly not closed), their closure (closed rows), both
+    # with dependent rows mixed in, and no rows at all: the matrices read
+    # off the echelon rows equal the solved ones, and both refuse alike.
+    # In m + m, the rows (u, c u) span the graph of c times the inclusion
+    # of the rows u, closed when the u are, with echelon rows that are not
+    # unit rows.
+    m = data.draw(st.sampled_from(_test_modules(build)))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2])
+    raw = {v: data.draw(st.lists(st.lists(entry, min_size=m.dims[v],
+                                          max_size=m.dims[v]), max_size=2))
+           for v in m.algebra.quiver.vertices}
+    _, incl = solved_sub_representation(m, raw)
+    closed = {v: b.data for v, b in incl.blocks.items()}
+    c = data.draw(st.sampled_from([-1, 2, 3]))
+    pair = direct_sum([m, m])
+
+    def graph(rows):
+        return {v: [list(r) + [c * x for x in r] for r in rs]
+                for v, rs in rows.items()}
+    for mod, rows in ((m, {}), (m, closed), (pair, graph(closed)),
+                      (m, _with_dependent_rows(closed, data)), (m, raw),
+                      (pair, graph(raw)),
+                      (m, _with_dependent_rows(raw, data))):
+        for close in (False, True):
+            assert _outcome(sub_representation, mod, rows, close) == \
+                _outcome(solved_sub_representation, mod, rows, close)
+        assert _outcome(quotient_by_rows, mod, rows) == \
+            _outcome(reduced_quotient_by_rows, mod, rows)
+    for mod, rows in ((m, closed), (pair, graph(closed))):
+        assert _outcome(sub_representation, mod, rows, False) != \
+            CertificateFailure
+        assert _outcome(quotient_by_rows, mod, rows) != InvalidParameters
+
+
+@pytest.mark.parametrize("build", REFERENCE_ALGEBRAS.args[1][:6],
+                         ids=REFERENCE_ALGEBRAS.kwargs["ids"][:6])
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(data=st.data())
+def test_map_in_span_matches_the_fraction_solve(build, data):
+    mods = _test_modules(build)
+    m, n = data.draw(st.sampled_from(mods)), data.draw(st.sampled_from(mods))
+    basis = hom_basis(m, n)
+    maps = [f for f in basis if data.draw(st.booleans())]
+    zero = ModuleMap.zero(m, n)
+    width = len(modules.flat_blocks(zero))
+    rows = [modules.flat_blocks(f) for f in maps]
+    coeffs = [data.draw(st.integers(-2, 2)) for _ in maps]
+    inside = linalg.linear_combination(coeffs, rows) if rows else [0] * width
+    anywhere = data.draw(st.lists(st.integers(-1, 1), min_size=width,
+                                  max_size=width))
+    for vec in (inside, anywhere):
+        want = fraction_solve_xa_b(rows, [vec], width) is not None
+        assert map_in_span(_map_from_flat(zero, vec), maps) == want
+    assert map_in_span(_map_from_flat(zero, inside), maps)
+
+
+def test_map_in_span_decides_both_ways(naka223):
+    p = regular_rep(naka223)
+    basis = hom_basis(p, p)
+    assert len(basis) == 7
+    assert map_in_span(basis[0], basis)
+    assert not map_in_span(basis[-1], basis[:-1])
+    assert map_in_span(ModuleMap.zero(p, p), [])
+    assert not map_in_span(basis[0], [])
