@@ -36,16 +36,23 @@ _RELAR_SKIP = {
 }
 
 
+def _read(text):
+    """Text of stdin for '-', else of the regular file; input that cannot
+    be read or decoded as UTF-8 is a ParseError."""
+    try:
+        if text == "-":
+            return sys.stdin.read()
+        with open(text, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ParseError("cannot read input %r: %s" % (text, e))
+
+
 def _load(text):
     """(spec or None, algebra, echo string) from the input argument."""
-    if text == "-":
-        spec = dsl.parse_algebra_dsl(sys.stdin.read())
-        return spec, spec.build(), "<stdin>"
-    if os.path.exists(text):
-        with open(text, "r", encoding="utf-8") as fh:
-            body = fh.read()
-        spec = dsl.parse_algebra_dsl(body)
-        return spec, spec.build(), text
+    if text == "-" or os.path.isfile(text):
+        spec = dsl.parse_algebra_dsl(_read(text))
+        return spec, spec.build(), "<stdin>" if text == "-" else text
     if catalog.is_construction_text(text):
         return None, catalog.parse_construction(text), text
     raise ParseError(

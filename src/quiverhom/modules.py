@@ -616,8 +616,11 @@ def _seeded_maps(maps, budget, seed):
 def iso_test(m, n):
     """Exact isomorphism decision.
 
-    Differing structural invariants certify "not isomorphic"; an invertible
-    Hom-basis map certifies "isomorphic".  If no basis map f_i: m -> n is
+    Differing structural invariants certify "not isomorphic".  Equal data
+    certifies "isomorphic" before any search: when every arrow matrix of m
+    equals that of n, the identity at each vertex commutes with every arrow,
+    so it is an invertible module map m -> n.  An invertible Hom-basis map
+    certifies "isomorphic" too.  If no basis map f_i: m -> n is
     invertible and m is indecomposable, the answer is "not isomorphic":
     End(m) is local (Fitting's lemma), and for an isomorphism
     f = sum a_i f_i with inverse g = sum b_j g_j, id = sum a_i b_j f_i g_j,
@@ -629,6 +632,10 @@ def iso_test(m, n):
         return IsoResult("not_iso", reason="dimension vectors differ")
     if m.total_dim == 0:
         return IsoResult("iso", map=ModuleMap.zero(m, n))
+    if m.mats == n.mats:
+        return IsoResult("iso", map=ModuleMap(
+            m, n, {v: Matrix.identity(d) for v, d in m.dims.items()},
+            validate=False))
     if top_dims(m) != top_dims(n):
         return IsoResult("not_iso", reason="tops differ")
     if socle_dims(m) != socle_dims(n):

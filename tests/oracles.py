@@ -39,6 +39,11 @@ fixpoint that re-reduces every target span on every pass followed by one
 solve_xa_b per arrow, and a projection that reduces one unit row per basis
 column, with the quotient's arrows taken through an explicit lift.
 
+searched_iso_test is the reference for modules.iso_test, as the package
+decided isomorphism before equal data certified it: structural invariants,
+four Hom-basis solves, an invertible basis map, and otherwise the seeded
+decompositions matched summand by summand with the same search.
+
 path_normal_form is the image of a quiver path in an algebra, a product
 of arrow elements.  rediscovered_quotient is the reference for
 BoundQuiverAlgebra.quotient_by_idempotent_ideal: the presentation of
@@ -60,8 +65,9 @@ from quiverhom.linalg import (
     Matrix, left_kernel, reduce_row, row_space, rref, solve_xa_b, vstack,
 )
 from quiverhom.modules import (
-    ModuleMap, Representation, kernel_of_map, projective_rep,
-    quotient_by_submodule, radical_rows, sub_representation,
+    IsoResult, ModuleMap, Representation, decompose, hom_basis,
+    kernel_of_map, projective_rep, quotient_by_submodule, radical_rows,
+    socle_dims, sub_representation, top_dims,
 )
 from quiverhom.stratify import _standard_at
 
@@ -379,6 +385,43 @@ def reduced_quotient_by_rows(m, rows_by_vertex):
         mats[a.index] = lift @ m.mats[a.index] @ blocks[a.target]
     quot = Representation(m.algebra, dims, mats, validate=False)
     return quot, ModuleMap(m, quot, blocks, validate=True)
+
+
+def searched_iso_test(m, n):
+    """IsoResult for m and n from invariants, Hom-basis maps and seeded
+    decompositions, with no equal-data shortcut.  DecompositionInconclusive
+    propagates."""
+    if m.dim_vector() != n.dim_vector():
+        return IsoResult("not_iso", reason="dimension vectors differ")
+    if m.total_dim == 0:
+        return IsoResult("iso", map=ModuleMap.zero(m, n))
+    if top_dims(m) != top_dims(n):
+        return IsoResult("not_iso", reason="tops differ")
+    if socle_dims(m) != socle_dims(n):
+        return IsoResult("not_iso", reason="socles differ")
+    fwd = hom_basis(m, n)
+    if not len(fwd) == len(hom_basis(n, m)) == len(hom_basis(m, m)) \
+            == len(hom_basis(n, n)):
+        return IsoResult("not_iso", reason="hom dimensions differ")
+    if not fwd:
+        return IsoResult("not_iso", reason="no nonzero maps")
+    for f in fwd:
+        if f.is_iso():
+            return IsoResult("iso", map=f)
+    parts = decompose(m)
+    if len(parts) == 1:
+        return IsoResult("not_iso", reason="indecomposable, no basis map "
+                                           "is invertible")
+    unused = decompose(n)
+    if len(parts) != len(unused):
+        return IsoResult("not_iso", reason="summands differ")
+    for p in parts:
+        hit = next((q for q in unused if searched_iso_test(p, q).is_iso),
+                   None)
+        if hit is None:
+            return IsoResult("not_iso", reason="summands differ")
+        unused.remove(hit)
+    return IsoResult("iso", reason="summands match")
 
 
 def flat_resolution(m, depth):

@@ -183,6 +183,22 @@ def test_unreadable_input_is_a_parse_error():
     assert "neither an existing file" in err
 
 
+def test_directory_input_is_a_parse_error(tmp_path):
+    rc, out, err = run_cli("analyze", str(tmp_path))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("parse error:") and "Traceback" not in err
+
+
+def test_undecodable_input_is_a_parse_error(tmp_path):
+    path = tmp_path / "bad.alg"
+    path.write_bytes(TWO_WAY_3.encode() + b"\xff\n")
+    rc, out, err = run_cli("analyze", str(path))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("parse error:") and "Traceback" not in err
+
+
 def test_negative_bound_is_a_usage_error():
     rc, out, err = run_cli("analyze", "kupisch:4,5,5", "--bound", "-1")
     assert rc == 2

@@ -264,17 +264,24 @@ def test_projinj_vertices_survive_a_truncating_bound(a455):
 
 
 def test_syzygy_period_is_never_missed_on_a_stalled_test(monkeypatch, a455):
-    # the syzygies of S(0)+S(1) repeat with their summands swapped, which
-    # no Hom-basis map shows, so the period is found by matching summands
+    # the fourth syzygy of S(0)+S(1) has the arrow matrices of the second,
+    # so equal data certifies the period and no splitting search runs
     m = direct_sum([simple_rep(a455, 0), simple_rep(a455, 1)])
     pd = projective_dimension(m)
     assert (pd.kind, pd.period, pd.onset) == ("infinite", 2, 2)
+    res = projective_resolution(m)
+    assert res.syzygy(4).mats == res.syzygy(2).mats
 
     def stall(*args):
         raise DecompositionInconclusive("splitting search stalled")
     monkeypatch.setattr(modules, "decompose", stall)
+    assert projective_dimension(m) == pd
+    # a stalled search is never read as a negative: P(0)+P(1) against
+    # P(1)+P(0) differ in data, no Hom-basis map is invertible, and the
+    # summands cannot be matched
+    p0, p1 = projective_rep(a455, 0), projective_rep(a455, 1)
     with pytest.raises(DecompositionInconclusive):
-        projective_dimension(m)
+        iso_test(direct_sum([p0, p1]), direct_sum([p1, p0]))
 
 
 def _cyclic_series(nmax, cmax):

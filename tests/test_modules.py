@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
-    fraction_solve_xa_b, reduced_quotient_by_rows, solved_sub_representation,
-    total_space_is_faithful,
+    fraction_solve_xa_b, reduced_quotient_by_rows, searched_iso_test,
+    solved_sub_representation, total_space_is_faithful,
 )
 from test_stratify import REFERENCE_ALGEBRAS
 
-from quiverhom import linalg, modules
+from quiverhom import invariants, linalg, modules
 from quiverhom.catalog import parse_construction
-from quiverhom.errors import CertificateFailure, InvalidParameters
+from quiverhom.errors import (
+    CertificateFailure, DecompositionInconclusive, InvalidParameters,
+)
 from quiverhom.algebra import (
     Quiver, build_algebra, klein_four_like, monomial_relation,
     nakayama_from_kupisch,
@@ -351,6 +353,64 @@ def test_iso_test_matches_hom_dimensions_from_indecomposables(kupisch):
     reasons = _oracle_reasons(pairs, indecs)
     if kupisch == [3, 4, 4]:
         assert "summands differ" in reasons
+
+
+@REFERENCE_ALGEBRAS
+def test_iso_test_agrees_with_the_searched_reference(build, monkeypatch):
+    # every module canonical_test_set considers before it drops repeats,
+    # so that equal data, isomorphic modules with different data and
+    # modules with equal dimension vectors all meet
+    a = build()
+    with monkeypatch.context() as mp:
+        mp.setattr(invariants, "_dedupe", lambda named: named)
+        mods = [m for _, m in canonical_test_set(a)]
+    for i, m in enumerate(mods):
+        for n in mods[i:]:
+            assert iso_test(m, n).is_iso == searched_iso_test(m, n).is_iso
+
+    def refuse(*args):
+        raise AssertionError("equal data needs no search")
+    monkeypatch.setattr(modules, "hom_basis", refuse)
+    monkeypatch.setattr(modules, "decompose", refuse)
+    for m in mods:
+        copy = Representation(m.algebra, m.dims, m.mats)
+        r = iso_test(m, copy)
+        assert r.is_iso
+        f = ModuleMap(m, copy, r.map.blocks, validate=True)
+        assert (r.map.source, r.map.target) == (m, copy) and f.is_iso()
+
+
+def _kronecker_sqrt2():
+    """Kronecker module with M_a = I and M_b = [[0, 2], [1, 0]]: End(M) is
+    Q(sqrt 2), a field, so M is indecomposable and the seeded splitting
+    search finds nothing."""
+    q = Quiver([1, 2], [("a", 1, 2), ("b", 1, 2)])
+    k = build_algebra(q, [], loewy_cap=2)
+    return Representation(k, {1: 2, 2: 2}, {
+        "a": Matrix.identity(2), "b": Matrix([[0, 2], [1, 0]])})
+
+
+def test_equal_data_is_iso_where_the_splitting_search_refuses():
+    m = _kronecker_sqrt2()
+    with pytest.raises(DecompositionInconclusive):
+        decompose(m)
+    r = iso_test(direct_sum([m, m]), direct_sum([m, m]))
+    assert r.is_iso and r.map.is_iso()
+    # the same sum after a basis change at vertex 2 in one summand differs
+    # in data, so the refusal stands
+    g = Matrix([[1, 1], [0, 1]])
+    moved = Representation(m.algebra, m.dims,
+                           {i: x @ g for i, x in m.mats.items()})
+    with pytest.raises(DecompositionInconclusive):
+        iso_test(direct_sum([m, m]), direct_sum([m, moved]))
+
+
+def test_equal_data_over_different_algebras_is_refused():
+    m = _kronecker_sqrt2()
+    other = _kronecker_sqrt2()
+    assert other.mats == m.mats
+    with pytest.raises(InvalidParameters):
+        iso_test(m, other)
 
 
 SUBQUOTIENT_ALGEBRAS = pytest.mark.parametrize(
