@@ -9,7 +9,7 @@ from .algebra import (
     symmetric_chain_family,
 )
 from .catalog import (
-    build_named, is_construction_text, klein_endo_algebra, klein_module_pair,
+    is_construction_text, klein_endo_algebra, klein_module_pair,
     parse_construction, verify_endo_presentation,
 )
 from .dsl import AlgebraSpec, parse_algebra_dsl, pretty_print

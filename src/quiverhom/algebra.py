@@ -86,11 +86,7 @@ class Quiver:
         self._vindex = {v: i for i, v in enumerate(self.vertices)}
         built = []
         names = set()
-        for i, spec in enumerate(arrows):
-            if isinstance(spec, Arrow):
-                name, s, t = spec.name, spec.source, spec.target
-            else:
-                name, s, t = spec
+        for i, (name, s, t) in enumerate(arrows):
             if name in names:
                 raise InvalidParameters("duplicate arrow name %r" % (name,))
             names.add(name)
@@ -513,7 +509,7 @@ def build_algebra(quiver, relations, loewy_cap=12):
 
 # -- canonical families ----------------------------------------------------
 
-def nakayama_from_kupisch(kupisch, cyclic=True, loewy_cap=None):
+def nakayama_from_kupisch(kupisch, cyclic=True):
     """Nakayama algebra with the given Kupisch series.
 
     Vertices are 0 .. n-1 with arrows i -> i+1 (mod n when cyclic); entry i
@@ -562,13 +558,12 @@ def nakayama_from_kupisch(kupisch, cyclic=True, loewy_cap=None):
             continue
         names = ["a%d" % ((i + k) % n if cyclic else i + k) for k in range(a)]
         rels.append(monomial_relation(q, names))
-    cap = loewy_cap if loewy_cap is not None else max(kup) + 1
-    alg = build_algebra(q, rels, loewy_cap=max(2, cap))
+    alg = build_algebra(q, rels, loewy_cap=max(kup) + 1)
     alg.kupisch = list(kup)
     return alg
 
 
-def klein_four_like(loewy_cap=4):
+def klein_four_like():
     """Local four-dimensional algebra on two commuting square-zero loops."""
     q = Quiver([1], [("x", 1, 1), ("y", 1, 1)])
     rels = [
@@ -576,10 +571,10 @@ def klein_four_like(loewy_cap=4):
         monomial_relation(q, ["y", "y"]),
         combination_relation(q, [(1, ["x", "y"]), (-1, ["y", "x"])]),
     ]
-    return build_algebra(q, rels, loewy_cap=loewy_cap)
+    return build_algebra(q, rels, loewy_cap=4)
 
 
-def bnlambda_family(m, lams, loewy_cap=4):
+def bnlambda_family(m, lams):
     """Two-way chain algebra on m >= 2 vertices with 0/1 twist parameters.
 
     Arrows a_i: i -> i+1 and b_i: i+1 -> i.  The loop at the last vertex
@@ -607,10 +602,10 @@ def bnlambda_family(m, lams, loewy_cap=4):
         rels.append(combination_relation(q, combo))
         rels.append(monomial_relation(q, ["a%d" % (i - 1), "a%d" % i]))
         rels.append(monomial_relation(q, ["b%d" % i, "b%d" % (i - 1)]))
-    return build_algebra(q, rels, loewy_cap=loewy_cap)
+    return build_algebra(q, rels, loewy_cap=4)
 
 
-def symmetric_chain_family(m, loewy_cap=4):
+def symmetric_chain_family(m):
     """Symmetric radical-cube-zero algebra on a chain of m >= 2 vertices.
 
     Arrows a_i: i -> i+1 and b_i: i+1 -> i; paths two steps outward vanish,
@@ -632,4 +627,4 @@ def symmetric_chain_family(m, loewy_cap=4):
             q, [(1, ["a%d" % i, "b%d" % i]), (-1, ["b%d" % (i - 1), "a%d" % (i - 1)])]))
     rels.append(monomial_relation(q, ["a1", "b1", "a1"]))
     rels.append(monomial_relation(q, ["b%d" % (m - 1), "a%d" % (m - 1), "b%d" % (m - 1)]))
-    return build_algebra(q, rels, loewy_cap=loewy_cap)
+    return build_algebra(q, rels, loewy_cap=4)

@@ -20,42 +20,6 @@ CONSTRUCTION_NAMES = (
     "kupisch", "bnlambda", "symmetric_chain", "klein_four", "endo-of")
 
 
-def build_named(construction, parameters=(), loewy_cap=None):
-    """Instantiate a named construction.
-
-    Parameter shapes: kupisch takes the series entries; bnlambda takes
-    the vertex count followed by the twist tuple; symmetric_chain takes
-    the vertex count; klein_four takes nothing; endo-of takes a base
-    construction name, its parameters and the socle vertex list.
-    """
-    params = tuple(parameters)
-    cap = {} if loewy_cap is None else {"loewy_cap": loewy_cap}
-    if construction == "kupisch":
-        return nakayama_from_kupisch([int(k) for k in params], **cap)
-    if construction == "bnlambda":
-        if not params:
-            raise InvalidParameters("bnlambda needs a vertex count")
-        return bnlambda_family(int(params[0]),
-                               [int(l) for l in params[1]], **cap)
-    if construction == "symmetric_chain":
-        if len(params) != 1:
-            raise InvalidParameters("symmetric_chain takes one vertex count")
-        return symmetric_chain_family(int(params[0]), **cap)
-    if construction == "klein_four":
-        if params:
-            raise InvalidParameters("klein_four takes no parameters")
-        return klein_four_like(**cap)
-    if construction == "endo-of":
-        if len(params) != 3:
-            raise InvalidParameters(
-                "endo-of takes a base name, base parameters and socle vertices")
-        base, base_params, socles = params
-        return endo_quiver_construction(
-            build_named(base, base_params, loewy_cap),
-            [int(s) for s in socles])
-    raise InvalidParameters("unknown construction %r" % (construction,))
-
-
 def _int_list(text):
     text = text.strip()
     if not text:
@@ -78,20 +42,34 @@ def parse_construction(text):
         base, sep, soc = rest.rpartition("@")
         if not sep or not base:
             raise ParseError("endo-of needs '@' before the socle vertices")
-        return endo_quiver_construction(parse_construction(base),
-                                        list(_int_list(soc)))
+        base = parse_construction(base)
+        try:
+            return endo_quiver_construction(base, list(_int_list(soc)))
+        except InvalidParameters as e:
+            raise ParseError(str(e))
     name, sep, arg = text.partition(":")
     params = _int_list(arg) if sep else ()
-    if name == "bnlambda":
-        if not params:
-            raise ParseError("bnlambda needs a vertex count")
-        params = (params[0], params[1:])
-    if name not in CONSTRUCTION_NAMES:
-        raise ParseError("unknown construction %r" % name)
+    if name == "endo-of":
+        raise ParseError(
+            "endo-of takes a base name, base parameters and socle vertices")
+    if name == "bnlambda" and not params:
+        raise ParseError("bnlambda needs a vertex count")
+    if name == "symmetric_chain" and len(params) != 1:
+        raise ParseError("symmetric_chain takes one vertex count")
+    if name == "klein_four" and params:
+        raise ParseError("klein_four takes no parameters")
     try:
-        return build_named(name, params)
-    except (InvalidParameters, InvalidSeries, ValueError) as e:
+        if name == "kupisch":
+            return nakayama_from_kupisch(params)
+        if name == "bnlambda":
+            return bnlambda_family(params[0], params[1:])
+        if name == "symmetric_chain":
+            return symmetric_chain_family(params[0])
+        if name == "klein_four":
+            return klein_four_like()
+    except (InvalidParameters, InvalidSeries) as e:
         raise ParseError(str(e))
+    raise ParseError("unknown construction %r" % name)
 
 
 def is_construction_text(text):
@@ -119,7 +97,7 @@ def klein_module_pair():
     return a, xa
 
 
-def klein_endo_algebra(loewy_cap=6):
+def klein_endo_algebra():
     """Two-vertex presentation of the endomorphism ring of the regular
     module plus the first loop's image, over the two-loop local algebra.
 
@@ -136,7 +114,7 @@ def klein_endo_algebra(loewy_cap=6):
         else:
             rels.append(combination_relation(q, [(c, list(w))
                                                  for c, w in combo]))
-    return build_algebra(q, rels, loewy_cap=loewy_cap)
+    return build_algebra(q, rels, loewy_cap=6)
 
 
 def _left_mult_matrix(a, elem):

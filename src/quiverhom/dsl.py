@@ -18,8 +18,7 @@ are integers.
 import re
 
 from .algebra import Quiver, build_algebra, combination_relation
-from .catalog import CONSTRUCTION_NAMES, build_named
-from .errors import InvalidParameters, NotApplicable, ParseError
+from .errors import ParseError
 
 DEFAULT_LOEWY_CAP = 64
 
@@ -27,31 +26,20 @@ _TOKEN = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_]*|[+\-*]|\S")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_.\-]*\Z")
 
 
-def _freeze(x):
-    if isinstance(x, (list, tuple)):
-        return tuple(_freeze(y) for y in x)
-    return x
-
-
 class AlgebraSpec:
-    """Parsed input: an explicit presentation or a named construction."""
+    """Parsed presentation: `parameters` is (vertices, arrows, relations)."""
 
-    def __init__(self, name, construction="dsl", parameters=(),
-                 loewy_cap=DEFAULT_LOEWY_CAP, duality_asserted=False,
-                 order=None):
-        if construction != "dsl" and construction not in CONSTRUCTION_NAMES:
-            raise InvalidParameters(
-                "unknown construction %r" % (construction,))
+    def __init__(self, name, parameters, loewy_cap=DEFAULT_LOEWY_CAP,
+                 duality_asserted=False, order=None):
         self.name = name
-        self.construction = construction
-        self.parameters = _freeze(parameters)
+        self.parameters = parameters
         self.loewy_cap = loewy_cap
         self.duality_asserted = bool(duality_asserted)
         self.order = None if order is None else tuple(order)
 
     def _key(self):
-        return (self.name, self.construction, self.parameters,
-                self.loewy_cap, self.duality_asserted, self.order)
+        return (self.name, self.parameters, self.loewy_cap,
+                self.duality_asserted, self.order)
 
     def __eq__(self, other):
         return isinstance(other, AlgebraSpec) and self._key() == other._key()
@@ -60,15 +48,12 @@ class AlgebraSpec:
         return hash(self._key())
 
     def __repr__(self):
-        return "AlgebraSpec(%r, %r)" % (self.name, self.construction)
+        return "AlgebraSpec(%r)" % (self.name,)
 
     def build(self):
         """The algebra this spec describes."""
-        if self.construction != "dsl":
-            return build_named(self.construction, self.parameters,
-                               self.loewy_cap)
         verts, arrows, rels = self.parameters
-        q = Quiver(list(verts), [tuple(ar) for ar in arrows])
+        q = Quiver(verts, arrows)
         relations = [combination_relation(q, [(c, list(w)) for c, w in combo])
                      for combo in rels]
         return build_algebra(q, relations, loewy_cap=self.loewy_cap)
@@ -259,7 +244,7 @@ def parse_algebra_dsl(text):
     if vertices is None:
         raise ParseError("missing vertices line", 1, 1)
     return AlgebraSpec(
-        name, "dsl", (tuple(vertices), tuple(arrows), tuple(relations)),
+        name, (tuple(vertices), tuple(arrows), tuple(relations)),
         DEFAULT_LOEWY_CAP if loewy_cap is None else loewy_cap,
         duality, order)
 
@@ -275,9 +260,7 @@ def _term_str(coeff, word, lead):
 
 
 def pretty_print(spec):
-    """Canonical text for an explicit spec; reparses to an equal spec."""
-    if spec.construction != "dsl":
-        raise NotApplicable("only explicit presentations have a text form")
+    """Canonical text for a spec; reparses to an equal spec."""
     verts, arrows, rels = spec.parameters
     lines = ["algebra %s" % spec.name,
              "vertices %s" % " ".join(str(v) for v in verts)]

@@ -18,9 +18,9 @@ from .algebra import (
     Quiver, build_algebra, combination_relation, monomial_relation,
 )
 from .errors import (
-    CertificateFailure, NotApplicable, NotAuslanderGorenstein,
-    NotGorensteinCertified, NotStratified, NotTilting, PreconditionFailed,
-    TooManyVertices,
+    CertificateFailure, InvalidParameters, NotApplicable,
+    NotAuslanderGorenstein, NotGorensteinCertified, NotStratified,
+    NotTilting, PreconditionFailed, TooManyVertices,
 )
 from .homology import (
     cosyzygy, ext1_cocycles, ext_dims, extension_from_cocycle, mueller_domdim,
@@ -794,7 +794,8 @@ def endo_quiver_construction(a, socle_vertices, bound=64):
     vertex per chosen simple, a two-arrow loop through it, zero relations
     against every other arrow, and the socle word as the new loop's value.
     Certified by the dimension formula and a dominant dimension
-    cross-check."""
+    cross-check.  An empty, repeated or unknown socle list is
+    InvalidParameters."""
     if not a.is_symmetric:
         raise PreconditionFailed("construction needs a certified symmetric "
                                  "algebra")
@@ -804,9 +805,13 @@ def endo_quiver_construction(a, socle_vertices, bound=64):
             raise PreconditionFailed(
                 "projective at %r has Loewy length below three" % (v,))
     chosen = sorted(socle_vertices)
-    unknown = [v for v in chosen if v not in a.quiver._vindex]
+    if not chosen:
+        raise InvalidParameters("no socle vertices chosen")
+    if len(set(chosen)) != len(chosen):
+        raise InvalidParameters("repeated socle vertices %r" % (chosen,))
+    unknown = [v for v in chosen if v not in a.quiver.vertices]
     if unknown:
-        raise PreconditionFailed("unknown vertices %r" % (unknown,))
+        raise InvalidParameters("unknown vertices %r" % (unknown,))
     fresh = max(int(v) for v in a.quiver.vertices) + 1
     new_vertex = {v: fresh + k for k, v in enumerate(chosen)}
     verts = list(a.quiver.vertices) + [new_vertex[v] for v in chosen]

@@ -3,10 +3,10 @@ endomorphism ring built from the two-loop local algebra."""
 import pytest
 
 from quiverhom.catalog import (
-    build_named, is_construction_text, klein_endo_algebra, klein_module_pair,
+    is_construction_text, klein_endo_algebra, klein_module_pair,
     parse_construction, verify_endo_presentation,
 )
-from quiverhom.errors import InvalidParameters, ParseError
+from quiverhom.errors import ParseError
 from quiverhom.homology import mueller_domdim, syzygy
 from quiverhom.invariants import (
     algebra_dominant_dimension, gendo_gorenstein_check, gorenstein_dimension,
@@ -75,28 +75,20 @@ def test_endo_stratification(endo):
     assert conj["verdict"] == "conjecture consistent"
 
 
-def test_build_named_dimensions():
-    cases = [
-        ("kupisch", (2, 2, 3), 7),
-        ("bnlambda", (3, (1,)), 9),
-        ("symmetric_chain", (2,), 6),
-        ("klein_four", (), 4),
-        ("endo-of", ("klein_four", (), (1,)), 7),
-    ]
-    for name, params, dim in cases:
-        assert build_named(name, params).dim == dim
-    with pytest.raises(InvalidParameters):
-        build_named("group_algebra")
-    with pytest.raises(InvalidParameters):
-        build_named("klein_four", (3,))
-
-
 def test_parse_construction_shorthand():
-    assert parse_construction("kupisch:2,2,3").dim == 7
-    assert parse_construction("bnlambda:3,1").dim == 9
-    assert parse_construction("endo-of:symmetric_chain:2@2").dim == 9
+    cases = [
+        ("kupisch:2,2,3", 7),
+        ("bnlambda:3,1", 9),
+        ("symmetric_chain:2", 6),
+        ("klein_four", 4),
+        ("endo-of:klein_four@1", 7),
+        ("endo-of:symmetric_chain:2@2", 9),
+    ]
+    for text, dim in cases:
+        assert parse_construction(text).dim == dim, text
     assert is_construction_text("kupisch:4,5,5")
     assert not is_construction_text("some/path.alg")
-    for bad in ("unknown:1", "bnlambda", "endo-of:klein_four", "kupisch:a,b"):
+    for bad in ("unknown:1", "bnlambda", "endo-of:klein_four", "kupisch:a,b",
+                "klein_four:3", "symmetric_chain", "endo-of"):
         with pytest.raises(ParseError):
             parse_construction(bad)

@@ -214,11 +214,34 @@ def test_negative_level_is_a_usage_error():
 
 
 def test_bad_shorthand_is_a_parse_error(capsys):
-    for text in ("kupisch:", "kupisch:2,5", "bnlambda:3,2"):
+    cases = [
+        ("kupisch:", "empty series"),
+        ("kupisch:2,5", "entry 2 drops by more than one after position 1"),
+        ("bnlambda:3,2", "twist parameters must be 0 or 1"),
+        ("bnlambda:1", "family needs at least two vertices"),
+        ("bnlambda", "bnlambda needs a vertex count"),
+        ("klein_four:3", "klein_four takes no parameters"),
+        ("symmetric_chain", "symmetric_chain takes one vertex count"),
+        ("symmetric_chain:1", "chain needs at least two vertices"),
+        ("endo-of", "endo-of takes a base name, base parameters and socle "
+                    "vertices"),
+        ("endo-of:klein_four", "endo-of needs '@' before the socle vertices"),
+        ("endo-of:unknown:1@1", "unknown construction 'unknown'"),
+        ("kupisch:a,b", "expected comma-separated integers, got 'a,b'"),
+    ]
+    for text, message in cases:
+        assert cli.main(["analyze", text]) == 2, text
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "parse error: %s\n" % message, text
+    # a bad socle list is malformed input, not a failed computation
+    for text in ("endo-of:klein_four@", "endo-of:klein_four@1,1",
+                 "endo-of:klein_four@9"):
         assert cli.main(["analyze", text]) == 2, text
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("parse error:"), text
+        assert "Traceback" not in captured.err, text
 
 
 def test_computational_failure_exits_one():

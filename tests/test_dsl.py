@@ -3,8 +3,8 @@ a transcribed presentation and the built-in construction it describes."""
 import pytest
 
 from quiverhom.algebra import bnlambda_family
-from quiverhom.dsl import AlgebraSpec, parse_algebra_dsl, pretty_print
-from quiverhom.errors import NotApplicable, ParseError
+from quiverhom.dsl import parse_algebra_dsl, pretty_print
+from quiverhom.errors import ParseError
 
 
 def _word(quiver, p):
@@ -86,14 +86,13 @@ def test_transcription_matches_builtin_construction():
                 ref.multiply(ref.basis_element(i), ref.basis_element(j))
 
 
-def test_spec_equality_and_named_constructions():
-    s1 = AlgebraSpec("n", "kupisch", (2, 2, 3))
-    s2 = AlgebraSpec("n", "kupisch", [2, 2, 3])
+def test_two_parses_of_the_same_text_are_equal():
+    s1 = parse_algebra_dsl(TWO_WAY_3)
+    s2 = parse_algebra_dsl(TWO_WAY_3)
+    assert s1 is not s2
     assert s1 == s2 and hash(s1) == hash(s2)
-    assert s1.build().dim == 7
-    assert AlgebraSpec("k", "klein_four").build().dim == 4
-    with pytest.raises(NotApplicable):
-        pretty_print(s1)
+    assert s1 != parse_algebra_dsl(TWO_WAY_3.replace("loewy_cap 4",
+                                                     "loewy_cap 5"))
 
 
 @pytest.mark.parametrize("text,line,col,frag", [

@@ -13,8 +13,8 @@ from quiverhom.algebra import (
 from quiverhom.catalog import klein_endo_algebra, parse_construction
 from quiverhom.dsl import parse_algebra_dsl
 from quiverhom.errors import (
-    CertificateFailure, DecompositionInconclusive, NotApplicable,
-    NotStratified, PreconditionFailed, TooManyVertices,
+    CertificateFailure, DecompositionInconclusive, InvalidParameters,
+    NotApplicable, NotStratified, PreconditionFailed, TooManyVertices,
 )
 from quiverhom.homology import ext_dim
 from quiverhom.invariants import (
@@ -542,6 +542,13 @@ def test_endo_extension_quiver_shape():
 def test_endo_extension_needs_symmetric_base():
     with pytest.raises(PreconditionFailed):
         endo_quiver_construction(bnlambda_family(3, (1,)), [3])
+
+
+def test_endo_extension_refuses_bad_socle_lists():
+    base = klein_four_like()
+    for socs in ([], [1, 1], [9]):
+        with pytest.raises(InvalidParameters):
+            endo_quiver_construction(base, socs)
 
 
 def test_error_paths(a223):
