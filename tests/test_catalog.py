@@ -75,20 +75,26 @@ def test_endo_stratification(endo):
     assert conj["verdict"] == "conjecture consistent"
 
 
-def test_parse_construction_shorthand():
+def test_build_named_dimensions():
     cases = [
         ("kupisch:2,2,3", 7),
         ("bnlambda:3,1", 9),
         ("symmetric_chain:2", 6),
         ("klein_four", 4),
         ("endo-of:klein_four@1", 7),
-        ("endo-of:symmetric_chain:2@2", 9),
     ]
     for text, dim in cases:
         assert parse_construction(text).dim == dim, text
+    for bad in ("group_algebra", "klein_four:3"):
+        with pytest.raises(ParseError):
+            parse_construction(bad)
+
+
+def test_parse_construction_shorthand():
+    assert parse_construction("endo-of:symmetric_chain:2@2").dim == 9
     assert is_construction_text("kupisch:4,5,5")
     assert not is_construction_text("some/path.alg")
     for bad in ("unknown:1", "bnlambda", "endo-of:klein_four", "kupisch:a,b",
-                "klein_four:3", "symmetric_chain", "endo-of"):
+                "symmetric_chain", "endo-of"):
         with pytest.raises(ParseError):
             parse_construction(bad)
