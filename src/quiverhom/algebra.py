@@ -223,7 +223,6 @@ class BoundQuiverAlgebra:
         self.dim = len(self.basis)
         self.mult = mult
         self._index = {p.key(): i for i, p in enumerate(self.basis)}
-        self.max_basis_length = max((len(p) for p in self.basis), default=0)
         self._idem = {v: self._index[(v, ())] for v in quiver.vertices}
         self._arrow_basis = {a.index: self._index[(a.source, (a.index,))]
                              for a in quiver.arrows}
@@ -236,9 +235,6 @@ class BoundQuiverAlgebra:
 
     def idempotent(self, v):
         return {self._idem[v]: 1}
-
-    def one(self):
-        return {i: 1 for i in self._idem.values()}
 
     def arrow_element(self, name):
         a = self.quiver.arrow(name)

@@ -148,19 +148,17 @@ def _cmd_tilting(args):
     spec, a, echo = _load(args.input)
     order = _pick_order(args, spec, a) or tuple(sorted(a.quiver.vertices))
     st = classify_stratification(a, order, duality_asserted=_duality(spec))
-    t = characteristic_tilting(a, st, args.bound)
-    st.tilting = t
+    t = characteristic_tilting(st, args.bound)
     rep = _base(args, "tilting", echo)
     rep["order"] = list(order)
     rep["route"] = t.route
     rep["projdim"] = t.projdim
     rep["summands"] = [s.dim_vector() for s in t.summands]
-    rep["verification"] = verify_tilting(a, t.module, args.bound)
+    rep["verification"] = verify_tilting(t.module, args.bound)
     if _duality(spec):
-        ct = characteristic_cotilting(a, st, args.bound)
-        st.cotilting = ct
+        ct = characteristic_cotilting(st, args.bound)
         rep["cotilting_summands"] = [s.dim_vector() for s in ct.summands]
-        rep["conjecture"] = tilting_conjecture_report(a, st, args.bound)
+        rep["conjecture"] = tilting_conjecture_report(st, args.bound)
     return rep, 0
 
 

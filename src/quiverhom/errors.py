@@ -11,7 +11,8 @@ class QuiverhomError(Exception):
 
 
 class BoundExceeded(QuiverhomError):
-    """No truncation level closed the algebra below the requested cap."""
+    """A bound cut the computation off before it decided, e.g. no
+    truncation level closed the algebra below the requested cap."""
 
 
 class InvalidSeries(QuiverhomError):

@@ -430,9 +430,10 @@ def tau_minus(m):
 
 # -- endomorphism-side dominant dimension ----------------------------------
 
-def generator_cogenerator_check(algebra, m):
-    """Certify that the regular module plus m contains every injective up
-    to isomorphism; raises NotGeneratorCogenerator otherwise."""
+def generator_cogenerator_check(m):
+    """Certify that the regular module of m's algebra plus m contains every
+    injective up to isomorphism; raises NotGeneratorCogenerator otherwise."""
+    algebra = m.algebra
     parts = decompose(m) if not m.is_zero() else []
     pool = [projective_rep(algebra, v) for v in algebra.quiver.vertices] + parts
     for v in algebra.quiver.vertices:
@@ -442,11 +443,11 @@ def generator_cogenerator_check(algebra, m):
                 "injective at %r is not a summand" % (v,))
 
 
-def mueller_domdim(algebra, m, bound=16):
+def mueller_domdim(m, bound=16):
     """Dominant dimension of the endomorphism algebra of (regular + m),
     read off from self-extension vanishing of the generator-cogenerator."""
-    generator_cogenerator_check(algebra, m)
-    g = direct_sum([regular_rep(algebra), m])
+    generator_cogenerator_check(m)
+    g = direct_sum([regular_rep(m.algebra), m])
     for i in range(1, bound + 1):
         if ext_dims(m, g, i)[i]:
             return Dim.exact(i + 1)

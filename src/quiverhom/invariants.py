@@ -201,17 +201,17 @@ def minimal_faithful_projinj(algebra, bound=64):
     return verts, ea
 
 
-def gendo_gorenstein_check(algebra, n, bound=64):
-    """For a certified symmetric algebra and a module n making the regular
+def gendo_gorenstein_check(n, bound=64):
+    """For a module n over a certified symmetric algebra making the regular
     module plus n a generator-cogenerator: read the first nonvanishing
     self-extension degree k of the pair off homology.mueller_domdim, which
     certifies the generator-cogenerator and returns k + 1, certify the
     (k+1)-th syzygy of n is isomorphic to n, and return k+1, the common
     dominant and Gorenstein dimension of the endomorphism algebra of the
     pair."""
-    if not algebra.is_symmetric:
+    if not n.algebra.is_symmetric:
         raise NotApplicable("needs a certified symmetric algebra")
-    d = mueller_domdim(algebra, n, bound)
+    d = mueller_domdim(n, bound)
     if not d.is_exact:
         raise CertificateFailure(
             "no self-extension found within bound; cannot certify")

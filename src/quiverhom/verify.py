@@ -125,22 +125,20 @@ def _klein_gendo(bound):
     a, xa = klein_module_pair()
     c.hold("second syzygy of the loop submodule is itself",
            iso_test(syzygy(xa, 2), xa).is_iso)
-    c.expect("generator self-orthogonality gap", gendo_gorenstein_check(a, xa),
-             2)
+    c.expect("generator self-orthogonality gap", gendo_gorenstein_check(xa), 2)
     pair = direct_sum([regular_rep(a), xa])
     c.expect("endo dominant dimension via hom-vanishing",
-             mueller_domdim(a, pair, bound), Dim.exact(2))
+             mueller_domdim(pair, bound), Dim.exact(2))
     b = klein_endo_algebra()
     cert = verify_endo_presentation(b)
     c.expect("endo ring dimension", (b.dim, cert["hom_dim"], cert["rank"]),
              (10, 10, 10))
     st = classify_stratification(b, (1, 2), duality_asserted=True)
     c.hold("properly stratified with duality", st.properly_stratified)
-    st.tilting = characteristic_tilting(b, st, bound)
-    out = verify_duality_consequences(b, st, bound=bound)
+    out = verify_duality_consequences(st, bound=bound)
     c.expect("proper filtration = dominant = Gorenstein class",
              (out["m"], out["gordim"], out["agree"]), (1, 2, True))
-    conj = tilting_conjecture_report(b, st, bound)
+    conj = tilting_conjecture_report(st, bound)
     c.expect("tilting/cotilting consistency", conj["verdict"],
              "conjecture consistent")
     return c
@@ -224,13 +222,12 @@ def _two_way_tower(n, bound):
     st = classify_stratification(b, tuple(range(1, n + 1)),
                                  duality_asserted=True)
     c.hold("quasi-hereditary with duality", st.quasi_hereditary)
-    t = characteristic_tilting(b, st, bound)
-    st.tilting = t
+    t = characteristic_tilting(st, bound)
     c.expect("tilting projective dimension", t.projdim, n - 1)
     pins = [projective_rep(b, v) for v in injective_projective_vertices(b)]
     c.hold("tilting = faithful projective-injective plus one simple",
            same_add_closure(t.summands, pins + [simple_rep(b, 1)]))
-    out = verify_duality_consequences(b, st, bound=bound)
+    out = verify_duality_consequences(st, bound=bound)
     c.expect("gldim is twice the tilting projective dimension",
              out.get("gldim"), 2 * (n - 1))
     m = n - 1
@@ -254,7 +251,7 @@ def _chain_endo(n, bound):
     got = algebra_dominant_dimension(out, bound)
     pair = direct_sum([regular_rep(base), simple_rep(base, soc)])
     c.expect("endo dominant dimension = hom-vanishing bound", got,
-             mueller_domdim(base, pair, bound))
+             mueller_domdim(pair, bound))
     c.expect("value", got, Dim.exact(2 * n - 2))
     return c
 
@@ -450,8 +447,8 @@ def _stratified_gorenstein(bound):
         if not c.hold("%s: properly stratified" % name,
                       st.properly_stratified):
             continue
-        t = characteristic_tilting(a, st, bound)
-        ct = characteristic_cotilting(a, st, bound)
+        t = characteristic_tilting(st, bound)
+        ct = characteristic_cotilting(st, bound)
         if not c.hold("%s: tilting = cotilting" % name,
                       same_add_closure(t.summands, ct.summands)):
             continue

@@ -58,6 +58,9 @@ COMMANDS = [
     ("tilting-bnlambda-3-1", ["tilting", "bnlambda:3,1"], ""),
     ("relar-kupisch-4-5", ["relar", "kupisch:4,5"], ""),
     ("analyze-stdin-two-way-chain-3", ["analyze", "-"], TWO_WAY_3),
+    # the one command through characteristic_cotilting and
+    # tilting_conjecture_report: the chain asserts its duality
+    ("tilting-stdin-two-way-chain-3", ["tilting", "-"], TWO_WAY_3),
     ("analyze-kupisch-4-5-5-bound-0",
      ["analyze", "kupisch:4,5,5", "--bound", "0"], ""),
     ("tilting-bnlambda-4-1-1", ["tilting", "bnlambda:4,1,1"], ""),

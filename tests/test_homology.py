@@ -313,9 +313,9 @@ def test_split_sequence_detected(a21):
 def test_mueller_on_symmetric_local_algebra(klein):
     reg = regular_rep(klein)
     xa, _ = cyclic_submodule(reg, 1, [0, 1, 0, 0])
-    assert mueller_domdim(klein, xa) == Dim.exact(2)
+    assert mueller_domdim(xa) == Dim.exact(2)
 
 
 def test_generator_cogenerator_check_rejects(a223):
     with pytest.raises(NotGeneratorCogenerator):
-        generator_cogenerator_check(a223, simple_rep(a223, 0))
+        generator_cogenerator_check(simple_rep(a223, 0))

@@ -13,8 +13,9 @@ from quiverhom.algebra import (
 from quiverhom.catalog import klein_endo_algebra, parse_construction
 from quiverhom.dsl import parse_algebra_dsl
 from quiverhom.errors import (
-    CertificateFailure, DecompositionInconclusive, InvalidParameters,
-    NotApplicable, NotStratified, PreconditionFailed, TooManyVertices,
+    BoundExceeded, CertificateFailure, DecompositionInconclusive,
+    InvalidParameters, NotApplicable, NotStratified, PreconditionFailed,
+    TooManyVertices,
 )
 from quiverhom.homology import ext_dim
 from quiverhom.invariants import (
@@ -28,7 +29,7 @@ from quiverhom.modules import (
 from quiverhom.stratify import (
     characteristic_cotilting, characteristic_tilting, classify_stratification,
     endo_quiver_construction, filtration_test, same_add_closure, search_orders,
-    standard_modules, tilting_conjecture_report, verify_duality_consequences,
+    tilting_conjecture_report, verify_duality_consequences,
     verify_main_equivalences, verify_tilting,
 )
 from quiverhom.values import Dim
@@ -107,38 +108,38 @@ def test_filtration_matches_ext_vanishing_oracle(a223, st223, b31, st31):
             assert in_fdb == no_ext
 
 
-def test_characteristic_tilting_223(a223, st223):
-    t = characteristic_tilting(a223, st223)
+def test_characteristic_tilting_223(st223):
+    t = characteristic_tilting(st223)
     assert t.route == "cosyzygy"
     assert t.projdim == 2
     assert sorted(s.dim_vector() for s in t.summands) == [
         (0, 1, 0), (0, 1, 1), (1, 1, 1)]
-    c = characteristic_cotilting(a223, st223)
+    c = characteristic_cotilting(st223)
     assert same_add_closure(t.summands, c.summands)
 
 
-def test_main_equivalences_223(a223, st223):
-    out = verify_main_equivalences(a223, st223)
+def test_main_equivalences_223(st223):
+    out = verify_main_equivalences(st223)
     assert (out["r"], out["i"]) == (3, 2)
     assert out["conditions"] == (True, True, True, True)
     assert out["holds"] and out["agree"]
     assert len(out["modules"]) == 7
 
 
-def test_tilting_conjecture_223(a223, st223):
-    out = tilting_conjecture_report(a223, st223)
+def test_tilting_conjecture_223(st223):
+    out = tilting_conjecture_report(st223)
     assert out == {"gorenstein": True, "tilting_equals_cotilting": True,
                    "verdict": "conjecture consistent"}
 
 
 def test_regular_and_coregular_are_tilting_223(a223):
-    rep = verify_tilting(a223, regular_rep(a223))
+    rep = verify_tilting(regular_rep(a223))
     assert rep["tilting"] and rep["cotilting"]
     assert rep["projdim"] == Dim.exact(0)
     assert rep["injdim"] == Dim.exact(3)
     assert rep["coresolution_length"] == 1
     da = dualize(regular_rep(a223.opposite_algebra()))
-    rep = verify_tilting(a223, da)
+    rep = verify_tilting(da)
     assert rep["tilting"] and rep["cotilting"]
     assert rep["projdim"] == Dim.exact(3)
     assert rep["injdim"] == Dim.exact(0)
@@ -164,12 +165,12 @@ def _tower(n):
 def _reference_rows(a):
     """search_orders as the trace recursion runs order by order: the
     regular module through _filt_core, cross-checked against the families
-    of standard_modules."""
+    of classify_stratification."""
     op = a.opposite_algebra()
     reg = regular_rep(a)
     rows = []
     for perm in permutations(sorted(a.quiver.vertices)):
-        st = standard_modules(a, perm)
+        st = classify_stratification(a, perm)
         ss = filtration_test(reg, "deltabar", st)[0]
         op_ok = stratify._filt_core(regular_rep(op), op, perm, True)[0]
         rows.append({
@@ -359,7 +360,7 @@ def test_filtrations_match_the_quotient_tower_walk(build):
               else [tuple(verts), tuple(reversed(verts))])
     mods = [m for _, m in canonical_test_set(a)]
     for order in orders:
-        st = standard_modules(a, order)
+        st = classify_stratification(a, order)
         for m in mods:
             for family in stratify.FAMILIES:
                 side, probe = ((op, dualize(m)) if family.startswith("nabla")
@@ -416,7 +417,7 @@ def test_inconclusive_iso_is_never_a_negative(monkeypatch):
     with pytest.raises(DecompositionInconclusive):
         stratify._basic_parts([x, y])
     with pytest.raises(DecompositionInconclusive):
-        stratify._extension_route(a, st, 64)
+        stratify._extension_route(st, 64)
     # Y+X after X+Y in the test set is neither dropped nor kept on an
     # undecided test
     with pytest.raises(DecompositionInconclusive):
@@ -437,9 +438,9 @@ def test_extension_route_agrees_with_the_cosyzygy_route(build, order):
     # tilting module: same projective dimension, same summands up to iso
     a = build()
     st = classify_stratification(a, order)
-    cos = stratify._ag_route(a, st, auslander_gorenstein_parameter(a), 64)
+    cos = stratify._ag_route(st, auslander_gorenstein_parameter(a), 64)
     assert cos is not None and cos.route == "cosyzygy"
-    ext = stratify._extension_route(a, st, 64)
+    ext = stratify._extension_route(st, 64)
     assert (ext.route, ext.projdim) == ("extension", cos.projdim)
     assert same_add_closure(ext.summands, cos.summands)
 
@@ -458,10 +459,10 @@ def test_extension_route_builds_the_tilting_module(spec, projdim, dims):
     assert algebra_dominant_dimension(a) == Dim.exact(0)
     st = classify_stratification(a, tuple(sorted(a.quiver.vertices)))
     assert st.quasi_hereditary
-    t = characteristic_tilting(a, st)
+    t = characteristic_tilting(st)
     assert (t.route, t.projdim) == ("extension", projdim)
     assert [s.dim_vector() for s in t.summands] == dims
-    rep = verify_tilting(a, t.module)
+    rep = verify_tilting(t.module)
     assert rep["tilting"] and rep["cotilting"]
     assert rep["projdim"] == Dim.exact(projdim)
 
@@ -473,11 +474,11 @@ def test_extension_route_bound_caps_the_extensions():
     st = classify_stratification(a, (1, 2, 3))
     for bound, v in ((0, 2), (1, 3)):
         with pytest.raises(CertificateFailure) as err:
-            stratify._extension_route(a, st, bound)
+            stratify._extension_route(st, bound)
         assert str(err.value) == ("universal extensions at %d did not "
                                   "stabilize within bound %d" % (v, bound))
     for bound in (2, 3):
-        t = stratify._extension_route(a, st, bound)
+        t = stratify._extension_route(st, bound)
         assert [s.dim_vector() for s in t.summands] == \
             [(1, 0, 0), (2, 1, 0), (2, 2, 1)]
 
@@ -499,21 +500,21 @@ def test_classification_flags_b31(st31):
 
 
 def test_characteristic_tilting_b31(b31, st31):
-    t = characteristic_tilting(b31, st31)
+    t = characteristic_tilting(st31)
     assert t.projdim == 2
     assert sorted(s.dim_vector() for s in t.summands) == [
         (1, 0, 0), (1, 2, 1), (2, 1, 0)]
     simple = [s for s in t.summands if sum(s.dim_vector()) == 1]
     assert len(simple) == 1
     assert iso_test(simple[0], simple_rep(b31, 1)).is_iso
-    rep = verify_tilting(b31, t.module)
+    rep = verify_tilting(t.module)
     assert rep["tilting"] and rep["cotilting"]
     assert rep["projdim"] == Dim.exact(2)
     assert rep["coresolution_length"] == 3
 
 
-def test_duality_consequences_b31(b31, st31):
-    out = verify_duality_consequences(b31, st31)
+def test_duality_consequences_b31(st31):
+    out = verify_duality_consequences(st31)
     assert (out["m"], out["gordim"], out["gldim"]) == (2, 4, 4)
     assert out["agree"]
     assert len(out["modules"]) == 11
@@ -544,6 +545,26 @@ def test_endo_extension_needs_symmetric_base():
         endo_quiver_construction(bnlambda_family(3, (1,)), [3])
 
 
+def test_endo_cross_check_tells_a_cut_off_from_a_contradiction(monkeypatch):
+    # the endomorphism side has dominant dimension 6; below bound 6 one or
+    # both values are floors the other can meet, which is no contradiction
+    base = symmetric_chain_family(3)
+    for bound in range(6):
+        with pytest.raises(BoundExceeded) as err:
+            endo_quiver_construction(base, [3], bound=bound)
+        assert str(err.value).startswith("bound %d cut " % bound)
+    assert str(err.value) == ("bound 5 cut the dominant dimension "
+                              "cross-check off: >=5 vs 6")
+    for bound in (6, 64):
+        assert endo_quiver_construction(base, [3], bound=bound).dim == 13
+    for wrong in (Dim.exact(5), Dim.at_least(7)):
+        monkeypatch.setattr(stratify, "mueller_domdim",
+                            lambda *args, wrong=wrong: wrong)
+        with pytest.raises(CertificateFailure,
+                           match="^dominant dimension cross-check failed"):
+            endo_quiver_construction(base, [3])
+
+
 def test_endo_extension_refuses_bad_socle_lists():
     base = klein_four_like()
     for socs in ([], [1, 1], [9]):
@@ -551,16 +572,43 @@ def test_endo_extension_refuses_bad_socle_lists():
             endo_quiver_construction(base, socs)
 
 
+def test_tilting_modules_are_built_once_per_stratification(monkeypatch, a223):
+    # each route builds at most once for a StratData, and the opposite
+    # order is classified once, however often the modules are asked for
+    st = classify_stratification(a223, (1, 2, 0))
+    built = []
+    for name in ("_ag_route", "_extension_route"):
+        def once(strat, *args, name=name, route=getattr(stratify, name)):
+            assert (name, strat) not in built, "%s ran again" % name
+            built.append((name, strat))
+            return route(strat, *args)
+        monkeypatch.setattr(stratify, name, once)
+    classified = []
+
+    def classify(a, order):
+        classified.append(a)
+        return classify_stratification(a, order)
+    monkeypatch.setattr(stratify, "classify_stratification", classify)
+    t = characteristic_tilting(st)
+    assert characteristic_tilting(st) is t
+    c = characteristic_cotilting(st)
+    assert characteristic_cotilting(st) is c
+    assert tilting_conjecture_report(st)["tilting_equals_cotilting"]
+    assert (st.tilting, st.cotilting) == (t, c)
+    assert classified == [a223.opposite_algebra()]
+    assert len(built) == 2
+
+
 def test_error_paths(a223):
     with pytest.raises(NotApplicable):
-        standard_modules(a223, (0, 1))
+        classify_stratification(a223, (0, 1))
     a455 = nakayama_from_kupisch([4, 5, 5])
     bad = classify_stratification(a455, (0, 1, 2))
     assert not bad.standardly_stratified
     with pytest.raises(NotStratified):
-        characteristic_tilting(a455, bad)
+        characteristic_tilting(bad)
     with pytest.raises(NotApplicable):
-        verify_main_equivalences(a455, bad)
+        verify_main_equivalences(bad)
     with pytest.raises(CertificateFailure):
         classify_stratification(a223, (1, 2, 0), duality_asserted=True)
     with pytest.raises(TooManyVertices):
