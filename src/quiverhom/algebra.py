@@ -19,6 +19,8 @@ rewritten in terms of strictly smaller ones and the basis is deterministic.
 """
 from __future__ import annotations
 
+from functools import wraps
+
 from .errors import (
     BoundExceeded, CertificateFailure, InvalidParameters, InvalidSeries,
     QuotientCollapse,
@@ -203,6 +205,29 @@ def combination_relation(quiver, combo):
     return Relation([(c, quiver.path_from_names(names)) for c, names in combo])
 
 
+def memo(fn):
+    """Compute fn(owner, ...) once per owner and arguments.
+
+    The value is kept in owner._cache under (fn.__name__,) + args, with the
+    sorted keyword items appended as one more entry when there are any, for
+    as long as the owner lives.  The arguments must be hashable.  A miss
+    calls the undecorated function through cached.__wrapped__."""
+    name = fn.__name__
+
+    @wraps(fn)
+    def cached(owner, *args, **kwargs):
+        key = (name,) + args
+        if kwargs:
+            key += (tuple(sorted(kwargs.items())),)
+        cache = owner._cache
+        try:
+            return cache[key]
+        except KeyError:
+            value = cache[key] = cached.__wrapped__(owner, *args, **kwargs)
+            return value
+    return cached
+
+
 class BoundQuiverAlgebra:
     """Finite-dimensional path algebra modulo an admissible ideal.
 
@@ -228,7 +253,6 @@ class BoundQuiverAlgebra:
                              for a in quiver.arrows}
         self._opposite = None
         self._quotients = {}
-        self._symform = False  # sentinel: not yet computed
         self._cache = {}
 
     # -- elements ----------------------------------------------------------
@@ -294,6 +318,7 @@ class BoundQuiverAlgebra:
 
     # -- symmetric structure ----------------------------------------------
 
+    @memo
     def symmetric_form(self):
         """Linear functional L with L(xy) = L(yx) and nondegenerate pairing
         (x, y) -> L(xy), or None if the search finds none.
@@ -304,8 +329,6 @@ class BoundQuiverAlgebra:
         SEARCH_SEED, are tried.  A returned functional is a certificate;
         None is only a failed search.
         """
-        if self._symform is not False:
-            return self._symform
         n = self.dim
         rows = []
         for i in range(n):
@@ -325,7 +348,6 @@ class BoundQuiverAlgebra:
             space = right_kernel(Matrix(rows, len(rows), n))
         else:
             space = Matrix.identity(n)
-        result = None
         cands = [space.column(j) for j in range(space.ncols)]
         for lam in seeded_combinations(cands, SEARCH_BUDGET, SEARCH_SEED):
             gram = []
@@ -337,10 +359,8 @@ class BoundQuiverAlgebra:
                         row[j] = sum(c * lam[k] for k, c in prod.items())
                 gram.append(row)
             if rank(Matrix(gram, n, n)) == n:
-                result = tuple(lam)
-                break
-        self._symform = result
-        return result
+                return tuple(lam)
+        return None
 
     @property
     def is_symmetric(self):

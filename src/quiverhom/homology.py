@@ -45,7 +45,7 @@ def projective_cover(m):
                 row = [0] * m.dims[v]
                 row[c] = 1
                 images.append(row)
-    P = projective_from_vertices(m.algebra, verts)
+    P = projective_from_vertices(m.algebra, tuple(verts))
     f = projective_map(P, m, images)
     if not f.is_surjective():
         raise CertificateFailure("cover misses part of the module")
@@ -154,9 +154,7 @@ def syzygy(m, i):
 
 
 def is_projective(m):
-    if "is_proj" not in m._cache:
-        m._cache["is_proj"] = syzygy(m, 1).is_zero()
-    return m._cache["is_proj"]
+    return syzygy(m, 1).is_zero()
 
 
 def cosyzygy(m, i):
@@ -402,8 +400,8 @@ def transpose_of(m):
     res = projective_resolution(m)
     P0, P1 = res.term(0), res.term(1)
     ents = res.presentation(1)
-    P0op = projective_from_vertices(op, [v for v, _ in P0.proj_gen])
-    P1op = projective_from_vertices(op, [v for v, _ in P1.proj_gen])
+    P0op = projective_from_vertices(op, P0.proj_summand_vertices)
+    P1op = projective_from_vertices(op, P1.proj_summand_vertices)
     pos1 = {w: {ji: r for r, ji in enumerate(P1op.proj_row_paths[w])}
             for w in op.quiver.vertices}
     images = []

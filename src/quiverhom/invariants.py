@@ -8,6 +8,7 @@ terminates inside projectives for the dominant dimension.
 """
 from __future__ import annotations
 
+from .algebra import memo
 from .errors import (
     CertificateFailure, DominantDimensionZero, NotApplicable,
     NotAuslanderGorenstein, NotGorensteinCertified, ZeroModule,
@@ -24,14 +25,12 @@ from .modules import (
 from .values import Dim
 
 
+@memo
 def injective_projective_vertices(algebra):
     """Vertices v, in quiver order, whose indecomposable projective P(v)
     is injective."""
-    if "proj_is_inj" not in algebra._cache:
-        algebra._cache["proj_is_inj"] = tuple(
-            v for v in algebra.quiver.vertices
-            if is_injective_mod(projective_rep(algebra, v)))
-    return algebra._cache["proj_is_inj"]
+    return tuple(v for v in algebra.quiver.vertices
+                 if is_injective_mod(projective_rep(algebra, v)))
 
 
 def dominant_dimension(m, bound=64):
@@ -57,15 +56,12 @@ def codominant_dimension(m, bound=64):
     return dominant_dimension(dualize(m), bound)
 
 
+@memo
 def algebra_dominant_dimension(algebra, bound=64):
     """Dominant dimension of the regular module; minimum over the
     indecomposable projectives."""
-    key = ("algdomdim", bound)
-    if key not in algebra._cache:
-        algebra._cache[key] = Dim.minimum(
-            dominant_dimension(projective_rep(algebra, v), bound)
-            for v in algebra.quiver.vertices)
-    return algebra._cache[key]
+    return Dim.minimum(dominant_dimension(projective_rep(algebra, v), bound)
+                       for v in algebra.quiver.vertices)
 
 
 def projective_dimension(m, bound=64):
@@ -88,34 +84,27 @@ def injective_dimension(m, bound=64):
     return projective_dimension(dualize(m), bound)
 
 
+@memo
 def global_dimension(algebra, bound=64):
-    key = ("gldim", bound)
-    if key not in algebra._cache:
-        algebra._cache[key] = Dim.maximum(
-            projective_dimension(simple_rep(algebra, v), bound)
-            for v in algebra.quiver.vertices)
-    return algebra._cache[key]
+    return Dim.maximum(projective_dimension(simple_rep(algebra, v), bound)
+                       for v in algebra.quiver.vertices)
 
 
 def is_selfinjective(algebra):
     return injective_projective_vertices(algebra) == algebra.quiver.vertices
 
 
+@memo
 def gorenstein_dimension(algebra, bound=64):
     """(right self-injective dimension, left one, certified-Gorenstein
     flag); when both sides are exact they must agree."""
-    key = ("gordim", bound)
-    if key in algebra._cache:
-        return algebra._cache[key]
     right = injective_dimension(regular_rep(algebra), bound)
     left = injective_dimension(regular_rep(algebra.opposite_algebra()), bound)
     flag = right.is_exact and left.is_exact
     if flag and right.n != left.n:
         raise CertificateFailure(
             "one-sided self-injective dimensions disagree: %s vs %s" % (right, left))
-    out = (right, left, flag)
-    algebra._cache[key] = out
-    return out
+    return right, left, flag
 
 
 def certified_gorenstein_dimension(algebra, bound=64):

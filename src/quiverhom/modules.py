@@ -15,6 +15,7 @@ from fractions import Fraction
 from itertools import islice
 from math import comb, gcd, isqrt, lcm
 
+from .algebra import memo
 from .errors import (
     CertificateFailure, DecompositionInconclusive, InvalidParameters,
 )
@@ -159,19 +160,18 @@ def zero_rep(algebra):
     return Representation(algebra, {}, {}, validate=False)
 
 
+@memo
 def simple_rep(algebra, v):
-    key = ("simple", v)
-    if key not in algebra._cache:
-        algebra._cache[key] = Representation(algebra, {v: 1}, {})
-    return algebra._cache[key]
+    return Representation(algebra, {v: 1}, {})
 
 
+@memo
 def projective_from_vertices(algebra, verts):
-    """Direct sum of the projectives at the listed vertices, with the path
-    basis recorded row by row so maps out of it can be written down from
-    generator images alone.  Built once per vertex tuple and cached on the
-    algebra; nothing changes a projective after it is built, so every
-    caller shares the module and its caches.
+    """Direct sum of the projectives at the vertices of the tuple verts,
+    with the path basis recorded row by row so maps out of it can be
+    written down from generator images alone.  Built once per vertex tuple
+    and cached on the algebra; nothing changes a projective after it is
+    built, so every caller shares the module and its caches.
 
     Relations are checked on the single-vertex projectives only.  A sum of
     several is not checked: at each vertex its rows are grouped by summand
@@ -179,10 +179,6 @@ def projective_from_vertices(algebra, verts):
     rows of summand j into those of summand j by P(v_j)'s own matrix.  So
     every arrow matrix is block-diagonal in the checked P(v_j), and every
     relation holds summand by summand, as in direct_sum."""
-    verts = tuple(verts)
-    key = ("projsum", verts)
-    if key in algebra._cache:
-        return algebra._cache[key]
     if len(verts) > 1:
         for v in verts:
             projective_rep(algebra, v)
@@ -209,12 +205,11 @@ def projective_from_vertices(algebra, verts):
     rep.proj_summand_vertices = verts
     rep.proj_row_paths = row_paths
     rep.proj_gen = [(v, pos[v][(j, algebra._idem[v])]) for j, v in enumerate(verts)]
-    algebra._cache[key] = rep
     return rep
 
 
 def projective_rep(algebra, v):
-    return projective_from_vertices(algebra, [v])
+    return projective_from_vertices(algebra, (v,))
 
 
 def regular_rep(algebra):
@@ -222,11 +217,9 @@ def regular_rep(algebra):
 
 
 def injective_rep(algebra, v):
-    key = ("inj", v)
-    if key not in algebra._cache:
-        op = algebra.opposite_algebra()
-        algebra._cache[key] = dualize(projective_rep(op, v))
-    return algebra._cache[key]
+    """The dual of P(v) over the opposite algebra: that projective is
+    shared and the dual is crosslinked, so every call returns one module."""
+    return dualize(projective_rep(algebra.opposite_algebra(), v))
 
 
 def projective_map(proj, target, images):
@@ -503,12 +496,8 @@ def radical_submodule(m):
 
 def uniserial_quotient(algebra, v, k):
     """Projective at v modulo the k-th radical power."""
-    key = ("uniserial", v, k)
-    if key not in algebra._cache:
-        p = projective_rep(algebra, v)
-        quot, _ = quotient_by_rows(p, radical_power_rows(p, k))
-        algebra._cache[key] = quot
-    return algebra._cache[key]
+    p = projective_rep(algebra, v)
+    return quotient_by_rows(p, radical_power_rows(p, k))[0]
 
 
 # -- hom spaces ------------------------------------------------------------

@@ -15,7 +15,7 @@ from itertools import permutations
 from math import factorial
 
 from .algebra import (
-    Quiver, build_algebra, combination_relation, monomial_relation,
+    Quiver, build_algebra, combination_relation, memo, monomial_relation,
 )
 from .errors import (
     BoundExceeded, CertificateFailure, InvalidParameters, NotApplicable,
@@ -213,20 +213,18 @@ def _filt_core(m, algebra, order, proper):
     return (True, mult) if chain.full() else (False, None)
 
 
+@memo
 def _regular_step(a, t, above, proper):
     """The first layer, at t, of a _Chain on the regular module of
-    A/Ae_SA, S the vertices above t.  The layers of S span the trace
-    Ae_SA of S in the regular module of A, which leaves exactly that
+    A/Ae_SA, S = above the vertices above t.  The layers of S span the
+    trace Ae_SA of S in the regular module of A, which leaves exactly that
     module, so the step depends on (t, S) and not on the order of S.
-    Cached in a._cache as (k, the chain reaches the module), or None for a
-    failed layer."""
-    key = ("layer", t, above, proper)
-    if key not in a._cache:
-        alg = a.quotient_by_idempotent_ideal(above)
-        chain = _Chain(regular_rep(alg))
-        k = _layer(chain, alg, t, proper)
-        a._cache[key] = None if k is None else (k, chain.full())
-    return a._cache[key]
+    Returns (k, the chain reaches the module), or None for a failed
+    layer."""
+    alg = a.quotient_by_idempotent_ideal(above)
+    chain = _Chain(regular_rep(alg))
+    k = _layer(chain, alg, t, proper)
+    return None if k is None else (k, chain.full())
 
 
 def _regular_walk(a, order, proper):
@@ -285,13 +283,11 @@ def _cross_check(mult, dims_of, m):
             "filtration multiplicities do not add up to the dimension vector")
 
 
+@memo
 def _standard_dims(a, v, cut):
-    """Dimension vector of _standard_at(a, v, cut), cached in a._cache per
-    (v, cut) with cut a frozenset."""
-    key = ("stddims", v, cut)
-    if key not in a._cache:
-        a._cache[key] = _dimdict(_standard_at(a, v, cut))
-    return a._cache[key]
+    """Dimension vector of _standard_at(a, v, cut), computed once per
+    (a, v, cut) with cut a frozenset."""
+    return _dimdict(_standard_at(a, v, cut))
 
 
 def check_asserted_duality(a):
@@ -371,11 +367,11 @@ def search_orders(a, bound=64):
     Every flag is decided by walks over steps that depend only on a vertex
     t and the set S of vertices above it (see _regular_step), so the n!
     orders share n * 2^(n-1) steps per kind of walk instead of n * n!.
-    The steps are cached in a._cache under ("layer", t, S, proper), on the
-    opposite algebra's _cache for the opposite side; the quotient algebras
-    A/Ae_SA are cached per frozenset S, at most 2^n - 2 per side; the
-    standard modules' dimension vectors are cached under ("stddims", v,
-    cut).  No flag depends on bound."""
+    Each step is computed once per (t, S, proper) on its algebra, the
+    opposite algebra for the opposite side; the quotient algebras A/Ae_SA
+    are cached per frozenset S, at most 2^n - 2 per side; the standard
+    modules' dimension vectors are computed once per (v, cut).  No flag
+    depends on bound."""
     verts = sorted(a.quiver.vertices)
     if len(verts) > 8:
         raise TooManyVertices("%d vertices would need %d orders"

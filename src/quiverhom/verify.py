@@ -24,15 +24,14 @@ from .invariants import (
 )
 from .linalg import Matrix, left_kernel, rank, right_kernel, solve_xa_b
 from .modules import (
-    decompose, direct_sum, iso_test, projective_rep, regular_rep, simple_rep,
-    uniserial_quotient,
+    decompose, direct_sum, dualize, iso_test, projective_rep, regular_rep,
+    simple_rep, uniserial_quotient,
 )
-from .relar import relative_ar_sequence
-from .relar import omega_approximation
+from .relar import omega_approximation, relative_ar_sequence
 from .stratify import (
     characteristic_cotilting, characteristic_tilting, classify_stratification,
-    filtration_test, same_add_closure, search_orders,
-    tilting_conjecture_report, verify_duality_consequences,
+    endo_quiver_construction, filtration_test, same_add_closure,
+    search_orders, tilting_conjecture_report, verify_duality_consequences,
 )
 from .values import Dim
 
@@ -242,7 +241,6 @@ def _two_way_tower(n, bound):
 
 
 def _chain_endo(n, bound):
-    from .stratify import endo_quiver_construction
     c = Checks()
     base = symmetric_chain_family(n - 1)
     soc = n - 1
@@ -357,13 +355,13 @@ def _ext_agreement():
         agree = shift = True
         for m in mods:
             for n in mods:
-                two_sided = ext_dims(m, n, 6)
-                if ext_dims_proj(m, n, 6) != two_sided:
+                dims = ext_dims_proj(m, n, 6)
+                if dims != ext_dims_proj(dualize(n), dualize(m), 6):
                     agree = False
                 om = syzygy(m, 1)
                 for i in range(1, 6):
                     expected = 0 if om.is_zero() else ext_dim(om, n, i)
-                    if two_sided[i + 1] != expected:
+                    if dims[i + 1] != expected:
                         shift = False
         c.hold("projective-side = two-sided (%d modules)" % len(mods), agree)
         c.hold("dimension shift by one syzygy", shift)

@@ -7,6 +7,7 @@ from quiverhom.algebra import (
     combination_relation, nakayama_from_kupisch, klein_four_like,
     symmetric_chain_family, bnlambda_family,
 )
+from quiverhom import invariants, modules, stratify
 from quiverhom.errors import (
     BoundExceeded, InvalidParameters, InvalidSeries, QuotientCollapse,
 )
@@ -251,3 +252,63 @@ def test_idempotents_and_one():
     e0 = a.idempotent(0)
     assert a.multiply(e0, e0) == e0
     assert a.multiply(e0, a.idempotent(1)) == {}
+
+
+# -- one memo owns every value cache ----------------------------------------
+
+# (memoized function, arguments after the owner)
+MEMOIZED = [
+    (modules.simple_rep, (0,)),
+    (modules.projective_from_vertices, ((0,),)),
+    (invariants.injective_projective_vertices, ()),
+    (invariants.algebra_dominant_dimension, (8,)),
+    (invariants.global_dimension, (8,)),
+    (invariants.gorenstein_dimension, (8,)),
+    (stratify._regular_step, (0, frozenset({1}), False)),
+    (stratify._standard_dims, (0, frozenset({1}))),
+    (BoundQuiverAlgebra.symmetric_form, ()),
+]
+
+
+@pytest.mark.parametrize("fn,args", MEMOIZED,
+                         ids=[fn.__name__ for fn, _ in MEMOIZED])
+def test_memo_computes_once_per_owner_and_arguments(monkeypatch, fn, args):
+    calls = []
+    undecorated = fn.__wrapped__
+
+    def counting(owner, *a, **kw):
+        calls.append((owner, a))
+        return undecorated(owner, *a, **kw)
+
+    monkeypatch.setattr(fn, "__wrapped__", counting)
+    a, b = (nakayama_from_kupisch([2, 2, 3]) for _ in range(2))
+    first = fn(a, *args)
+    assert fn(a, *args) is first
+    assert calls == [(a, args)]
+    fn(b, *args)
+    assert calls == [(a, args), (b, args)]
+
+
+def test_memo_takes_keyword_arguments():
+    a = nakayama_from_kupisch([2, 2, 3])
+    by_name = invariants.global_dimension(a, bound=0)
+    assert by_name == invariants.global_dimension(a, 0)
+    assert invariants.global_dimension(a, bound=0) is by_name
+
+
+def test_memo_keeps_an_algebra_apart_from_its_opposite():
+    a = nakayama_from_kupisch([2, 3, 3])
+    op = a.opposite_algebra()
+    assert invariants.injective_projective_vertices(a) == (1, 2)
+    assert invariants.injective_projective_vertices(op) == (0, 1)
+    key = ("injective_projective_vertices",)
+    assert (a._cache[key], op._cache[key]) == ((1, 2), (0, 1))
+
+
+def test_injective_rep_is_the_shared_dual_projective():
+    a = nakayama_from_kupisch([2, 3, 3])
+    for v in a.quiver.vertices:
+        inj = modules.injective_rep(a, v)
+        assert inj is modules.injective_rep(a, v)
+        assert inj is modules.dualize(
+            modules.projective_rep(a.opposite_algebra(), v))

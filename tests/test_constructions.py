@@ -140,7 +140,7 @@ def test_proven_constructions_skip_the_relation_check(monkeypatch):
     p = projective_rep(a, 2)
     assert calls == [p]
     projective_rep(a, 2)
-    projective_from_vertices(a, [2])
+    projective_from_vertices(a, (2,))
     assert calls == [p]
     sub, incl = sub_representation(p, {0: Matrix.identity(p.dims[0])})
     quot, _ = quotient_by_rows(p, incl.blocks)
@@ -154,7 +154,7 @@ def test_proven_constructions_skip_the_relation_check(monkeypatch):
     # a sum of several projectives is checked only through its summands,
     # each built and checked first unless it is built already
     del calls[:]
-    projective_from_vertices(a, [0, 2, 2])
+    projective_from_vertices(a, (0, 2, 2))
     regular_rep(a)
     checked = list(calls)
     assert checked == [projective_rep(a, 0), projective_rep(a, 1)]
@@ -168,7 +168,7 @@ def test_sums_of_projectives_are_their_direct_sums(build):
     a = build()
     vs = list(a.quiver.vertices)
     for verts in (vs, vs[::-1], vs + vs, [vs[0], vs[-1], vs[0]]):
-        got = projective_from_vertices(a, verts)
+        got = projective_from_vertices(a, tuple(verts))
         want = direct_sum([projective_rep(a, v) for v in verts])
         assert got.dims == want.dims and got.mats == want.mats
 
@@ -198,7 +198,7 @@ def test_a_module_that_breaks_a_relation_is_refused():
 def test_projectives_are_shared():
     a = nakayama_from_kupisch([2, 2, 3])
     for v in a.quiver.vertices:
-        assert projective_rep(a, v) is projective_from_vertices(a, [v])
+        assert projective_rep(a, v) is projective_from_vertices(a, (v,))
     assert regular_rep(a) is projective_from_vertices(a, a.quiver.vertices)
     assert regular_rep(a).proj_summand_vertices == (0, 1, 2)
     top0 = projective_cover(simple_rep(a, 0))[0]
@@ -213,7 +213,7 @@ def test_each_projective_is_built_once(monkeypatch):
     def counting(algebra, verts):
         key = (id(algebra), tuple(verts))
         requested.add(key)
-        if ("projsum", tuple(verts)) not in algebra._cache:
+        if ("projective_from_vertices", tuple(verts)) not in algebra._cache:
             built.append(key)
         return orig(algebra, verts)
 

@@ -99,3 +99,30 @@ def test_every_parameter_is_read():
             unread += [(name, node.name, p.arg) for p in params
                        if p.arg not in read | {"self", "cls"}]
     assert sorted(set(unread) - UNREAD_PARAMETERS) == []
+
+
+# the one value cache (algebra.memo), the resolution table and the Ext
+# coordinate lists, whose storage perfbench/spans.py reads, and the
+# constructors that make each _cache
+CACHE_OWNERS = {"memo", "projective_resolution", "_ext_lists", "__init__"}
+
+
+def _cache_users(node, enclosing=()):
+    """(enclosing def names, line) of every ._cache access under node."""
+    if isinstance(node, DEFS):
+        enclosing += (node.name,)
+    if isinstance(node, ast.Attribute) and node.attr == "_cache":
+        yield enclosing, node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from _cache_users(child, enclosing)
+
+
+def test_every_cache_access_is_owned():
+    """Values are cached through algebra.memo, not by a hand-written
+    check-compute-store block: every ._cache access in the package lies
+    inside memo, the resolution table, the Ext lists or a constructor."""
+    stray = [(name, line, defs[-1] if defs else None)
+             for name, tree in _trees()
+             for defs, line in _cache_users(tree)
+             if not CACHE_OWNERS & set(defs)]
+    assert stray == []

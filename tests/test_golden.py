@@ -1,6 +1,7 @@
-"""Golden structured outputs: each command's stdout must match, byte for
-byte, the file recorded in tests/golden/ before the last change to the
-engine.  A change that is meant to keep every answer keeps these files.
+"""Golden outputs: each command's stdout, in structured and in text
+format, must match, byte for byte, the files recorded in tests/golden/
+(<stem>.json and <stem>.txt) before the last change to the engine.  A
+change that is meant to keep every answer keeps these files.
 
 Regenerate the files (only when an output is meant to change, and say so
 in CHANGES.md) with
@@ -89,40 +90,55 @@ COMMANDS.append(("stratify-all-orders-stdin-loop-back",
                  ["stratify", "-", "--all-orders"], LOOP_BACK))
 
 
-def run(args, stdin):
-    """Run cli.main in-process; returns (exit code, stdout bytes, stderr)."""
+FORMATS = {"structured": ".json", "text": ".txt"}
+
+
+def run(args, stdin, fmt):
+    """Run cli.main in-process with `--format fmt`; returns (exit code,
+    stdout bytes, stderr)."""
     out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
     err = io.StringIO()
     saved = sys.stdin
     sys.stdin = io.StringIO(stdin)
     try:
         with redirect_stdout(out), redirect_stderr(err):
-            rc = cli.main(args + ["--format", "structured"])
+            rc = cli.main(args + ["--format", fmt])
     finally:
         sys.stdin = saved
     out.flush()
     return rc, out.buffer.getvalue(), err.getvalue()
 
 
-def golden_path(stem):
-    return os.path.join(GOLDEN, stem + ".json")
+def golden_path(stem, fmt):
+    return os.path.join(GOLDEN, stem + FORMATS[fmt])
+
+
+def check_golden(stem, args, stdin, fmt):
+    rc, out, err = run(args, stdin, fmt)
+    assert (rc, err) == (0, "")
+    with open(golden_path(stem, fmt), "rb") as f:
+        assert out == f.read()
 
 
 @pytest.mark.parametrize("stem,args,stdin", COMMANDS,
                          ids=[c[0] for c in COMMANDS])
 def test_structured_output_is_golden(stem, args, stdin):
-    rc, out, err = run(args, stdin)
-    assert (rc, err) == (0, "")
-    with open(golden_path(stem), "rb") as f:
-        assert out == f.read()
+    check_golden(stem, args, stdin, "structured")
+
+
+@pytest.mark.parametrize("stem,args,stdin", COMMANDS,
+                         ids=[c[0] for c in COMMANDS])
+def test_text_output_is_golden(stem, args, stdin):
+    check_golden(stem, args, stdin, "text")
 
 
 if __name__ == "__main__":
     os.makedirs(GOLDEN, exist_ok=True)
     for stem, args, stdin in COMMANDS:
-        rc, out, err = run(args, stdin)
-        if (rc, err) != (0, ""):
-            sys.exit("%s: exit %d, stderr %r" % (stem, rc, err))
-        with open(golden_path(stem), "wb") as f:
-            f.write(out)
-        print("wrote", golden_path(stem))
+        for fmt in FORMATS:
+            rc, out, err = run(args, stdin, fmt)
+            if (rc, err) != (0, ""):
+                sys.exit("%s: exit %d, stderr %r" % (stem, rc, err))
+            with open(golden_path(stem, fmt), "wb") as f:
+                f.write(out)
+            print("wrote", golden_path(stem, fmt))
