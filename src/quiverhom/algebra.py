@@ -26,7 +26,7 @@ from .errors import (
     QuotientCollapse,
 )
 from .linalg import (
-    Matrix, exact, rank, reduce_row, right_kernel, rref,
+    Matrix, exact, kernel_vectors, rank, reduce_row, rref,
     seeded_combinations, SEARCH_BUDGET, SEARCH_SEED,
 )
 
@@ -344,11 +344,7 @@ class BoundQuiverAlgebra:
                         vec[k] -= c
                 if any(vec):
                     rows.append(vec)
-        if rows:
-            space = right_kernel(Matrix(rows, len(rows), n))
-        else:
-            space = Matrix.identity(n)
-        cands = [space.column(j) for j in range(space.ncols)]
+        cands = kernel_vectors(Matrix(rows, len(rows), n))
         for lam in seeded_combinations(cands, SEARCH_BUDGET, SEARCH_SEED):
             gram = []
             for i in range(n):

@@ -9,7 +9,7 @@ from .algebra import (
 from .errors import (
     CertificateFailure, InvalidParameters, InvalidSeries, ParseError,
 )
-from .linalg import Matrix, rank, solve_xa_b
+from .linalg import Matrix, rank, solve_linear
 from .modules import (
     ModuleMap, cyclic_submodule, direct_sum, flat_blocks, hom_basis,
     regular_rep, summand_inclusion, summand_projection,
@@ -143,11 +143,12 @@ def verify_endo_presentation(b=None):
     ly = _left_mult_matrix(a, a.arrow_element("y"))
     lx = _left_mult_matrix(a, a.arrow_element("x"))
     u = incl.blocks[1]
-    d = solve_xa_b(u, u @ ly)
-    c = solve_xa_b(u, lx)
+    d = solve_linear(u.transpose(), (u @ ly).transpose())
+    c = solve_linear(u.transpose(), lx.transpose())
     if d is None or c is None:
         raise CertificateFailure(
             "loop action does not restrict to the submodule")
+    d, c = d.transpose(), c.transpose()
 
     def endo(core, i, j):
         return pr[i].then(core).then(inc[j])

@@ -314,21 +314,28 @@ def ext1_cocycles(m, n):
             if seen.add(ker.row(r)) is not None]
     offs1, _ = _hom_offsets(P1, n)
     cover1 = res.cover(1)
-    omega = res.syzygy(1)
     out = []
     for row in reps:
         images = []
         for j, (v, _) in enumerate(P1.proj_gen):
             images.append(row[offs1[j]:offs1[j] + n.dims[v]])
         phi = projective_map(P1, n, images)
-        blocks = {}
-        for v in m.algebra.quiver.vertices:
-            sol = solve_linear(cover1.block(v), phi.block(v))
-            if sol is None:
-                raise CertificateFailure("cocycle does not factor through the syzygy")
-            blocks[v] = sol
-        out.append(ModuleMap(omega, n, blocks))
+        out.append(_factor(cover1, phi,
+                           "cocycle does not factor through the syzygy"))
     return out
+
+
+def _factor(f, g, why):
+    """The map h with f.then(h) = g, for maps f and g out of one module,
+    solved vertex by vertex; CertificateFailure(why) when g does not
+    factor through f."""
+    blocks = {}
+    for v in f.source.algebra.quiver.vertices:
+        sol = solve_linear(f.block(v), g.block(v))
+        if sol is None:
+            raise CertificateFailure(why)
+        blocks[v] = sol
+    return ModuleMap(f.target, g.target, blocks)
 
 
 class ShortExact:
@@ -380,13 +387,7 @@ def extension_from_cocycle(m, psi):
                       [[0] * m.dims[v] for _ in range(n.dims[v])] + cover0.block(v).data,
                       ns.dims[v], m.dims[v])
                    for v in m.algebra.quiver.vertices})
-    blocks = {}
-    for v in m.algebra.quiver.vertices:
-        sol = solve_linear(pi.block(v), h.block(v))
-        if sol is None:
-            raise CertificateFailure("quotient map does not descend")
-        blocks[v] = sol
-    hbar = ModuleMap(mid, m, blocks)
+    hbar = _factor(pi, h, "quotient map does not descend")
     return ShortExact(n, iota, mid, hbar, m)
 
 
@@ -441,7 +442,7 @@ def generator_cogenerator_check(m):
                 "injective at %r is not a summand" % (v,))
 
 
-def mueller_domdim(m, bound=16):
+def mueller_domdim(m, bound=64):
     """Dominant dimension of the endomorphism algebra of (regular + m),
     read off from self-extension vanishing of the generator-cogenerator."""
     generator_cogenerator_check(m)

@@ -13,11 +13,8 @@ row index", so every derived object (echelon forms, kernel and image bases,
 particular solutions, minimal polynomials) is deterministic: same input,
 same output, bit for bit.
 
-Two conventions coexist and are both exposed on purpose.  right_kernel /
-solve_linear speak the column language (vectors are columns, kernel columns
-satisfy m @ x = 0).  The module-theoretic callers work with row vectors
-acted on from the right, so row_space / left_kernel / solve_xa_b provide the
-row-language counterparts.
+Each question has one routine: kernel_vectors (with left_kernel, its row
+form) for kernels, and solve_linear for every linear system.
 """
 from __future__ import annotations
 
@@ -46,10 +43,7 @@ class Matrix:
 
     __slots__ = ("nrows", "ncols", "data")
 
-    def __init__(self, data, nrows=None, ncols=None):
-        if nrows is None:
-            nrows = len(data)
-            ncols = len(data[0]) if nrows else 0
+    def __init__(self, data, nrows, ncols):
         self.nrows = nrows
         self.ncols = ncols
         self.data = data
@@ -85,9 +79,6 @@ class Matrix:
     def row(self, i):
         return list(self.data[i])
 
-    def column(self, j):
-        return [self.data[i][j] for i in range(self.nrows)]
-
     def entry(self, i, j):
         return self.data[i][j]
 
@@ -120,16 +111,6 @@ class Matrix:
         return Matrix([[a + b for a, b in zip(r, s)]
                        for r, s in zip(self.data, other.data)],
                       self.nrows, self.ncols)
-
-    def __sub__(self, other):
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch in sub")
-        return Matrix([[a - b for a, b in zip(r, s)]
-                       for r, s in zip(self.data, other.data)],
-                      self.nrows, self.ncols)
-
-    def __neg__(self):
-        return Matrix([[-a for a in r] for r in self.data], self.nrows, self.ncols)
 
     def scale(self, c):
         c = exact(c)
@@ -287,7 +268,7 @@ class Echelon:
         return added
 
 
-def _kernel_vectors(mat):
+def kernel_vectors(mat):
     """Vectors x with mat @ x = 0, one per free column of the RREF, with 1
     at the free column and minus the pivot rows' entries there."""
     R, piv = rref(mat)
@@ -303,17 +284,10 @@ def _kernel_vectors(mat):
     return out
 
 
-def right_kernel(mat):
-    """Columns x with mat @ x = 0, one per free column, reduced form."""
-    cols = _kernel_vectors(mat)
-    return Matrix([[v[i] for v in cols] for i in range(mat.ncols)],
-                  mat.ncols, len(cols))
-
-
 def left_kernel(mat):
     """Rows x with x @ mat = 0, stacked as a matrix: the right kernel of
     the transpose, built row by row."""
-    rows = _kernel_vectors(mat.transpose())
+    rows = kernel_vectors(mat.transpose())
     return Matrix(rows, len(rows), mat.nrows)
 
 
@@ -334,27 +308,6 @@ def solve_linear(a, b):
     return Matrix(sol, a.ncols, b.ncols)
 
 
-def solve_xa_b(a, b):
-    """Solve X @ a = b for X (row convention); None when inconsistent.
-
-    This is a^T @ X^T = b^T: the augmented system is built from the columns
-    of a and b, and X is written row by row from its RREF."""
-    if a.ncols != b.ncols:
-        raise ValueError("solve_xa_b shape mismatch")
-    k = a.nrows
-    aug = [[r[j] for r in a.data] + [r[j] for r in b.data]
-           for j in range(a.ncols)]
-    R, piv = rref(Matrix(aug, a.ncols, k + b.nrows))
-    if piv and piv[-1] >= k:
-        return None
-    sol = [[0] * k for _ in range(b.nrows)]
-    for r, pc in enumerate(piv):
-        row = R.data[r]
-        for i in range(b.nrows):
-            sol[i][pc] = row[k + i]
-    return Matrix(sol, b.nrows, k)
-
-
 # -- minimal polynomial ----------------------------------------------------
 
 def minimal_polynomial(blocks):
@@ -369,19 +322,19 @@ def minimal_polynomial(blocks):
         raise ValueError("minimal polynomial of non-square matrix")
 
     def flat(mats):
-        return Matrix.from_rows([[x for m in mats for r in m.data for x in r]])
+        return Matrix.from_rows([[x] for m in mats for r in m.data for x in r])
 
     power = [Matrix.identity(b.nrows) for b in blocks]
-    rows = flat(power)
-    if not rows.ncols:
+    cols = flat(power)
+    if not cols.nrows:
         return [1]
     while True:
         power = [p @ b for p, b in zip(power, blocks)]
         target = flat(power)
-        sol = solve_xa_b(rows, target)
+        sol = solve_linear(cols, target)
         if sol is not None:
-            return [-c for c in sol.data[0]] + [1]
-        rows = vstack([rows, target])
+            return [-r[0] for r in sol.data] + [1]
+        cols = hstack([cols, target])
 
 
 # -- seeded search candidates ----------------------------------------------

@@ -20,7 +20,7 @@ from .errors import (
     CertificateFailure, DecompositionInconclusive, InvalidParameters,
 )
 from .linalg import (
-    Matrix, exact, hstack, vstack, rank, reduce_row, rref, right_kernel,
+    Matrix, exact, hstack, vstack, rank, reduce_row, rref, kernel_vectors,
     left_kernel, row_space, minimal_polynomial, poly_eval_matrix,
     seeded_combinations, SEARCH_BUDGET, SEARCH_SEED,
 )
@@ -525,10 +525,9 @@ def hom_basis(m, n):
                     row[offs[v] + i * n.dims[v] + j] -= na.data[j][k]
                 if any(row):
                     rows.append(row)
-    mat = Matrix(rows, len(rows), total) if rows else Matrix.zeros(0, total)
-    ker = right_kernel(mat)
     zero = ModuleMap.zero(m, n)
-    return [_map_from_flat(zero, ker.column(c)) for c in range(ker.ncols)]
+    return [_map_from_flat(zero, v)
+            for v in kernel_vectors(Matrix(rows, len(rows), total))]
 
 
 def is_faithful(m):

@@ -22,7 +22,7 @@ from .invariants import (
     gorenstein_dimension, injective_dimension, injective_projective_vertices,
     projective_dimension, verify_dom_gproj,
 )
-from .linalg import Matrix, left_kernel, rank, right_kernel, solve_xa_b
+from .linalg import Matrix, kernel_vectors, left_kernel, rank, solve_linear
 from .modules import (
     decompose, direct_sum, dualize, iso_test, projective_rep, regular_rep,
     simple_rep, uniserial_quotient,
@@ -265,16 +265,16 @@ def _exact_core_battery(seed):
         lk = left_kernel(m)
         if lk.nrows and not (lk @ m).is_zero():
             kernel_ok = False
-        rk = right_kernel(m)
-        if rk.ncols and not (m @ rk).is_zero():
+        rk = kernel_vectors(m)
+        if rk and not (Matrix(rk, len(rk), nc) @ m.transpose()).is_zero():
             kernel_ok = False
         if rank(m) != rank(m.transpose()):
             rank_ok = False
         x0 = Matrix.from_rows([[rng.randint(-3, 3) for _ in range(nr)]
                                for _ in range(2)])
         b = x0 @ m
-        x = solve_xa_b(m, b)
-        if x is None or x @ m != b:
+        x = solve_linear(m.transpose(), b.transpose())
+        if x is None or x.transpose() @ m != b:
             solve_ok = False
     c.hold("kernel bases multiply to zero", kernel_ok)
     c.hold("rank equals transpose rank", rank_ok)

@@ -36,8 +36,9 @@ solved_sub_representation and reduced_quotient_by_rows are the references
 for modules.sub_representation and modules.quotient_by_rows, as the package
 built them before it read their matrices off the reduced echelon rows: a
 fixpoint that re-reduces every target span on every pass followed by one
-solve_xa_b per arrow, and a projection that reduces one unit row per basis
-column, with the quotient's arrows taken through an explicit lift.
+solve per arrow for X_a with X_a span_t = span_s M_a, and a projection
+that reduces one unit row per basis column, with the quotient's arrows
+taken through an explicit lift.
 
 searched_iso_test is the reference for modules.iso_test, as the package
 decided isomorphism before equal data certified it: structural invariants,
@@ -62,7 +63,7 @@ from quiverhom.homology import (
 )
 from quiverhom.errors import CertificateFailure
 from quiverhom.linalg import (
-    Matrix, left_kernel, reduce_row, row_space, rref, solve_xa_b, vstack,
+    Matrix, left_kernel, reduce_row, row_space, rref, solve_linear, vstack,
 )
 from quiverhom.modules import (
     IsoResult, ModuleMap, Representation, decompose, hom_basis,
@@ -322,8 +323,8 @@ def nakayama_combinatorics(kupisch):
 def solved_sub_representation(m, rows_by_vertex, close=True):
     """(sub, inclusion) spanned by the rows: every target span re-reduced
     against each arrow's image until a pass changes none (close=True),
-    then X_a from solve_xa_b(span_t, span_s M_a), CertificateFailure when
-    it has no solution."""
+    then X_a with X_a span_t = span_s M_a from solve_linear on the
+    transposes, CertificateFailure when it has no solution."""
     q = m.algebra.quiver
     spans = {}
     for v in q.vertices:
@@ -344,10 +345,12 @@ def solved_sub_representation(m, rows_by_vertex, close=True):
                 changed = True
     mats = {}
     for a in q.arrows:
-        coords = solve_xa_b(spans[a.target], spans[a.source] @ m.mats[a.index])
+        coords = solve_linear(
+            spans[a.target].transpose(),
+            (spans[a.source] @ m.mats[a.index]).transpose())
         if coords is None:
             raise CertificateFailure("rows are not closed under the action")
-        mats[a.index] = coords
+        mats[a.index] = coords.transpose()
     sub = Representation(m.algebra, {v: spans[v].nrows for v in q.vertices},
                          mats, validate=False)
     return sub, ModuleMap(sub, m, dict(spans), validate=False)

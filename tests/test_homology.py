@@ -7,7 +7,7 @@ from quiverhom.algebra import (
     klein_four_like, nakayama_from_kupisch, symmetric_chain_family,
 )
 from quiverhom.catalog import parse_construction
-from quiverhom.errors import NotGeneratorCogenerator
+from quiverhom.errors import CertificateFailure, NotGeneratorCogenerator
 from quiverhom.homology import (
     ProjectiveResolution, ShortExact, ar_translate, cosyzygy, ext1_cocycles,
     ext_dim, ext_dims, ext_dims_proj, extension_from_cocycle,
@@ -20,8 +20,9 @@ from quiverhom.invariants import (
 )
 from quiverhom.linalg import Matrix
 from quiverhom.modules import (
-    cyclic_submodule, direct_sum, dualize, iso_test, projective_rep,
-    regular_rep, simple_rep, summand_inclusion, summand_projection,
+    ModuleMap, cyclic_submodule, direct_sum, dualize, iso_test,
+    projective_rep, regular_rep, simple_rep, summand_inclusion,
+    summand_projection,
 )
 from quiverhom.values import Dim
 
@@ -300,6 +301,24 @@ def test_extension_realizes_cocycle(a21):
     assert iso_test(seq.mid, projective_rep(a21, 0)).is_iso
     assert not seq.is_split()
     assert ext1_cocycles(s0, s0) == []
+
+
+@pytest.mark.parametrize("why", [
+    "cocycle does not factor through the syzygy",
+    "quotient map does not descend",
+])
+def test_factor_refuses_a_map_that_does_not_factor(a21, why):
+    """The cover P0 -> S0 has a kernel, so the identity of P0 does not
+    factor through it; through the identity, the cover factors as
+    itself."""
+    P, cover = projective_cover(simple_rep(a21, 0))
+    ident = ModuleMap.identity(P)
+    with pytest.raises(CertificateFailure) as err:
+        homology._factor(cover, ident, why)
+    assert str(err.value) == why
+    h = homology._factor(ident, cover, why)
+    assert h.source is P and h.target is cover.target
+    assert all(h.block(v) == cover.block(v) for v in a21.quiver.vertices)
 
 
 def test_split_sequence_detected(a21):

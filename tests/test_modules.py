@@ -387,7 +387,7 @@ def _kronecker_sqrt2():
     q = Quiver([1, 2], [("a", 1, 2), ("b", 1, 2)])
     k = build_algebra(q, [], loewy_cap=2)
     return Representation(k, {1: 2, 2: 2}, {
-        "a": Matrix.identity(2), "b": Matrix([[0, 2], [1, 0]])})
+        "a": Matrix.identity(2), "b": Matrix.from_rows([[0, 2], [1, 0]])})
 
 
 def test_equal_data_is_iso_where_the_splitting_search_refuses():
@@ -398,7 +398,7 @@ def test_equal_data_is_iso_where_the_splitting_search_refuses():
     assert r.is_iso and r.map.is_iso()
     # the same sum after a basis change at vertex 2 in one summand differs
     # in data, so the refusal stands
-    g = Matrix([[1, 1], [0, 1]])
+    g = Matrix.from_rows([[1, 1], [0, 1]])
     moved = Representation(m.algebra, m.dims,
                            {i: x @ g for i, x in m.mats.items()})
     with pytest.raises(DecompositionInconclusive):
