@@ -30,11 +30,12 @@ def _int_list(text):
         raise ParseError("expected comma-separated integers, got %r" % text)
 
 
-def parse_construction(text):
+def parse_construction(text, bound=64):
     """Algebra from a compact shorthand.
 
     `kupisch:2,2,3`, `bnlambda:3,1`, `symmetric_chain:2`, `klein_four`,
-    and `endo-of:<base>@<socle vertices>` as in `endo-of:klein_four@1`.
+    and `endo-of:<base>@<socle vertices>` as in `endo-of:klein_four@1`,
+    whose construction and every nested one is certified at the bound.
     """
     text = text.strip()
     if text.startswith("endo-of:"):
@@ -42,9 +43,9 @@ def parse_construction(text):
         base, sep, soc = rest.rpartition("@")
         if not sep or not base:
             raise ParseError("endo-of needs '@' before the socle vertices")
-        base = parse_construction(base)
+        base = parse_construction(base, bound)
         try:
-            return endo_quiver_construction(base, list(_int_list(soc)))
+            return endo_quiver_construction(base, list(_int_list(soc)), bound)
         except InvalidParameters as e:
             raise ParseError(str(e))
     name, sep, arg = text.partition(":")

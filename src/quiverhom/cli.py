@@ -48,13 +48,15 @@ def _read(text):
         raise ParseError("cannot read input %r: %s" % (text, e))
 
 
-def _load(text):
-    """(spec or None, algebra, echo string) from the input argument."""
+def _load(args):
+    """(spec or None, algebra, echo string) from the input argument; a
+    construction shorthand is certified at --bound."""
+    text = args.input
     if text == "-" or os.path.isfile(text):
         spec = dsl.parse_algebra_dsl(_read(text))
         return spec, spec.build(), "<stdin>" if text == "-" else text
     if catalog.is_construction_text(text):
-        return None, catalog.parse_construction(text), text
+        return None, catalog.parse_construction(text, args.bound), text
     raise ParseError(
         "input %r is neither an existing file, '-', nor a construction "
         "shorthand" % (text,))
@@ -91,7 +93,7 @@ def _duality(spec):
 
 
 def _cmd_analyze(args):
-    _, a, echo = _load(args.input)
+    _, a, echo = _load(args)
     rep = _base(args, "analyze", echo)
     rep.update(invariant_report(a, args.bound))
     rep["gordim"] = rep["gordim_right"]
@@ -99,7 +101,7 @@ def _cmd_analyze(args):
 
 
 def _cmd_resolve(args):
-    _, a, echo = _load(args.input)
+    _, a, echo = _load(args)
     rows = []
     for v in sorted(a.quiver.vertices):
         s = simple_rep(a, v)
@@ -118,7 +120,7 @@ def _cmd_resolve(args):
 
 
 def _cmd_stratify(args):
-    spec, a, echo = _load(args.input)
+    spec, a, echo = _load(args)
     rep = _base(args, "stratify", echo)
     order = _pick_order(args, spec, a)
     if order is not None and not args.all_orders:
@@ -145,7 +147,7 @@ def _cmd_stratify(args):
 
 
 def _cmd_tilting(args):
-    spec, a, echo = _load(args.input)
+    spec, a, echo = _load(args)
     order = _pick_order(args, spec, a) or tuple(sorted(a.quiver.vertices))
     st = classify_stratification(a, order, duality_asserted=_duality(spec))
     t = characteristic_tilting(st, args.bound)
@@ -163,7 +165,7 @@ def _cmd_tilting(args):
 
 
 def _cmd_relar(args):
-    _, a, echo = _load(args.input)
+    _, a, echo = _load(args)
     rep = _base(args, "relar", echo)
     rep["level"] = args.level
     rows = []

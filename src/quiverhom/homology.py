@@ -13,7 +13,11 @@ link to the resolution of the syzygy.  Each algebra keeps a table of the
 modules it has resolved, keyed by their data, so a module or syzygy equal
 to one already there shares its resolution: every cover, kernel,
 presentation and extension-group matrix is made once per distinct
-module, and a periodic resolution is a cycle of links.
+module, and a periodic resolution is a cycle of links.  The
+extension-group data lives on the links: each keeps, per target, the
+coordinate matrix of its degree 0 with its size and rank, and a module
+keeps only the dimensions it was asked for, per target, read off its
+links.
 """
 from __future__ import annotations
 
@@ -72,11 +76,16 @@ class ProjectiveResolution:
     differential from the next term into its own, as generator-to-
     generator algebra elements (see _presentation_elements).  The
     presentation does not depend on the target of an extension group, so
-    every target reads the same entries."""
+    every target reads the same entries.  Against each target, a link
+    keeps the degree-0 coordinate matrix of its module with its size and
+    rank, and whether it composes to zero with the next link's
+    (see _ext_links); the extension dimensions of a module, per target,
+    are kept on the module (see _ext_lists)."""
 
     def __init__(self, m):
         self.module = m
         self._cover = self._incl = self._next = self._presentation = None
+        self._ext = {}
 
     def _link(self):
         """This resolution, with its cover, inclusion and link made."""
@@ -221,48 +230,59 @@ def _coord_matrix(P0, P1, ents, n):
     return Matrix(out, h0, h1)
 
 
-def _ext_lists(m, n):
-    """The cached coordinate matrices, coordinate-space dimensions and
-    ranks of m against the target n, degree by degree."""
-    cache = m._cache.setdefault("extco", {})
-    if id(n) not in cache:
-        cache[id(n)] = (n, [], [], [])
-    return cache[id(n)][1:]
+def _ext_links(m, n, imax):
+    """The entries against n of links 0..imax of m's resolution.
+
+    Degree i of m is degree 0 of its syzygy i, so each link keeps, per
+    target, one entry [n, B, h, rank, checked]: B is the coordinate matrix
+    of degree 0 of the link's module, h its row count (the dimension of
+    Hom(term 0, n)) and rank its rank.  It holds n so that id(n) stays
+    that target's key.  The entry is made once per link and target, and
+    checked is set when B and the next link's matrix have been found to
+    compose to zero, so each pair of links is checked once per target; a
+    cycle's closing link is one of them."""
+    key = id(n)
+    res = projective_resolution(m)
+    out = []
+    above = None
+    for _ in range(imax + 1):
+        e = res._ext.get(key)
+        if e is None:
+            B = _coord_matrix(res.term(0), res.term(1), res.presentation(1), n)
+            e = res._ext[key] = [n, B, B.nrows, rank(B), False]
+        if above is not None and not above[4]:
+            if not (above[1] @ e[1]).is_zero():
+                raise CertificateFailure("coordinate complex fails to compose to zero")
+            above[4] = True
+        out.append(e)
+        above = e
+        # a link with an entry has been linked: term(1) made its next link
+        res = res._next
+    return out
 
 
 def _ext_data(m, n, imax):
-    """Coordinate matrices, coordinate-space dimensions and ranks for
-    degrees 0..imax, cached per target module.
+    """Coordinate matrices, coordinate-space dimensions and ranks of m
+    against n for degrees 0..imax, read off the links."""
+    links = _ext_links(m, n, imax)
+    return ([e[1] for e in links], [e[2] for e in links],
+            [e[3] for e in links])
 
-    Degree i of m is degree 0 of its syzygy i, so degree 0 is built once
-    per resolution in the chain, on the module the resolution belongs to,
-    and every list holds references to it.  Two consecutive matrices are
-    checked to compose to zero once per link, when the list of the upper
-    module first grows past degree 0; a cycle's closing link is one of
-    them."""
-    mine = _ext_lists(m, n)
-    if len(mine[0]) > imax:
-        return mine
-    res = projective_resolution(m)
-    above = None
-    for i in range(imax + 1):
-        Bs, hs, ranks = here = _ext_lists(res.module, n)
-        if not Bs:
-            P = res.term(0)
-            Bs.append(_coord_matrix(P, res.term(1), res.presentation(1), n))
-            hs.append(_hom_offsets(P, n)[1])
-            ranks.append(rank(Bs[0]))
-        if above is not None and len(above[0]) == 1:
-            if not (above[0][0] @ Bs[0]).is_zero():
-                raise CertificateFailure("coordinate complex fails to compose to zero")
-            for lst, got in zip(above, here):
-                lst.append(got[0])
-        if len(mine[0]) == i:
-            for lst, got in zip(mine, here):
-                lst.append(got[0])
-        above = here
-        res = res._at(1)
-    return mine
+
+def _ext_lists(m, n, imax):
+    """Dimensions of the extension groups of m against n, kept on m per
+    target as (n, dims) and grown to degree imax when shorter.  Degree i
+    is h_i - r_i - r_(i-1), read off link i and the link above it."""
+    cache = m._cache.setdefault("extco", {})
+    entry = cache.get(id(n))
+    if entry is None or len(entry[1]) <= imax:
+        dims = []
+        r_above = 0
+        for _, _, h, r, _ in _ext_links(m, n, imax):
+            dims.append(h - r - r_above)
+            r_above = r
+        entry = cache[id(n)] = (n, dims)
+    return entry[1]
 
 
 def ext_dims_proj(m, n, imax):
@@ -270,11 +290,7 @@ def ext_dims_proj(m, n, imax):
     the projective side only."""
     if m.is_zero() or n.is_zero():
         return [0] * (imax + 1)
-    _, hs, ranks = _ext_data(m, n, imax)
-    out = [hs[0] - ranks[0]]
-    for i in range(1, imax + 1):
-        out.append(hs[i] - ranks[i] - ranks[i - 1])
-    return out
+    return _ext_lists(m, n, imax)[:imax + 1]
 
 
 def ext_dims(m, n, imax):

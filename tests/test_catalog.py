@@ -2,6 +2,7 @@
 endomorphism ring built from the two-loop local algebra."""
 import pytest
 
+from quiverhom import catalog
 from quiverhom.catalog import (
     is_construction_text, klein_endo_algebra, klein_module_pair,
     parse_construction, verify_endo_presentation,
@@ -97,3 +98,20 @@ def test_parse_construction_shorthand():
                 "symmetric_chain", "endo-of"):
         with pytest.raises(ParseError):
             parse_construction(bad)
+
+
+def test_parse_construction_passes_the_bound_to_every_endo_of(monkeypatch):
+    """Each endo-of level, nested ones too, is built at the given bound;
+    the stand-in returns its base so the outer level has a symmetric
+    algebra to take."""
+    seen = []
+
+    def recorded(a, socle, bound):
+        seen.append(bound)
+        return a
+
+    monkeypatch.setattr(catalog, "endo_quiver_construction", recorded)
+    parse_construction("endo-of:endo-of:klein_four@1@1", 3)
+    assert seen == [3, 3]
+    parse_construction("endo-of:klein_four@1")
+    assert seen == [3, 3, 64]

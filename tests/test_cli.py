@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from quiverhom import cli, verify
+from quiverhom import catalog, cli, verify
 from quiverhom.verify import Checks
 
 TWO_WAY_3 = """\
@@ -242,6 +242,25 @@ def test_bad_shorthand_is_a_parse_error(capsys):
         assert captured.out == ""
         assert captured.err.startswith("parse error:"), text
         assert "Traceback" not in captured.err, text
+
+
+def test_endo_of_input_is_built_at_the_bound(monkeypatch, capsys):
+    """--bound reaches the endo-of construction: at bound 3 its dominant
+    dimension cross-check is cut off, a refusal that names the bound."""
+    seen = []
+    orig = catalog.endo_quiver_construction
+
+    def recorded(a, socle, bound):
+        seen.append(bound)
+        return orig(a, socle, bound)
+
+    monkeypatch.setattr(catalog, "endo_quiver_construction", recorded)
+    assert cli.main(["analyze", "endo-of:symmetric_chain:2@2",
+                     "--bound", "3"]) == 1
+    assert seen == [3]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bound 3 cut")
 
 
 def test_computational_failure_exits_one():

@@ -101,8 +101,9 @@ def test_every_parameter_is_read():
     assert sorted(set(unread) - UNREAD_PARAMETERS) == []
 
 
-# the one value cache (algebra.memo), the resolution table and the Ext
-# coordinate lists, whose storage perfbench/spans.py reads, and the
+# the one value cache (algebra.memo), the resolution table and the
+# per-module Ext dimensions (the coordinate matrices live on the
+# resolution links), whose storage perfbench/spans.py reads, and the
 # constructors that make each _cache
 CACHE_OWNERS = {"memo", "projective_resolution", "_ext_lists", "__init__"}
 
@@ -120,7 +121,8 @@ def _cache_users(node, enclosing=()):
 def test_every_cache_access_is_owned():
     """Values are cached through algebra.memo, not by a hand-written
     check-compute-store block: every ._cache access in the package lies
-    inside memo, the resolution table, the Ext lists or a constructor."""
+    inside memo, the resolution table, the Ext dimensions or a
+    constructor."""
     stray = [(name, line, defs[-1] if defs else None)
              for name, tree in _trees()
              for defs, line in _cache_users(tree)

@@ -218,6 +218,93 @@ def test_deep_chains_are_walked_in_a_loop(monkeypatch):
         assert ext_dims(s, s, 1000)[:41] == want[v]
 
 
+def test_a_corrupted_coordinate_matrix_fails_the_certificate(monkeypatch):
+    """Perturbing the second link's matrix where the first one reads it
+    breaks the coordinate complex, and the check between the two links
+    refuses the answer."""
+    made = []
+    orig = homology._coord_matrix
+
+    def perturbed(P0, P1, ents, n):
+        B = orig(P0, P1, ents, n)
+        if len(made) == 1:
+            # a column c with a nonzero entry in the first matrix: one
+            # more in row c of the second makes their product nonzero
+            c = next(c for row in made[0].data for c, x in enumerate(row) if x)
+            rows = B.copy_rows()
+            rows[c][0] += 1
+            B = Matrix(rows, B.nrows, B.ncols)
+        made.append(B)
+        return B
+
+    monkeypatch.setattr(homology, "_coord_matrix", perturbed)
+    a = nakayama_from_kupisch([2, 2, 3])
+    with pytest.raises(CertificateFailure) as err:
+        ext_dims_proj(simple_rep(a, 0), regular_rep(a), 2)
+    assert str(err.value) == "coordinate complex fails to compose to zero"
+    assert len(made) == 2
+
+
+def _periodic_test_set():
+    """Fresh modules of the canonical test set of kupisch:4,5,5, whose
+    simples at vertices 0 and 1 have syzygies of period 4."""
+    return [m for _, m in canonical_test_set(parse_construction("kupisch:4,5,5"))]
+
+
+def _links(m, imax):
+    res = projective_resolution(m)
+    return [res._at(i) for i in range(imax + 1)]
+
+
+def test_cached_ext_dimensions_are_prefixes_of_the_longest_answer():
+    """Each pair answers at imax 2, then 6, then 3 from the links and the
+    dimensions kept on the module; every answer is a prefix of the
+    longest one and equals the answer on modules built afresh.  Degree 6
+    is past the period, so the walk goes through a cycle's closing link,
+    and every link above the last one walked is checked against the link
+    below it, the closing link included."""
+    mods = _periodic_test_set()
+    closing = [m for m in mods
+               if len({id(r) for r in _links(m, 6)}) < 7]
+    assert closing
+    answers = {}
+    for imax in (2, 6, 3):
+        fresh = _periodic_test_set()
+        for i, m in enumerate(mods):
+            for j, n in enumerate(mods):
+                got = ext_dims_proj(m, n, imax)
+                assert got == ext_dims_proj(fresh[i], fresh[j], imax)
+                answers.setdefault((i, j), []).append(got)
+    for dims in answers.values():
+        longest = dims[1]
+        assert len(longest) == 7
+        assert all(d == longest[:len(d)] for d in dims)
+    for m in closing:
+        for n in mods:
+            assert all(res._ext[id(n)][4] for res in _links(m, 6)[:-1])
+
+
+def test_each_link_builds_its_coordinate_matrix_once_per_target(monkeypatch):
+    built = []
+    orig = homology._coord_matrix
+
+    def counted(P0, P1, ents, n):
+        built.append(n)
+        return orig(P0, P1, ents, n)
+
+    monkeypatch.setattr(homology, "_coord_matrix", counted)
+    mods = _periodic_test_set()
+    imax = 6
+    for _ in range(2):
+        for m in mods:
+            for n in mods:
+                ext_dims_proj(m, n, imax)
+    walked = {(id(res), id(n)) for m in mods for res in _links(m, imax)
+              for n in mods}
+    assert len(built) == len(walked)
+    assert len(walked) < len(mods) ** 2 * (imax + 1)
+
+
 def test_injective_envelope_223(a223):
     s0 = simple_rep(a223, 0)
     # the envelope is the dual of the opposite side's projective cover
