@@ -516,7 +516,8 @@ def build_algebra(quiver, relations, loewy_cap=12):
         return BoundQuiverAlgebra(quiver, rels, N, basis, mult)
 
     raise BoundExceeded(
-        "relation ideal not closed by truncation level %d" % loewy_cap)
+        "relation ideal not closed by truncation level %d" % loewy_cap,
+        loewy_cap)
 
 
 # -- canonical families ----------------------------------------------------

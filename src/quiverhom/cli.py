@@ -5,8 +5,9 @@ construction shorthand such as `kupisch:2,2,3`.  Output goes to stdout in
 a plain text rendering or, with `--format structured`, as versioned JSON
 that is byte-identical across runs with the same inputs.
 
-Exit codes: 0 success, 1 computational failure, 2 unparseable input,
-3 verification mismatch.
+Exit codes: 0 success, 1 computational failure or refusal (a value the
+bound cut off that cannot settle a comparison is refused, naming the
+bound), 2 unparseable input, 3 verification mismatch.
 """
 import argparse
 import os
@@ -14,7 +15,7 @@ import sys
 
 from . import catalog, dsl, verify
 from .errors import (
-    ExtProjective, MembershipUndecided, NotInSubcategory, ParseError,
+    BoundExceeded, ExtProjective, NotInSubcategory, ParseError,
     ProjectiveInput, QuiverhomError, UnknownExampleId,
 )
 from .homology import projective_resolution
@@ -178,7 +179,7 @@ def _cmd_relar(args):
             rows.append({"module": name,
                          "status": _RELAR_SKIP[type(e).__name__]})
             continue
-        except MembershipUndecided as e:
+        except BoundExceeded as e:
             rows.append({"module": name,
                          "status": "undecided at bound %d" % e.bound})
             continue

@@ -12,7 +12,13 @@ class QuiverhomError(Exception):
 
 class BoundExceeded(QuiverhomError):
     """A bound cut the computation off before it decided, e.g. no
-    truncation level closed the algebra below the requested cap."""
+    truncation level closed the algebra below the requested cap, or a
+    dimension cut off at a floor cannot settle a comparison; bound is the
+    cap or the floor that the computation reached."""
+
+    def __init__(self, message, bound):
+        self.bound = bound
+        super().__init__(message)
 
 
 class InvalidSeries(QuiverhomError):
@@ -48,7 +54,8 @@ class DominantDimensionZero(QuiverhomError):
 
 
 class NotGorensteinCertified(QuiverhomError):
-    """Operation needs a certified finite two-sided self-injective dimension."""
+    """Operation needs a finite two-sided self-injective dimension, and a
+    side is certified infinite."""
 
 
 class NotAuslanderGorenstein(QuiverhomError):
@@ -81,16 +88,6 @@ class ProjectiveInput(QuiverhomError):
 
 class NotInSubcategory(QuiverhomError):
     """Module lies outside the requested dominant-dimension subcategory."""
-
-
-class MembershipUndecided(QuiverhomError):
-    """The bound cut the dominant dimension off below the level, so
-    membership in the subcategory is not settled; bound is the floor the
-    computation certified."""
-
-    def __init__(self, message, bound):
-        self.bound = bound
-        super().__init__(message)
 
 
 class ExtProjective(QuiverhomError):

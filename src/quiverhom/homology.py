@@ -261,14 +261,6 @@ def _ext_links(m, n, imax):
     return out
 
 
-def _ext_data(m, n, imax):
-    """Coordinate matrices, coordinate-space dimensions and ranks of m
-    against n for degrees 0..imax, read off the links."""
-    links = _ext_links(m, n, imax)
-    return ([e[1] for e in links], [e[2] for e in links],
-            [e[3] for e in links])
-
-
 def _ext_lists(m, n, imax):
     """Dimensions of the extension groups of m against n, kept on m per
     target as (n, dims) and grown to degree imax when shorter.  Degree i
@@ -318,9 +310,8 @@ def ext1_cocycles(m, n):
     if m.is_zero() or n.is_zero():
         return []
     res = projective_resolution(m)
-    Bs, _, _ = _ext_data(m, n, 1)
+    B0, B1 = (e[1] for e in _ext_links(m, n, 1))
     P1 = res.term(1)
-    B0, B1 = Bs[0], Bs[1]
     ker = left_kernel(B1)
     if ker.nrows == 0:
         return []

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .algebra import memo
 from .errors import (
-    CertificateFailure, DominantDimensionZero, NotApplicable,
+    BoundExceeded, CertificateFailure, DominantDimensionZero, NotApplicable,
     NotAuslanderGorenstein, NotGorensteinCertified, ZeroModule,
 )
 from .homology import (
@@ -108,23 +108,28 @@ def gorenstein_dimension(algebra, bound=64):
 
 
 def certified_gorenstein_dimension(algebra, bound=64):
+    """The Gorenstein dimension; NotGorensteinCertified when a side is
+    certified infinite, BoundExceeded when the bound cut a side off."""
     right, left, flag = gorenstein_dimension(algebra, bound)
-    if not flag:
+    if right.is_infinite or left.is_infinite:
         raise NotGorensteinCertified(
             "self-injective dimensions not both certified finite: %s / %s"
             % (right, left))
-    return right.finite_value
+    if not flag:
+        raise BoundExceeded("Gorenstein dimension %s / %s cut off by bound %d"
+                            % (right, left, bound), bound)
+    return right.n
 
 
 def auslander_gorenstein_parameter(algebra, bound=64):
-    """Gorenstein dimension r when it is certified, equals the dominant
-    dimension, and is at least 2."""
+    """Gorenstein dimension r when it is certified, is at least 2, and
+    equals the dominant dimension."""
     try:
         g = certified_gorenstein_dimension(algebra, bound)
     except NotGorensteinCertified as e:
         raise NotAuslanderGorenstein(str(e))
     d = algebra_dominant_dimension(algebra, bound)
-    if not d.eq(g) or g < 2:
+    if g < 2 or not d.eq(g):
         raise NotAuslanderGorenstein(
             "dominant dimension %s vs Gorenstein dimension %d" % (d, g))
     return g
@@ -170,19 +175,14 @@ def minimal_faithful_projinj(algebra, bound=64):
     injective; exists and is faithful exactly when the dominant dimension
     is at least one.
 
-    A certified dominant dimension decides existence, and faithfulness
-    cross-checks it.  A dominant dimension that the bound truncated below
-    one decides nothing, so exact faithfulness of the sum decides alone.
+    Faithfulness of the sum decides existence, and the dominant dimension
+    cross-checks it where the bound settles it.
     """
-    dom = algebra_dominant_dimension(algebra, bound)
-    if dom.eq(0):
-        raise DominantDimensionZero(
-            "no faithful projective-injective: dominant dimension 0")
     verts = list(injective_projective_vertices(algebra))
     ea = direct_sum([projective_rep(algebra, v) for v in verts]) \
         if verts else zero_rep(algebra)
     if not is_faithful(ea):
-        if dom.geq(1):
+        if algebra_dominant_dimension(algebra, bound).geq(1):
             raise CertificateFailure("projective-injective sum is not faithful")
         raise DominantDimensionZero(
             "no faithful projective-injective: the projective-injective "
@@ -202,8 +202,8 @@ def gendo_gorenstein_check(n, bound=64):
         raise NotApplicable("needs a certified symmetric algebra")
     d = mueller_domdim(n, bound)
     if not d.is_exact:
-        raise CertificateFailure(
-            "no self-extension found within bound; cannot certify")
+        raise BoundExceeded(
+            "no self-extension found within bound; cannot certify", bound)
     r = iso_test(syzygy(n, d.n), n)
     if not r.is_iso:
         raise CertificateFailure(

@@ -9,9 +9,8 @@ cocycle when the pairing space is one-dimensional.
 from __future__ import annotations
 
 from .errors import (
-    CertificateFailure, ExtProjective, InvalidParameters,
-    MembershipUndecided, NotApplicable, NotInSubcategory, ProjectiveInput,
-    UniquenessViolation,
+    CertificateFailure, ExtProjective, InvalidParameters, NotApplicable,
+    NotInSubcategory, ProjectiveInput, UniquenessViolation,
 )
 from .homology import (
     ar_translate, cosyzygy, ext_dim, ext1_cocycles, extension_from_cocycle,
@@ -51,24 +50,12 @@ def omega_approximation(m, n):
     return nonproj, proj
 
 
-def _settled_domdim(m, level, bound):
-    """The dominant dimension of m up to the bound, when it settles
-    whether m lies in the subcategory of the level.  A value cut off by
-    the bound below the level settles nothing and raises
-    MembershipUndecided, so it is never read as outside."""
-    dd = dominant_dimension(m, bound)
-    if not dd.geq(level) and dd.kind == "at_least":
-        raise MembershipUndecided(
-            "dominant dimension %s at bound %d does not settle level %d"
-            % (dd, bound, level), dd.n)
-    return dd
-
-
 def relative_ar_translate(m, level, bound=64):
     """Relative translate of m in the category of modules of dominant
     dimension at least the level: the unique indecomposable summand of the
     approximated ordinary translate that m pairs with in degree one.
-    Membership is decided up to the bound (see _settled_domdim)."""
+    A dominant dimension cut off by the bound below the level settles no
+    membership and raises BoundExceeded, so it is never read as outside."""
     if level < 0:
         raise InvalidParameters("level must be non-negative, got %d" % level)
     if m.is_zero():
@@ -76,7 +63,7 @@ def relative_ar_translate(m, level, bound=64):
     parts = decompose(m)
     if len(parts) != 1:
         raise NotApplicable("module must be indecomposable")
-    dd = _settled_domdim(m, level, bound)
+    dd = dominant_dimension(m, bound)
     if not dd.geq(level):
         raise NotInSubcategory(
             "dominant dimension %s is below level %d" % (dd, level))
@@ -119,7 +106,7 @@ def relative_ar_sequence(m, level, bound=64):
     if ses.is_split():
         raise CertificateFailure("almost split candidate splits")
     for name, end in (("left", res.translate), ("right", m)):
-        if not _settled_domdim(end, level, bound).geq(level):
+        if not dominant_dimension(end, bound).geq(level):
             raise CertificateFailure(
                 "%s end of the sequence leaves the subcategory" % name)
     res.middle = ses.mid

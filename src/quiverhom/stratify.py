@@ -19,17 +19,18 @@ from .algebra import (
 )
 from .errors import (
     BoundExceeded, CertificateFailure, InvalidParameters, NotApplicable,
-    NotAuslanderGorenstein, NotGorensteinCertified, NotStratified,
-    NotTilting, PreconditionFailed, TooManyVertices,
+    NotAuslanderGorenstein, NotStratified, NotTilting, PreconditionFailed,
+    TooManyVertices,
 )
 from .homology import (
     cosyzygy, ext1_cocycles, ext_dims, extension_from_cocycle, mueller_domdim,
 )
 from .invariants import (
     algebra_dominant_dimension, auslander_gorenstein_parameter,
-    canonical_test_set, codominant_dimension, dominant_dimension,
-    gi_dimension, global_dimension, gorenstein_dimension, gp_dimension,
-    injective_dimension, injective_projective_vertices, projective_dimension,
+    canonical_test_set, certified_gorenstein_dimension, codominant_dimension,
+    dominant_dimension, gi_dimension, global_dimension, gorenstein_dimension,
+    gp_dimension, injective_dimension, injective_projective_vertices,
+    projective_dimension,
 )
 from .linalg import Echelon, Matrix, hstack
 from .modules import (
@@ -411,7 +412,7 @@ def _tilting_certificate(strat, basic, bound):
     pds = [projective_dimension(s, bound) for s in basic]
     if not all(p.is_exact for p in pds):
         return None
-    pd = max(p.finite_value for p in pds)
+    pd = max(p.n for p in pds)
     t = direct_sum(basic)
     if pd and any(ext_dims(t, t, pd)[1:]):
         return None
@@ -434,7 +435,7 @@ def characteristic_tilting(strat, bound=64):
                             "for this order")
     try:
         r = auslander_gorenstein_parameter(strat.algebra, bound)
-    except NotAuslanderGorenstein:
+    except (NotAuslanderGorenstein, BoundExceeded):
         r = None
     got = None if r is None else _ag_route(strat, r, bound)
     strat.tilting = got or _extension_route(strat, bound)
@@ -485,9 +486,9 @@ def _extension_route(strat, bound):
             if not grew:
                 break
         else:
-            raise CertificateFailure(
+            raise BoundExceeded(
                 "universal extensions at %r did not stabilize within bound %d"
-                % (v, bound))
+                % (v, bound), bound)
         grown.append(x)
     basic = _basic_parts(grown)
     pd = _tilting_certificate(strat, basic, bound)
@@ -585,7 +586,7 @@ def verify_tilting(t, bound=64):
     pd = projective_dimension(t, bound)
     if not pd.is_exact:
         raise NotTilting("projective dimension not certified finite: %s" % pd)
-    n = pd.finite_value
+    n = pd.n
     if n:
         exts = ext_dims(t, t, n)
         for k in range(1, n + 1):
@@ -599,7 +600,7 @@ def verify_tilting(t, bound=64):
     try:
         if not dpd.is_exact:
             raise NotTilting("injective dimension not certified finite")
-        m = dpd.finite_value
+        m = dpd.n
         if m:
             dexts = ext_dims(dualize(t), dualize(t), m)
             for k in range(1, m + 1):
@@ -619,13 +620,6 @@ def verify_tilting(t, bound=64):
 
 
 # -- extensional verifiers --------------------------------------------------
-
-def _leq(d, k):
-    try:
-        return d.leq(k)
-    except ValueError:
-        raise CertificateFailure("bound too small to settle %s <= %d" % (d, k))
-
 
 def default_testset(strat, r):
     extras = [("%s(%s)" % (fam, v), getattr(strat, fam)[v])
@@ -668,7 +662,7 @@ def verify_main_equivalences(strat, testset=None, bound=64):
             cond3 = False
         if in_fnb and not codom.geq(i):
             cond3 = False
-        pd_le = _leq(projective_dimension(m, bound), i)
+        pd_le = projective_dimension(m, bound).leq(i)
         gi_le = gi_dimension(m, bound) <= r - i
         if pd_le != in_fd:
             cond4 = False
@@ -690,8 +684,8 @@ def verify_duality_consequences(strat, testset=None, bound=64):
     dimension of the tilting module, and the four filtration categories
     matching the dominant/codominant, Gorenstein and homological dimension
     classes on the test set.  A Gorenstein dimension cut off by the bound
-    raises NotGorensteinCertified; a certified one, exact or infinite, that
-    is not 2m is a CertificateFailure."""
+    raises BoundExceeded; a certified one, exact or infinite, that is not
+    2m is a CertificateFailure."""
     if not strat.duality_asserted:
         raise NotApplicable("duality was not asserted for this order")
     if not strat.properly_stratified:
@@ -701,12 +695,9 @@ def verify_duality_consequences(strat, testset=None, bound=64):
     if not same_add_closure(tilt.summands, cotilt.summands):
         raise NotApplicable("tilting and cotilting modules differ")
     m = tilt.projdim
-    right, left, gor = gorenstein_dimension(strat.algebra, bound)
-    if "at_least" in (right.kind, left.kind):
-        raise NotGorensteinCertified(
-            "Gorenstein dimension %s / %s cut off by bound %d"
-            % (right, left, bound))
-    if not gor or right.finite_value != 2 * m:
+    right, left, _ = gorenstein_dimension(strat.algebra, bound)
+    if right.is_infinite or left.is_infinite or \
+            certified_gorenstein_dimension(strat.algebra, bound) != 2 * m:
         raise CertificateFailure(
             "Gorenstein dimension %s is not twice the tilting projective "
             "dimension %d" % (right, m))
@@ -720,13 +711,13 @@ def verify_duality_consequences(strat, testset=None, bound=64):
             "Dom_m=GProj_m": dominant_dimension(x, bound).geq(m)
             == (gp_dimension(x, bound) <= m),
             "F(delta)=Proj_m": filtration_test(x, "delta", strat)[0]
-            == _leq(projective_dimension(x, bound), m),
+            == projective_dimension(x, bound).leq(m),
             "F(nablabar)=Codom_m": filtration_test(x, "nablabar", strat)[0]
             == codominant_dimension(x, bound).geq(m),
             "Codom_m=GInj_m": codominant_dimension(x, bound).geq(m)
             == (gi_dimension(x, bound) <= m),
             "F(nabla)=Inj_m": filtration_test(x, "nabla", strat)[0]
-            == _leq(injective_dimension(x, bound), m),
+            == injective_dimension(x, bound).leq(m),
         }
         bad = [k for k, v in checks.items() if not v]
         if bad:
@@ -824,13 +815,16 @@ def endo_quiver_construction(a, socle_vertices, bound=64):
     got = algebra_dominant_dimension(out, bound)
     if want != got:
         # two values contradict unless one is a floor the other can meet
-        cut = [d for d in (want, got) if d.kind == "at_least"]
-        firm = [d for d in (want, got) if d.kind != "at_least"]
-        if not cut or firm and not firm[0].geq(cut[0].n):
+        try:
+            met = all(d.eq(e.n) for d, e in ((got, want), (want, got))
+                      if e.is_exact)
+        except BoundExceeded:
+            met = True
+        if not met:
             raise CertificateFailure(
                 "dominant dimension cross-check failed: %s vs %s"
                 % (got, want))
         raise BoundExceeded(
             "bound %d cut the dominant dimension cross-check off: %s vs %s"
-            % (bound, got, want))
+            % (bound, got, want), bound)
     return out

@@ -5,8 +5,17 @@ flavours.  Exact(n) is a proven value.  AtLeast(n) says the computation ran
 out of budget with the value still >= n (an optional note records why, e.g.
 a coresolution that terminated inside projectives, which means the honest
 value is infinity).  Infinite carries a syzygy periodicity certificate.
+
+Dim owns every comparison with a cut-off value: geq, leq and eq answer only
+when every value the Dim admits gives the same answer, and otherwise raise
+BoundExceeded naming the floor, so a truncated computation is never read
+as an answer.
 """
 from __future__ import annotations
+
+import math
+
+from .errors import BoundExceeded
 
 
 class Dim:
@@ -24,8 +33,8 @@ class Dim:
         self.onset = onset
 
     @classmethod
-    def exact(cls, n, note=None):
-        return cls("exact", int(n), note)
+    def exact(cls, n):
+        return cls("exact", int(n))
 
     @classmethod
     def at_least(cls, n, note=None):
@@ -45,40 +54,29 @@ class Dim:
     def is_infinite(self):
         return self.kind == "infinite"
 
-    @property
-    def finite_value(self):
-        """The exact value; raises if not certified exact."""
-        if self.kind != "exact":
-            raise ValueError("dimension not certified exact: %s" % self)
-        return self.n
-
-    def lower_bound(self):
-        """The certified floor n of an exact or bounded-below value; None
-        for an infinite one, which no finite floor describes."""
-        return self.n
+    def _settle(self, relation, k, holds):
+        """holds(v) when every value v the Dim admits gives the same
+        answer; otherwise the bound cut the value off too low, which is
+        BoundExceeded naming the floor.  A comparison with k changes only
+        at k, so the ends of the admitted span and k itself speak for all
+        its values."""
+        lo = math.inf if self.kind == "infinite" else self.n
+        hi = self.n if self.kind == "exact" else math.inf
+        answers = {holds(v) for v in (lo, hi, k) if lo <= v <= hi}
+        if len(answers) == 1:
+            return answers.pop()
+        raise BoundExceeded(
+            "the bound cut the value off at %s, too low to settle %s %d"
+            % (self, relation, k), self.n)
 
     def geq(self, k):
-        """True iff the value is certified >= k."""
-        if self.kind == "infinite":
-            return True
-        return self.n >= k
+        return self._settle(">=", k, lambda v: v >= k)
 
     def leq(self, k):
-        """True iff the value is certified <= k.
-
-        AtLeast(n) with n <= k is indeterminate and raises, so callers can
-        never silently turn a truncated computation into a negative claim.
-        """
-        if self.kind == "exact":
-            return self.n <= k
-        if self.kind == "infinite":
-            return False
-        if self.n > k:
-            return False
-        raise ValueError("cannot certify <= %d from %s" % (k, self))
+        return self._settle("<=", k, lambda v: v <= k)
 
     def eq(self, k):
-        return self.kind == "exact" and self.n == k
+        return self._settle("=", k, lambda v: v == k)
 
     # -- combination -------------------------------------------------------
 
@@ -95,7 +93,7 @@ class Dim:
         finite = [d for d in dims if not d.is_infinite]
         if not finite:
             return Dim.infinite(note="all entries certified infinite")
-        lo = min(d.lower_bound() for d in finite)
+        lo = min(d.n for d in finite)
         exacts = [d.n for d in finite if d.is_exact]
         if exacts:
             if min(exacts) == lo:
@@ -114,7 +112,7 @@ class Dim:
                 return d
         if all(d.is_exact for d in dims):
             return Dim.exact(max(d.n for d in dims))
-        return Dim.at_least(max(d.lower_bound() for d in dims),
+        return Dim.at_least(max(d.n for d in dims),
                             note="some entries truncated")
 
     # -- misc --------------------------------------------------------------

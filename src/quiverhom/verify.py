@@ -10,7 +10,7 @@ from .algebra import (
 from .catalog import (
     klein_endo_algebra, klein_module_pair, verify_endo_presentation,
 )
-from .errors import MembershipUndecided, ProjectiveInput, UnknownExampleId
+from .errors import BoundExceeded, ProjectiveInput, UnknownExampleId
 from .homology import (
     cosyzygy, ext_dim, ext_dims, ext_dims_proj, injective_term_vertices,
     is_projective, mueller_domdim, projective_resolution, syzygy,
@@ -124,7 +124,8 @@ def _klein_gendo(bound):
     a, xa = klein_module_pair()
     c.hold("second syzygy of the loop submodule is itself",
            iso_test(syzygy(xa, 2), xa).is_iso)
-    c.expect("generator self-orthogonality gap", gendo_gorenstein_check(xa), 2)
+    c.expect("generator self-orthogonality gap",
+             gendo_gorenstein_check(xa, bound), 2)
     pair = direct_sum([regular_rep(a), xa])
     c.expect("endo dominant dimension via hom-vanishing",
              mueller_domdim(pair, bound), Dim.exact(2))
@@ -149,7 +150,7 @@ def _sequence(c, name, m, bound):
     membership undecided: a cut-off dominant dimension never passes."""
     try:
         return relative_ar_sequence(m, 1, bound)
-    except MembershipUndecided as e:
+    except BoundExceeded as e:
         c.hold(name, False, "undecided at bound %d" % e.bound)
         return None
 
@@ -244,7 +245,7 @@ def _chain_endo(n, bound):
     c = Checks()
     base = symmetric_chain_family(n - 1)
     soc = n - 1
-    out = endo_quiver_construction(base, [soc])
+    out = endo_quiver_construction(base, [soc], bound)
     c.expect("dimension grows by three", out.dim, base.dim + 3)
     got = algebra_dominant_dimension(out, bound)
     pair = direct_sum([regular_rep(base), simple_rep(base, soc)])

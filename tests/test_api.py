@@ -1,10 +1,11 @@
 """The names the benchmark's tracer wraps, and the library's one default
-bound.
+bound, passed on by every caller that takes it.
 
 perfbench/spans.py wraps package functions and methods by name from
 outside the package, so renaming or deleting one breaks `--trace 1`
 without failing any computation: these tests hold the package to the
 names and the Representation signature that file reads."""
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -57,3 +58,41 @@ def test_every_bound_defaults_to_64():
                 if p is not None and p.default is not p.empty:
                     defaults[mod.__name__ + "." + fname] = p.default
     assert defaults and set(defaults.values()) == {64}, defaults
+
+
+def _takes_bound(fn):
+    a = fn.args
+    return any(p.arg == "bound" for p in a.posonlyargs + a.args + a.kwonlyargs)
+
+
+def _passes_bound(call):
+    values = call.args + [k.value for k in call.keywords]
+    return any(k.arg == "bound" for k in call.keywords) or any(
+        isinstance(v, ast.Name) and v.id == "bound" for v in values)
+
+
+def test_every_bound_is_passed_on():
+    """A def or lambda that takes bound passes it, by position or keyword,
+    to every package function it calls that also takes one; a call that
+    drops it computes at the default bound instead of the caller's.
+    Dunder callees such as super().__init__ are not package functions."""
+    trees = [(path.name, ast.parse(path.read_text(), filename=str(path)))
+             for path in sorted(PACKAGE.glob("*.py"))]
+    takers = {fn.name for _, tree in trees for fn in ast.walk(tree)
+              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and _takes_bound(fn) and not fn.name.startswith("__")}
+    dropped = set()
+    for name, tree in trees:
+        for fn in ast.walk(tree):
+            if not (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.Lambda)) and _takes_bound(fn)):
+                continue
+            for call in ast.walk(fn):
+                if not isinstance(call, ast.Call):
+                    continue
+                f = call.func
+                callee = f.id if isinstance(f, ast.Name) else \
+                    getattr(f, "attr", None)
+                if callee in takers and not _passes_bound(call):
+                    dropped.add((name, call.lineno, callee))
+    assert sorted(dropped) == []

@@ -171,6 +171,24 @@ def test_gorenstein_dimension_cut_off_by_the_bound_is_undecided(
     assert "is not twice" not in err
 
 
+@pytest.mark.parametrize("example_id, bound, message", [
+    ("ex3.1-n4", 2, "the bound cut the value off at >=2, too low to settle "
+                    ">= 3"),
+    ("ex3.6-parity", 0, "the bound cut the value off at >=0, too low to "
+                        "settle >= 1"),
+    ("lemma4.3-n3", 3, "bound 3 cut the dominant dimension cross-check off: "
+                       ">=3 vs 4"),
+])
+def test_comparison_cut_off_by_the_bound_is_refused(example_id, bound,
+                                                    message, capsys):
+    # the paper's claims compare dimensions the bound cut off; that is no
+    # answer and no mismatch but one refusal that names the floor
+    assert cli.main(["verify-paper", example_id, "--bound", str(bound)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % message
+
+
 def test_unknown_benchmark_id_is_a_parse_error():
     rc, _, err = run_cli("verify-paper", "nope")
     assert rc == 2

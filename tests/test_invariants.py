@@ -11,7 +11,7 @@ from quiverhom.algebra import (
 )
 from quiverhom import modules, verify
 from quiverhom.errors import (
-    CertificateFailure, DecompositionInconclusive, DominantDimensionZero,
+    BoundExceeded, DecompositionInconclusive, DominantDimensionZero,
     NotApplicable, NotAuslanderGorenstein,
 )
 from quiverhom.homology import ext_dim, mueller_domdim, syzygy
@@ -134,7 +134,7 @@ def test_gendo_gorenstein_check_refusals(klein, a223):
     reg = regular_rep(klein)
     xa, _ = cyclic_submodule(reg, 1, [0, 1, 0, 0])
     # the first self-extension of the pair is in degree 1, past bound 0
-    with pytest.raises(CertificateFailure,
+    with pytest.raises(BoundExceeded,
                        match="^no self-extension found within bound; "
                              "cannot certify$"):
         gendo_gorenstein_check(xa, bound=0)
@@ -231,10 +231,36 @@ def test_ext_quotient_lemma_crosscheck(a223):
                 assert hit2 == (sv in injective_term_vertices(n, l))
 
 
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_dim_comparisons_answer_only_what_every_admitted_value_gives(n):
+    inf = float("inf")
+    # at_least(n) admits n, n + 1, ... and infinity; past n + 2 no
+    # comparison with k <= n + 1 changes
+    cases = [(Dim.exact(n), [n]), (Dim.at_least(n), [n, n + 1, n + 2, inf]),
+             (Dim.infinite(), [inf])]
+    relations = [("geq", lambda v, k: v >= k), ("leq", lambda v, k: v <= k),
+                 ("eq", lambda v, k: v == k)]
+    refused = 0
+    for d, values in cases:
+        for k in (n - 1, n, n + 1):
+            for rel, holds in relations:
+                answers = {holds(v, k) for v in values}
+                if len(answers) == 1:
+                    assert getattr(d, rel)(k) is answers.pop(), (d, rel, k)
+                    continue
+                with pytest.raises(BoundExceeded) as err:
+                    getattr(d, rel)(k)
+                assert err.value.bound == n
+                assert "at >=%d" % n in str(err.value)
+                refused += 1
+    # geq at n + 1, leq at n and n + 1, eq at n and n + 1
+    assert refused == 5
+
+
 def test_monotone_bounds(klein):
     d8 = algebra_dominant_dimension(klein, bound=8)
     d16 = algebra_dominant_dimension(klein, bound=16)
-    assert d16.lower_bound() >= d8.lower_bound()
+    assert d16.n >= d8.n
 
 
 def test_canonical_test_set_doesnt_duplicate(a223):

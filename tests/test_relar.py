@@ -5,7 +5,7 @@ import pytest
 
 from quiverhom.algebra import nakayama_from_kupisch
 from quiverhom.errors import (
-    ExtProjective, InvalidParameters, MembershipUndecided, NotInSubcategory,
+    BoundExceeded, ExtProjective, InvalidParameters, NotInSubcategory,
 )
 from quiverhom.homology import ar_translate
 from quiverhom.invariants import dominant_dimension
@@ -77,10 +77,10 @@ def test_subcategory_membership_enforced(a45):
 def test_membership_cut_off_by_the_bound_is_undecided(a45):
     # u(0,2) has dominant dimension 2; at bound 0 that reads >=0, which
     # settles nothing, while u(0,1) is certified outside at any bound
-    with pytest.raises(MembershipUndecided) as err:
+    with pytest.raises(BoundExceeded) as err:
         relative_ar_translate(uniserial_quotient(a45, 0, 2), 1, bound=0)
     assert err.value.bound == 0
-    with pytest.raises(MembershipUndecided):
+    with pytest.raises(BoundExceeded):
         relative_ar_sequence(uniserial_quotient(a45, 0, 2), 1, bound=0)
     with pytest.raises(NotInSubcategory):
         relative_ar_translate(uniserial_quotient(a45, 0, 1), 1, bound=0)

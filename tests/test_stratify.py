@@ -473,7 +473,7 @@ def test_extension_route_bound_caps_the_extensions():
     a = parse_construction("bnlambda:3,0")
     st = classify_stratification(a, (1, 2, 3))
     for bound, v in ((0, 2), (1, 3)):
-        with pytest.raises(CertificateFailure) as err:
+        with pytest.raises(BoundExceeded) as err:
             stratify._extension_route(st, bound)
         assert str(err.value) == ("universal extensions at %d did not "
                                   "stabilize within bound %d" % (v, bound))
