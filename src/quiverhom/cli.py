@@ -31,9 +31,9 @@ from .stratify import (
 )
 
 _RELAR_SKIP = {
-    "NotInSubcategory": "outside subcategory",
-    "ExtProjective": "relatively projective",
-    "ProjectiveInput": "projective",
+    NotInSubcategory: "outside subcategory",
+    ExtProjective: "relatively projective",
+    ProjectiveInput: "projective",
 }
 
 
@@ -175,9 +175,8 @@ def _cmd_relar(args):
             continue
         try:
             res = relative_ar_sequence(m, args.level, args.bound)
-        except (NotInSubcategory, ExtProjective, ProjectiveInput) as e:
-            rows.append({"module": name,
-                         "status": _RELAR_SKIP[type(e).__name__]})
+        except tuple(_RELAR_SKIP) as e:
+            rows.append({"module": name, "status": _RELAR_SKIP[type(e)]})
             continue
         except BoundExceeded as e:
             rows.append({"module": name,

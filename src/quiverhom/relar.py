@@ -16,7 +16,7 @@ from .homology import (
     ar_translate, cosyzygy, ext_dim, ext1_cocycles, extension_from_cocycle,
     is_projective, syzygy,
 )
-from .invariants import dominant_dimension
+from .invariants import algebra_dominant_dimension, dominant_dimension
 from .modules import decompose
 
 
@@ -98,7 +98,8 @@ def relative_ar_sequence(m, level, bound=64):
 
     The middle term is constructed from the unique extension cocycle when
     the pairing space is one-dimensional; otherwise the result carries the
-    translate with the determinacy flag down."""
+    translate with the determinacy flag down; NotApplicable when an end
+    leaves the subcategory of an algebra of dominant dimension below it."""
     res = relative_ar_translate(m, level, bound)
     if res.ext1_dim != 1:
         return res
@@ -107,6 +108,11 @@ def relative_ar_sequence(m, level, bound=64):
         raise CertificateFailure("almost split candidate splits")
     for name, end in (("left", res.translate), ("right", m)):
         if not dominant_dimension(end, bound).geq(level):
+            dd = algebra_dominant_dimension(m.algebra, bound)
+            if not dd.geq(level):
+                raise NotApplicable(
+                    "the algebra has dominant dimension %s, below level %d"
+                    % (dd, level))
             raise CertificateFailure(
                 "%s end of the sequence leaves the subcategory" % name)
     res.middle = ses.mid

@@ -59,14 +59,14 @@ class Dim:
         answer; otherwise the bound cut the value off too low, which is
         BoundExceeded naming the floor.  A comparison with k changes only
         at k, so the ends of the admitted span and k itself speak for all
-        its values."""
+        its values; eq(math.inf) asks whether the value is infinite."""
         lo = math.inf if self.kind == "infinite" else self.n
         hi = self.n if self.kind == "exact" else math.inf
         answers = {holds(v) for v in (lo, hi, k) if lo <= v <= hi}
         if len(answers) == 1:
             return answers.pop()
         raise BoundExceeded(
-            "the bound cut the value off at %s, too low to settle %s %d"
+            "the bound cut the value off at %s, too low to settle %s %s"
             % (self, relation, k), self.n)
 
     def geq(self, k):

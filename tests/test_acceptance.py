@@ -3,7 +3,7 @@ the verification registry end to end and prints a single pass/fail line;
 the registry ids are frozen so the command line surface cannot drift."""
 import pytest
 
-from quiverhom.errors import UnknownExampleId
+from quiverhom.errors import BoundExceeded, UnknownExampleId
 from quiverhom.verify import all_example_ids, verify_paper_example
 
 ALL_IDS = [
@@ -85,3 +85,21 @@ def test_registry_matches_the_frozen_ids():
     assert all_example_ids() == ALL_IDS
     with pytest.raises(UnknownExampleId):
         verify_paper_example("missing-id")
+
+
+def test_small_bounds_pass_or_refuse():
+    # a bound too low to settle a paper's claim refuses the id, naming a
+    # floor no higher than the bound; it never reports the claim as failing
+    outcomes = {}
+    for eid in ALL_IDS:
+        for bound in range(7):
+            try:
+                rep = verify_paper_example(eid, bound)
+            except BoundExceeded as e:
+                assert e.bound <= bound, (eid, bound, str(e))
+                outcomes[eid, bound] = "refused"
+                continue
+            assert rep["pass"], (eid, bound, [row for row in rep["checks"]
+                                              if not row["ok"]])
+            outcomes[eid, bound] = "pass"
+    assert list(outcomes.values()).count("pass") == 92

@@ -1,5 +1,6 @@
-"""The names the benchmark's tracer wraps, and the library's one default
-bound, passed on by every caller that takes it.
+"""The names the benchmark's tracer wraps, the library's one default
+bound, passed on by every caller that takes it, and Dim as the one judge
+of a computed dimension.
 
 perfbench/spans.py wraps package functions and methods by name from
 outside the package, so renaming or deleting one breaks `--trace 1`
@@ -96,3 +97,27 @@ def test_every_bound_is_passed_on():
                 if callee in takers and not _passes_bound(call):
                     dropped.add((name, call.lineno, callee))
     assert sorted(dropped) == []
+
+
+def _makes_dim(node):
+    """A Dim.exact/at_least/infinite(...) call, or a tuple holding one."""
+    if isinstance(node, ast.Tuple):
+        return any(_makes_dim(e) for e in node.elts)
+    f = getattr(node, "func", None)
+    return isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) \
+        and f.value.id == "Dim" and f.attr in ("exact", "at_least", "infinite")
+
+
+def test_no_dim_is_compared_with_eq():
+    """A computed dimension is settled by Dim.geq, leq or eq, which refuse
+    a value the bound cut off; == against a made Dim reads that value as
+    a plain mismatch.  No package == or != has a Dim.exact/at_least/
+    infinite(...) call, or a tuple holding one, on either side."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops) \
+                    and any(map(_makes_dim, [node.left] + node.comparators)):
+                found.append((path.name, node.lineno))
+    assert found == []

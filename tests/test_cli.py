@@ -8,6 +8,11 @@ import sys
 import pytest
 
 from quiverhom import catalog, cli, verify
+from quiverhom.algebra import bnlambda_family
+from quiverhom.errors import BoundExceeded
+from quiverhom.stratify import (
+    classify_stratification, verify_duality_consequences,
+)
 from quiverhom.verify import Checks
 
 TWO_WAY_3 = """\
@@ -120,6 +125,27 @@ def test_relar_reports_the_almost_split_sequence():
     assert seqs[0]["ext1_dim"] == 1
 
 
+@pytest.mark.parametrize("bound", ["1", "3", "64"])
+def test_relar_below_the_algebra_dominant_dimension_is_not_applicable(
+        bound, capsys):
+    # bnlambda:3,0 has dominant dimension 0: the approximations need not
+    # land in the level-1 subcategory, so no sequence is built
+    assert cli.main(["relar", "bnlambda:3,0", "--bound", bound]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the algebra has dominant dimension 0, "
+                            "below level 1\n")
+
+
+def test_tilting_cut_off_by_the_bound_is_refused():
+    # at bound 2 the Gorenstein dimension 4 reads ">=2": the conjecture
+    # report is refused instead of reading a violation
+    rc, out, err = run_cli("tilting", "-", "--bound", "2", stdin=TWO_WAY_3)
+    assert rc == 1
+    assert out == ""
+    assert err == "error: Gorenstein dimension >=2 / >=2 cut off by bound 2\n"
+
+
 def test_resolve_certifies_periodicity():
     rc, out, _ = run_cli("resolve", "kupisch:4,5,5")
     assert rc == 0
@@ -146,13 +172,13 @@ def test_verify_paper_single_id_passes():
 @pytest.mark.parametrize("example_id", ["ex3.6-d1", "ex3.6-d2"])
 def test_verify_paper_sequences_cut_off_by_the_bound_fail(example_id):
     # at bound 0 the dominant dimensions read ">=0": membership is
-    # undecided, which fails the check instead of passing it
-    rc, out, _ = run_cli("verify-paper", example_id, "--bound", "0",
-                         "--format", "structured")
-    assert rc == 3
-    checks = json.loads(out)["results"][0]["checks"]
-    assert checks and all(not c["ok"] for c in checks)
-    assert {c["detail"] for c in checks} == {"undecided at bound 0"}
+    # undecided, which refuses the id instead of failing its check
+    rc, out, err = run_cli("verify-paper", example_id, "--bound", "0",
+                           "--format", "structured")
+    assert rc == 1
+    assert out == ""
+    assert err == ("error: the bound cut the value off at >=0, too low to "
+                   "settle >= 1\n")
     rc, out, _ = run_cli("verify-paper", example_id, "--bound", "1")
     assert rc == 0
     assert "pass: yes" in out
@@ -164,16 +190,29 @@ def test_verify_paper_sequences_cut_off_by_the_bound_fail(example_id):
 ])
 def test_gorenstein_dimension_cut_off_by_the_bound_is_undecided(
         example_id, bound, capsys):
+    # the two-way towers refuse at their first check, the dominant
+    # dimension; the duality consequences refuse the Gorenstein dimension
     assert cli.main(["verify-paper", example_id, "--bound", str(bound)]) == 1
     err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "is not twice" not in err
+    if example_id.startswith("thm4.7"):
+        n = int(example_id[-1])
+        assert err == ("error: the bound cut the value off at >=%d, too low "
+                       "to settle = %d\n" % (bound, 2 * n - 2))
+        st = classify_stratification(bnlambda_family(n, (1,) * (n - 2)),
+                                     tuple(range(1, n + 1)),
+                                     duality_asserted=True)
+        with pytest.raises(BoundExceeded) as e:
+            verify_duality_consequences(st, bound=bound)
+        err = "error: %s\n" % e.value
     assert err == ("error: Gorenstein dimension >=%d / >=%d cut off by "
                    "bound %d\n" % (bound, bound, bound))
-    assert "is not twice" not in err
 
 
 @pytest.mark.parametrize("example_id, bound, message", [
     ("ex3.1-n4", 2, "the bound cut the value off at >=2, too low to settle "
-                    ">= 3"),
+                    "= 4"),
     ("ex3.6-parity", 0, "the bound cut the value off at >=0, too low to "
                         "settle >= 1"),
     ("lemma4.3-n3", 3, "bound 3 cut the dominant dimension cross-check off: "

@@ -146,6 +146,29 @@ def test_regular_and_coregular_are_tilting_223(a223):
     assert rep["coresolution_length"] == 4
 
 
+def test_tilting_that_is_not_cotilting():
+    # both self-injective dimensions of kupisch:3,4 are infinite, so D(A)
+    # has infinite projective dimension over the opposite algebra
+    a = parse_construction("kupisch:3,4")
+    period = Dim.infinite(period=1, onset=2)
+    assert invariants.gorenstein_dimension(a) == (period, period, False)
+    rep = verify_tilting(regular_rep(a))
+    assert rep["tilting"] and not rep["cotilting"]
+    assert rep["injdim"] == period
+    assert rep["cotilting_failure"] == (
+        "D(T): projective dimension is infinite (syzygy period 1 from 2)")
+
+
+def test_tilting_check_cut_off_by_the_bound_is_refused():
+    # the self-injective dimension 3 of kupisch:2,2,3 reads ">=1" at bound
+    # 1: cotilting is undecided, not false
+    a = parse_construction("kupisch:2,2,3")
+    with pytest.raises(BoundExceeded) as e:
+        verify_tilting(regular_rep(a), 1)
+    assert e.value.bound == 1
+    assert verify_tilting(regular_rep(a), 3)["cotilting"]
+
+
 def test_no_stratifying_order_455():
     rows = search_orders(nakayama_from_kupisch([4, 5, 5]))
     assert len(rows) == 6
