@@ -20,14 +20,14 @@ rewritten in terms of strictly smaller ones and the basis is deterministic.
 from __future__ import annotations
 
 from functools import wraps
+from itertools import chain
 
 from .errors import (
     BoundExceeded, CertificateFailure, InvalidParameters, InvalidSeries,
     QuotientCollapse,
 )
 from .linalg import (
-    Matrix, exact, kernel_vectors, rank, reduce_row, rref,
-    seeded_combinations, SEARCH_BUDGET, SEARCH_SEED,
+    Matrix, exact, kernel_vectors, linear_combination, rank, reduce_row, rref,
 )
 
 
@@ -321,19 +321,39 @@ class BoundQuiverAlgebra:
     @memo
     def symmetric_form(self):
         """Linear functional L with L(xy) = L(yx) and nondegenerate pairing
-        (x, y) -> L(xy), or None if the search finds none.
+        (x, y) -> L(xy), or None when the algebra is not symmetric.
 
-        The symmetric functionals form a linear space; nondegeneracy is an
-        open condition, so basis vectors of that space and then seeded
-        integer combinations, SEARCH_BUDGET candidates in all from
-        SEARCH_SEED, are tried.  A returned functional is a certificate;
-        None is only a failed search.
+        This is a decision over a finite candidate list.  A symmetric L
+        pairs e_u A e_v nondegenerately with e_v A e_u, so a Cartan matrix
+        that is not symmetric gives None at once.  Otherwise let c_0 ..
+        c_{k-1} be the kernel basis of the symmetric functionals and n the
+        number of vertices; the candidates are the c_j, then the points
+        L_t = sum_j t^j c_j of the moment curve for t = 0 .. n(k-1), and the
+        rank of the Gram matrix certifies each one.
+
+        The list is complete.  Let A be symmetric and L a symmetric
+        functional.  The left radical {x : L(xy) = 0 for all y} is a right
+        ideal, so when it is nonzero it holds a simple right submodule of
+        A, which lies in the socle.  A symmetric algebra is weakly
+        symmetric (Skowronski-Yamagata, Frobenius Algebras I): soc(e_v A)
+        is simple with top S_v, so the socle of A is the direct sum of the
+        pairwise nonisomorphic lines s_v Q, s_v in e_v A e_v, and its only
+        simple submodules are these lines.  Since s_v y lies in s_v Q, L is
+        nondegenerate iff L(s_v) != 0 for each of the n vertices v.  Each
+        form L -> L(s_v) is nonzero at a nondegenerate functional, so
+        t -> L_t(s_v) is a nonzero polynomial of degree at most k - 1 and
+        vanishes at no more than k - 1 values of t; some t in 0 .. n(k-1)
+        avoids all n of them.  So None certifies "not symmetric"; the
+        socle appears only in this proof, never in the computation.
         """
-        n = self.dim
+        cartan = self.cartan_matrix()
+        if cartan != cartan.transpose():
+            return None
+        d = self.dim
         rows = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                vec = [0] * n
+        for i in range(d):
+            for j in range(i + 1, d):
+                vec = [0] * d
                 prod = self.mult[i][j]
                 if prod:
                     for k, c in prod.items():
@@ -344,17 +364,20 @@ class BoundQuiverAlgebra:
                         vec[k] -= c
                 if any(vec):
                     rows.append(vec)
-        cands = kernel_vectors(Matrix(rows, len(rows), n))
-        for lam in seeded_combinations(cands, SEARCH_BUDGET, SEARCH_SEED):
+        cands = kernel_vectors(Matrix(rows, len(rows), d))
+        k = len(cands)
+        curve = (linear_combination([t ** j for j in range(k)], cands)
+                 for t in range(len(self.quiver.vertices) * (k - 1) + 1))
+        for lam in chain(cands, curve):
             gram = []
-            for i in range(n):
-                row = [0] * n
-                for j in range(n):
+            for i in range(d):
+                row = [0] * d
+                for j in range(d):
                     prod = self.mult[i][j]
                     if prod:
                         row[j] = sum(c * lam[k] for k, c in prod.items())
                 gram.append(row)
-            if rank(Matrix(gram, n, n)) == n:
+            if rank(Matrix(gram, d, d)) == d:
                 return tuple(lam)
         return None
 

@@ -15,8 +15,8 @@ import sys
 
 from . import catalog, dsl, verify
 from .errors import (
-    BoundExceeded, ExtProjective, NotInSubcategory, ParseError,
-    ProjectiveInput, QuiverhomError, UnknownExampleId,
+    BoundExceeded, DecomposableInput, ExtProjective, NotInSubcategory,
+    ParseError, ProjectiveInput, QuiverhomError, UnknownExampleId,
 )
 from .homology import projective_resolution
 from .invariants import (
@@ -34,6 +34,7 @@ _RELAR_SKIP = {
     NotInSubcategory: "outside subcategory",
     ExtProjective: "relatively projective",
     ProjectiveInput: "projective",
+    DecomposableInput: "decomposable",
 }
 
 

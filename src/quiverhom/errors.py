@@ -49,6 +49,10 @@ class NotApplicable(QuiverhomError):
     """Hypotheses of the requested check do not hold."""
 
 
+class DecomposableInput(NotApplicable):
+    """Operation defined only for indecomposable modules."""
+
+
 class DominantDimensionZero(QuiverhomError):
     """No faithful projective-injective exists (dominant dimension 0)."""
 

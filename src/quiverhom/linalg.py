@@ -14,11 +14,11 @@ particular solutions, minimal polynomials) is deterministic: same input,
 same output, bit for bit.
 
 Each question has one routine: kernel_vectors (with left_kernel, its row
-form) for kernels, and solve_linear for every linear system.
+form) for kernels, and solve_linear for every linear system.  Nothing here
+is random; the one seeded search, decompose's, lives in modules.
 """
 from __future__ import annotations
 
-import random
 from bisect import bisect
 from fractions import Fraction
 
@@ -337,15 +337,6 @@ def minimal_polynomial(blocks):
         cols = hstack([cols, target])
 
 
-# -- seeded search candidates ----------------------------------------------
-
-# The candidates of every seeded search (decompose's splitting endomorphism,
-# Algebra.symmetric_form's nondegenerate functional): how many are made, and
-# the seed of their coefficients.
-SEARCH_BUDGET = 64
-SEARCH_SEED = 0
-
-
 def linear_combination(coeffs, vectors):
     """Sum of c * v over the nonzero coefficients, built in one pass over
     the entries of each vector; entries are exact rationals (int or
@@ -357,20 +348,6 @@ def linear_combination(coeffs, vectors):
                 if x:
                     out[i] += x * c
     return out
-
-
-def seeded_combinations(vectors, budget, seed):
-    """Candidates for a search over the span of the vectors, made one at a
-    time: the vectors themselves, then combinations whose integer
-    coefficients in [-3, 3] are drawn from random.Random(seed), until
-    budget candidates have been made (never fewer than the vectors)."""
-    yield from vectors
-    if not vectors:
-        return
-    rng = random.Random(seed)
-    for _ in range(budget - len(vectors)):
-        yield linear_combination([rng.randint(-3, 3) for _ in vectors],
-                                 vectors)
 
 
 def poly_eval_matrix(coeffs, mat):

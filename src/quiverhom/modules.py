@@ -11,8 +11,8 @@ original object, which downstream code relies on.
 """
 from __future__ import annotations
 
+import random
 from fractions import Fraction
-from itertools import islice
 from math import comb, gcd, isqrt, lcm
 
 from .algebra import memo
@@ -21,8 +21,8 @@ from .errors import (
 )
 from .linalg import (
     Matrix, exact, hstack, vstack, rank, reduce_row, rref, kernel_vectors,
-    left_kernel, row_space, minimal_polynomial, poly_eval_matrix,
-    seeded_combinations, SEARCH_BUDGET, SEARCH_SEED,
+    left_kernel, linear_combination, row_space, minimal_polynomial,
+    poly_eval_matrix,
 )
 
 
@@ -591,14 +591,23 @@ def _map_from_flat(like, vec):
     return ModuleMap(like.source, like.target, blocks, validate=False)
 
 
+# The candidates of decompose's splitting search: how many are made, and the
+# seed of their coefficients.
+SEARCH_BUDGET = 64
+SEARCH_SEED = 0
+
+
 def _seeded_maps(maps, budget, seed):
-    """The maps, then seeded combinations of them in the order of
-    linalg.seeded_combinations, each built only when the search asks for
-    it."""
+    """The maps, then combinations of them whose integer coefficients in
+    [-3, 3] are drawn from random.Random(seed), until budget candidates
+    have been made (never fewer than the maps); each combination is built
+    only when the search asks for it."""
     yield from maps
     flat = [flat_blocks(f) for f in maps]
-    for vec in islice(seeded_combinations(flat, budget, seed), len(maps), None):
-        yield _map_from_flat(maps[0], vec)
+    rng = random.Random(seed)
+    for _ in range(budget - len(maps)):
+        yield _map_from_flat(maps[0], linear_combination(
+            [rng.randint(-3, 3) for _ in maps], flat))
 
 
 def iso_test(m, n):

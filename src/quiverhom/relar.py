@@ -9,8 +9,8 @@ cocycle when the pairing space is one-dimensional.
 from __future__ import annotations
 
 from .errors import (
-    CertificateFailure, ExtProjective, InvalidParameters, NotApplicable,
-    NotInSubcategory, ProjectiveInput, UniquenessViolation,
+    CertificateFailure, DecomposableInput, ExtProjective, InvalidParameters,
+    NotApplicable, NotInSubcategory, ProjectiveInput, UniquenessViolation,
 )
 from .homology import (
     ar_translate, cosyzygy, ext_dim, ext1_cocycles, extension_from_cocycle,
@@ -62,7 +62,7 @@ def relative_ar_translate(m, level, bound=64):
         raise NotApplicable("zero module")
     parts = decompose(m)
     if len(parts) != 1:
-        raise NotApplicable("module must be indecomposable")
+        raise DecomposableInput("module must be indecomposable")
     dd = dominant_dimension(m, bound)
     if not dd.geq(level):
         raise NotInSubcategory(

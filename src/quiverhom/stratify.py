@@ -451,13 +451,12 @@ def characteristic_tilting(strat, bound=64):
 
 def _cosyzygy_candidate(a, i):
     """Basic parts of the projective-injectives plus the i-th cosyzygy of
-    the sum of the other projectives."""
+    the sum of the other projectives, taken one projective at a time:
+    minimal cosyzygies are additive."""
     pins = injective_projective_vertices(a)
-    parts = [projective_rep(a, v) for v in pins]
-    rest = [projective_rep(a, v) for v in a.quiver.vertices if v not in pins]
-    if rest:
-        parts.append(cosyzygy(direct_sum(rest), i))
-    return _basic_parts(parts)
+    return _basic_parts([projective_rep(a, v) for v in pins]
+                        + [cosyzygy(projective_rep(a, v), i)
+                           for v in a.quiver.vertices if v not in pins])
 
 
 def _ag_route(strat, r, bound):

@@ -1,17 +1,19 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quiverhom.algebra import (
     Quiver, Relation, BoundQuiverAlgebra, build_algebra, monomial_relation,
     combination_relation, nakayama_from_kupisch, klein_four_like,
     symmetric_chain_family, bnlambda_family,
 )
-from quiverhom import invariants, modules, stratify
+from quiverhom import algebra, invariants, modules, stratify
+from quiverhom.catalog import parse_construction
 from quiverhom.errors import (
     BoundExceeded, InvalidParameters, InvalidSeries, QuotientCollapse,
 )
-from quiverhom.linalg import Matrix, rank
+from quiverhom.linalg import Matrix, kernel_vectors, rank
 
 from oracles import path_normal_form, word_space_dimension
 
@@ -139,6 +141,97 @@ def test_symmetric_chain_dims():
 def test_symmetric_chain_is_symmetric():
     assert symmetric_chain_family(2).is_symmetric
     assert symmetric_chain_family(3).is_symmetric
+
+
+# -- symmetric_form decides -------------------------------------------------
+
+def _two_dual_numbers():
+    """k[x]/x^2 times k[y]/y^2, a disconnected symmetric algebra."""
+    q = Quiver([1, 2], [("x", 1, 1), ("y", 2, 2)])
+    return build_algebra(q, [monomial_relation(q, ["x", "x"]),
+                             monomial_relation(q, ["y", "y"])], loewy_cap=4)
+
+
+SYMMETRY_PROBES = {
+    name: (lambda name=name: parse_construction(name)) for name in (
+        "klein_four", "symmetric_chain:2", "symmetric_chain:3",
+        "symmetric_chain:4", "kupisch:3,3", "kupisch:2,2", "kupisch:2,3",
+        "kupisch:2,2,3", "kupisch:3,4,4", "kupisch:4,5,5", "bnlambda:2",
+        "bnlambda:3,0", "bnlambda:3,1", "bnlambda:4,1,1",
+        "endo-of:klein_four@1", "endo-of:symmetric_chain:3@2")}
+SYMMETRY_PROBES["dual-numbers-twice"] = _two_dual_numbers
+SYMMETRIC = {"klein_four", "symmetric_chain:2", "symmetric_chain:3",
+             "symmetric_chain:4", "kupisch:3,3", "dual-numbers-twice"}
+_BUILT = {}
+
+
+def _probe(name):
+    if name not in _BUILT:
+        _BUILT[name] = SYMMETRY_PROBES[name]()
+    return _BUILT[name]
+
+
+def _pairing(a, lam):
+    """Gram matrix of (x, y) -> lam(xy) on the basis."""
+    return Matrix.from_rows([
+        [sum(c * lam[k] for k, c in a.multiply(a.basis_element(i),
+                                               a.basis_element(j)).items())
+         for j in range(a.dim)] for i in range(a.dim)])
+
+
+def _gram_ranks(monkeypatch, a):
+    """(symmetric_form of a, the number of ranks it took)."""
+    calls = []
+    orig = algebra.rank
+
+    def counted(m):
+        calls.append(m)
+        return orig(m)
+
+    monkeypatch.setattr(algebra, "rank", counted)
+    return a.symmetric_form(), len(calls)
+
+
+def test_symmetric_form_refuses_an_asymmetric_cartan_matrix_at_once(
+        monkeypatch):
+    a = nakayama_from_kupisch([2, 2, 3])
+    assert a.cartan_matrix() != a.cartan_matrix().transpose()
+    assert _gram_ranks(monkeypatch, a) == (None, 0)
+
+
+def test_symmetric_form_tries_the_basis_then_the_moment_curve(monkeypatch):
+    # Cartan-symmetric, not weakly symmetric: k = 2 symmetric functionals
+    # on n = 2 vertices give k + n(k - 1) + 1 = 5 candidates, all degenerate
+    a = bnlambda_family(2, [])
+    assert a.cartan_matrix() == a.cartan_matrix().transpose()
+    assert _gram_ranks(monkeypatch, a) == (None, 5)
+
+
+def test_symmetric_form_decides_the_probes():
+    assert {name for name in SYMMETRY_PROBES
+            if _probe(name).is_symmetric} == SYMMETRIC
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(SYMMETRY_PROBES)),
+       coeffs=st.lists(st.integers(-3, 3), min_size=40, max_size=40))
+def test_symmetric_form_none_means_no_nondegenerate_functional(name, coeffs):
+    a = _probe(name)
+    commutators = [
+        [x - y for x, y in zip(a.element_vector(a.multiply(bi, bj)),
+                               a.element_vector(a.multiply(bj, bi)))]
+        for bi in map(a.basis_element, range(a.dim))
+        for bj in map(a.basis_element, range(a.dim))]
+    space = kernel_vectors(Matrix.from_rows(commutators))
+    lam = a.symmetric_form()
+    if lam is None:
+        combo = [sum(c * v[i] for c, v in zip(coeffs, space))
+                 for i in range(a.dim)]
+        assert rank(_pairing(a, combo)) < a.dim
+    else:
+        assert all(sum(x * l for x, l in zip(row, lam)) == 0
+                   for row in commutators)
+        assert rank(_pairing(a, lam)) == a.dim
 
 
 def test_bnlambda_dims():

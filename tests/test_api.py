@@ -1,6 +1,7 @@
 """The names the benchmark's tracer wraps, the library's one default
-bound, passed on by every caller that takes it, and Dim as the one judge
-of a computed dimension.
+bound, passed on by every caller that takes it, Dim as the one judge
+of a computed dimension, and decompose's splitting search as the one
+seeded search.
 
 perfbench/spans.py wraps package functions and methods by name from
 outside the package, so renaming or deleting one breaks `--trace 1`
@@ -121,3 +122,27 @@ def test_no_dim_is_compared_with_eq():
                     and any(map(_makes_dim, [node.left] + node.comparators)):
                 found.append((path.name, node.lineno))
     assert found == []
+
+
+def test_only_the_seeded_searches_draw_at_random():
+    """Only modules.py (decompose's splitting search) and verify.py (the
+    props-core battery of random matrices) import random, and only
+    modules.py names the search constants: every other question, such as
+    Algebra.symmetric_form, is decided over a finite candidate list."""
+    importers, searchers = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imported = {a.name for a in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                imported = {node.module}
+            else:
+                imported = set()
+            if "random" in imported:
+                importers.add(path.name)
+            # a name read or assigned (ast.Name) or imported (ast.alias)
+            if {getattr(node, "id", None), getattr(node, "name", None)} & {
+                    "SEARCH_BUDGET", "SEARCH_SEED"}:
+                searchers.add(path.name)
+    assert importers == {"modules.py", "verify.py"}
+    assert searchers == {"modules.py"}

@@ -137,6 +137,24 @@ def test_relar_below_the_algebra_dominant_dimension_is_not_applicable(
                             "below level 1\n")
 
 
+def test_relar_names_decomposable_canonical_modules(capsys):
+    # at bound 0 no row reaches the algebra's dominant dimension, and the
+    # decomposable rad P(2) and cosyz1 S(2) are rows of their own; at
+    # bound 1 the command still refuses
+    assert cli.main(["relar", "bnlambda:3,0", "--bound", "0",
+                     "--format", "structured"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = json.loads(captured.out)["modules"]
+    assert [r["module"] for r in rows
+            if r["status"] == "decomposable"] == ["rad P(2)", "cosyz1 S(2)"]
+    assert {r["status"] for r in rows} == {
+        "undecided at bound 0", "outside subcategory", "decomposable"}
+    assert cli.main(["relar", "bnlambda:3,0", "--bound", "1"]) == 1
+    assert capsys.readouterr().err == (
+        "error: the algebra has dominant dimension 0, below level 1\n")
+
+
 def test_tilting_cut_off_by_the_bound_is_refused():
     # at bound 2 the Gorenstein dimension 4 reads ">=2": the conjecture
     # report is refused instead of reading a violation

@@ -19,7 +19,7 @@ from quiverhom.algebra import (
     Quiver, build_algebra, klein_four_like, monomial_relation,
     nakayama_from_kupisch,
 )
-from quiverhom.linalg import Matrix, seeded_combinations
+from quiverhom.linalg import Matrix
 from quiverhom.modules import (
     Representation, ModuleMap, zero_rep, simple_rep, projective_rep,
     projective_from_vertices, projective_map, regular_rep, injective_rep,
@@ -268,26 +268,16 @@ def test_seeded_maps_match_the_eager_loop(klein, naka223):
             assert [f.blocks for f in lazy] == [f.blocks for f in eager]
 
 
-def test_seeded_combinations_of_vectors():
-    vecs = [[Fraction(1), Fraction(0)], [Fraction(2), Fraction(-1)]]
-    got = list(seeded_combinations(vecs, 5, 1))
-    rng = random.Random(1)
-    want = list(vecs)
-    for _ in range(3):
-        c = [rng.randint(-3, 3) for _ in vecs]
-        want.append([c[0] * vecs[0][i] + c[1] * vecs[1][i] for i in range(2)])
-    assert got == want
-    assert all(isinstance(x, Fraction) for v in got for x in v)
-    assert list(seeded_combinations([], 5, 1)) == []
-    assert list(seeded_combinations(vecs, 1, 1)) == vecs
-
-
 def test_iso_search_builds_no_combination_when_a_basis_map_succeeds(
         monkeypatch, naka223):
-    calls = _count_calls(monkeypatch, linalg, "linear_combination")
+    calls = _count_calls(monkeypatch, modules, "linear_combination")
     r = iso_test(injective_rep(naka223, 1), projective_rep(naka223, 2))
     assert r.is_iso
     assert calls == []
+    # the counter sees the combinations of a search that exhausts the basis
+    with pytest.raises(DecompositionInconclusive):
+        decompose(_kronecker_sqrt2())
+    assert len(calls) == modules.SEARCH_BUDGET - 2
 
 
 def test_local_certificate_skips_the_splitting_search(
@@ -311,11 +301,11 @@ def test_symmetric_form_unchanged():
     assert klein_four_like().symmetric_form() == tuple(
         Fraction(x) for x in (0, 0, 0, 1))
     # k[x]/x^2 times k[y]/y^2: no basis functional is nondegenerate, so
-    # the answer is a seeded combination
+    # the answer is a point of the moment curve, the sum of the basis at t = 1
     q = Quiver([1, 2], [("x", 1, 1), ("y", 2, 2)])
     a = build_algebra(q, [monomial_relation(q, ["x", "x"]),
                           monomial_relation(q, ["y", "y"])], loewy_cap=4)
-    assert a.symmetric_form() == tuple(Fraction(x) for x in (0, 3, 3, -1))
+    assert a.symmetric_form() == (1, 1, 1, 1)
 
 
 # -- exact isomorphism against Auslander's oracle ---------------------------
