@@ -232,9 +232,16 @@ def parse_algebra_dsl(text):
             order = [_int(t, lineno) for t in rest]
             if vertices is None:
                 raise ParseError("order before vertices line", lineno, 1)
-            for v, tok in zip(order, rest):
+            for i, (v, tok) in enumerate(zip(order, rest)):
                 if v not in vertices:
                     raise ParseError("unknown vertex %d" % v, lineno, tok[1])
+                if v in order[:i]:
+                    raise ParseError("repeated vertex %d in order" % v,
+                                     lineno, tok[1])
+            missing = [v for v in vertices if v not in order]
+            if missing:
+                raise ParseError("order misses vertex %d" % missing[0],
+                                 lineno, len(raw) + 1)
         else:
             raise ParseError(
                 "expected one of algebra, vertices, arrow, relations:, "

@@ -38,7 +38,8 @@ class ZeroModule(QuiverhomError):
 
 
 class DecompositionInconclusive(QuiverhomError):
-    """Splitting search stalled before certifying indecomposability."""
+    """decompose found no splitting endomorphism, and End(M)/rad is not
+    commutative, so no indecomposability certificate applies."""
 
 
 class NotGeneratorCogenerator(QuiverhomError):

@@ -15,7 +15,7 @@ same output, bit for bit.
 
 Each question has one routine: kernel_vectors (with left_kernel, its row
 form) for kernels, and solve_linear for every linear system.  Nothing here
-is random; the one seeded search, decompose's, lives in modules.
+is random.
 """
 from __future__ import annotations
 

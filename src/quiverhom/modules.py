@@ -11,7 +11,6 @@ original object, which downstream code relies on.
 """
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from math import comb, gcd, isqrt, lcm
 
@@ -591,25 +590,6 @@ def _map_from_flat(like, vec):
     return ModuleMap(like.source, like.target, blocks, validate=False)
 
 
-# The candidates of decompose's splitting search: how many are made, and the
-# seed of their coefficients.
-SEARCH_BUDGET = 64
-SEARCH_SEED = 0
-
-
-def _seeded_maps(maps, budget, seed):
-    """The maps, then combinations of them whose integer coefficients in
-    [-3, 3] are drawn from random.Random(seed), until budget candidates
-    have been made (never fewer than the maps); each combination is built
-    only when the search asks for it."""
-    yield from maps
-    flat = [flat_blocks(f) for f in maps]
-    rng = random.Random(seed)
-    for _ in range(budget - len(maps)):
-        yield _map_from_flat(maps[0], linear_combination(
-            [rng.randint(-3, 3) for _ in maps], flat))
-
-
 def iso_test(m, n):
     """Exact isomorphism decision.
 
@@ -623,8 +603,9 @@ def iso_test(m, n):
     f = sum a_i f_i with inverse g = sum b_j g_j, id = sum a_i b_j f_i g_j,
     so some f_i g_j is a unit of End(m), which makes f_i injective and so
     invertible.  Otherwise the decompositions of m and n are matched summand
-    by summand (Krull-Schmidt).  DecompositionInconclusive from decompose
-    propagates; it is never read as a negative."""
+    by summand (Krull-Schmidt).  decompose decides every module whose
+    End/rad is commutative; the DecompositionInconclusive it raises for
+    the others propagates and is never read as a negative."""
     if m.dim_vector() != n.dim_vector():
         return IsoResult("not_iso", reason="dimension vectors differ")
     if m.total_dim == 0:
@@ -770,10 +751,10 @@ def _sympy_split(coeffs):
             for g in (facs[0][0] ** facs[0][1], g2)]
 
 
-def _trace_form_rank(endos):
-    """Rank of the Gram matrix tr(f_i f_j) of the trace form on the span of
-    the endomorphisms.  Maps act vertex by vertex, so tr(f_i f_j) is the
-    sum of the entrywise products of the blocks of f_i with the transposed
+def _trace_form(endos):
+    """Gram matrix tr(f_i f_j) of the trace form on the span of the
+    endomorphisms.  Maps act vertex by vertex, so tr(f_i f_j) is the sum
+    of the entrywise products of the blocks of f_i with the transposed
     blocks of f_j; the matrix is symmetric, so each pair is summed once."""
     flat = [flat_blocks(f) for f in endos]
     flat_t = [[b.data[i][j] for b in f.blocks.values()
@@ -785,28 +766,70 @@ def _trace_form_rank(endos):
         for j in range(i, k):
             t = sum((x * y for x, y in zip(flat[i], flat_t[j]) if x and y), 0)
             gram[i][j] = gram[j][i] = t
-    return rank(Matrix(gram, k, k))
+    return Matrix(gram, k, k)
+
+
+def _trace(f):
+    return sum(b.data[i][i] for b in f.blocks.values() for i in range(b.nrows))
+
+
+def _candidates(endos, basis):
+    """The maps endos, then the moment-curve points sum_j t^j basis[j] for
+    t = 0..(s-1)^2 s/2 with s = len(basis), each point built only when
+    the search asks for it."""
+    yield from endos
+    s = len(basis)
+    flat = [flat_blocks(g) for g in basis]
+    for t in range((s - 1) ** 2 * s // 2 + 1):
+        yield _map_from_flat(basis[0], linear_combination(
+            [t ** j for j in range(s)], flat))
 
 
 def decompose(m):
     """Indecomposable summands, via kernels of polynomials in endomorphisms.
 
-    The certificates of indecomposability come first: a one-dimensional
-    endomorphism ring, or a trace form of rank one.  By Dickson's theorem
-    the radical of the trace form is rad End(M) in characteristic 0, so
-    rank one means End(M) is local with residue field Q; every
-    endomorphism is then a scalar plus a nilpotent and none can split M.
-    Only otherwise does the seeded search (SEARCH_BUDGET candidates from
-    SEARCH_SEED) look for an endomorphism whose minimal polynomial has two
-    coprime factors, and split M into their kernels.  If the search finds
-    none, DecompositionInconclusive is raised.
+    Let S = End(M)/rad.  By Dickson's theorem the kernel of the trace form
+    tr(fg) on End(M) is rad End(M) in characteristic 0, so the pivot
+    columns of the reduced Gram matrix of the Hom basis pick endomorphisms
+    g_0..g_{s-1} whose images form a basis of S.  A one-dimensional
+    End(M), or s = 1, certifies M indecomposable: End(M) is then local
+    with residue field Q, every endomorphism is a scalar plus a nilpotent,
+    and none can split M.
+
+    Otherwise the candidates are tried in turn: the Hom basis, then the
+    moment-curve points x_t = sum_j t^j g_j for t = 0..(s-1)^2 s/2.  A
+    candidate whose minimal polynomial has two coprime factors splits M
+    into their kernels (Fitting), and each kernel is decomposed in turn.
+
+    The list decides every M whose S is commutative.  S is then a product
+    of number fields K_1..K_r with s embeddings sigma_a into C, and the
+    image of x in S generates S exactly when the sigma_a(x) are distinct.
+    For a != b the embeddings differ on S, so (sigma_a - sigma_b)(x_t) =
+    sum_j t^j (sigma_a - sigma_b)(g_j) is a nonzero polynomial in t of
+    degree at most s - 1.  The s(s-1)/2 of them vanish at no more than
+    (s-1)^2 s/2 integers in all, so some t in the range gives a generator
+    x_t.  The minimal polynomial of its image in S is then a product of r
+    distinct irreducibles, one per K_i, and the minimal polynomial of x_t
+    on M has the same irreducible factors, because rad End(M) is
+    nilpotent.  It has coprime factors exactly when r >= 2, that is, when
+    S is not a field, which is when S, and so End(M), has a nontrivial
+    idempotent and M is decomposable.  So when no candidate splits and S
+    is commutative, M is indecomposable.  S is commutative when every
+    commutator [g_i, g_j] lies in rad, the kernel of the trace form: when
+    tr([g_i, g_j] g_l) = 0 for all i, j and l, since the g_l and rad span
+    End(M) and tr(c r) = 0 for r in rad.  If S is not commutative,
+    DecompositionInconclusive is raised: finding zero divisors in a
+    noncommutative S is hard in general.
     """
     if m.total_dim == 0:
         return []
     endos = hom_basis(m, m)
-    if len(endos) == 1 or _trace_form_rank(endos) == 1:
+    if len(endos) == 1:
         return [m]
-    for f in _seeded_maps(endos, SEARCH_BUDGET, SEARCH_SEED):
+    basis = [endos[i] for i in rref(_trace_form(endos))[1]]
+    if len(basis) == 1:
+        return [m]
+    for f in _candidates(endos, basis):
         split = _coprime_split(minimal_polynomial(list(f.blocks.values())))
         if split is None:
             continue
@@ -815,6 +838,10 @@ def decompose(m):
                 or k2.total_dim == 0:
             raise CertificateFailure("fitting split does not add up")
         return decompose(k1) + decompose(k2)
+    if all(_trace(g.then(h).then(x)) == _trace(h.then(g).then(x))
+           for i, g in enumerate(basis) for h in basis[i + 1:]
+           for x in basis):
+        return [m]
     raise DecompositionInconclusive(
-        "no splitting endomorphism found and local certificate failed")
-
+        "End(M)/rad is not commutative and no candidate endomorphism "
+        "splits M")

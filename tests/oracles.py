@@ -42,8 +42,10 @@ taken through an explicit lift.
 
 searched_iso_test is the reference for modules.iso_test, as the package
 decided isomorphism before equal data certified it: structural invariants,
-four Hom-basis solves, an invertible basis map, and otherwise the seeded
-decompositions matched summand by summand with the same search.
+four Hom-basis solves, an invertible basis map, and otherwise the
+decompositions matched summand by summand with the same search.  It
+shares modules.decompose, which tries the Hom basis and then a finite,
+deterministic list of combinations; no seeded search is left in it.
 
 path_normal_form is the image of a quiver path in an algebra, a product
 of arrow elements.  rediscovered_quotient is the reference for
@@ -391,7 +393,7 @@ def reduced_quotient_by_rows(m, rows_by_vertex):
 
 
 def searched_iso_test(m, n):
-    """IsoResult for m and n from invariants, Hom-basis maps and seeded
+    """IsoResult for m and n from invariants, Hom-basis maps and
     decompositions, with no equal-data shortcut.  DecompositionInconclusive
     propagates."""
     if m.dim_vector() != n.dim_vector():

@@ -1,7 +1,7 @@
 """The names the benchmark's tracer wraps, the library's one default
 bound, passed on by every caller that takes it, Dim as the one judge
-of a computed dimension, and decompose's splitting search as the one
-seeded search.
+of a computed dimension, and the props-core battery as the one draw at
+random.
 
 perfbench/spans.py wraps package functions and methods by name from
 outside the package, so renaming or deleting one breaks `--trace 1`
@@ -124,11 +124,11 @@ def test_no_dim_is_compared_with_eq():
     assert found == []
 
 
-def test_only_the_seeded_searches_draw_at_random():
-    """Only modules.py (decompose's splitting search) and verify.py (the
-    props-core battery of random matrices) import random, and only
-    modules.py names the search constants: every other question, such as
-    Algebra.symmetric_form, is decided over a finite candidate list."""
+def test_only_the_props_battery_draws_at_random():
+    """Only verify.py (the props-core battery of random matrices) imports
+    random, and no package file names the constants of a seeded search:
+    decompose and Algebra.symmetric_form each decide over a finite
+    candidate list."""
     importers, searchers = set(), set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -144,5 +144,5 @@ def test_only_the_seeded_searches_draw_at_random():
             if {getattr(node, "id", None), getattr(node, "name", None)} & {
                     "SEARCH_BUDGET", "SEARCH_SEED"}:
                 searchers.add(path.name)
-    assert importers == {"modules.py", "verify.py"}
-    assert searchers == {"modules.py"}
+    assert importers == {"verify.py"}
+    assert searchers == set()

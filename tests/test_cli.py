@@ -366,3 +366,15 @@ def test_dsl_file_input(tmp_path):
     rep = json.loads(out)
     assert rep["input"] == str(path)
     assert rep["dim"] == 9 and rep["gldim"] == {"kind": "exact", "n": 4}
+
+
+def test_dsl_order_that_is_no_permutation_is_a_parse_error(tmp_path):
+    path = tmp_path / "chain.alg"
+    for order, message in (("order 1 1 2", "repeated vertex 1 in order"),
+                           ("order 1 2", "order misses vertex 3")):
+        path.write_text(TWO_WAY_3.replace("order 1 2 3", order))
+        rc, out, err = run_cli("stratify", str(path))
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("parse error:") and message in err
+        assert "Traceback" not in err

@@ -113,6 +113,10 @@ def test_two_parses_of_the_same_text_are_equal():
      5, 7, "x ends at 2 but x starts at 1"),
     ("algebra a\nvertices 1\n    x*x\n", 3, 1, "outside a relations block"),
     ("algebra a\nvertices 1\nloewy_cap 0\n", 3, 11, "must be positive"),
+    ("algebra a\nvertices 1 2 3\norder 1 1 2\n", 3, 9,
+     "repeated vertex 1 in order"),
+    ("algebra a\nvertices 1 2 3\norder 3 1\n", 3, 10,
+     "order misses vertex 2"),
 ])
 def test_parse_errors_carry_positions(text, line, col, frag):
     with pytest.raises(ParseError) as e:

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -28,7 +27,7 @@ from quiverhom.modules import (
     sub_representation, cyclic_submodule, quotient_by_rows,
     quotient_by_submodule, kernel_of_map, cokernel_of_map, hom_basis,
     iso_test, decompose, uniserial_quotient, radical_power_rows,
-    is_faithful, map_in_span, _map_from_flat, _seeded_maps,
+    is_faithful, map_in_span, _map_from_flat, same_add_closure,
 )
 from quiverhom.invariants import all_uniserial_quotients, canonical_test_set
 
@@ -226,24 +225,7 @@ def test_zero_module_edge_cases(naka223):
     assert hom_basis(z, projective_rep(naka223, 0)) == []
 
 
-# -- the seeded search ------------------------------------------------------
-
-def _eager_candidates(maps, budget, seed):
-    """Reference: every candidate built up front, each combination as a
-    chain of block additions and scalings."""
-    out = list(maps)
-    rng = random.Random(seed)
-    while len(out) < budget:
-        coeffs = [rng.randint(-3, 3) for _ in maps]
-        f = ModuleMap.zero(maps[0].source, maps[0].target)
-        for c, g in zip(coeffs, maps):
-            if c:
-                f = ModuleMap(f.source, f.target,
-                              {v: f.blocks[v] + g.blocks[v].scale(c)
-                               for v in f.blocks}, validate=False)
-        out.append(f)
-    return out
-
+# -- the candidate list ----------------------------------------------------
 
 def _count_calls(monkeypatch, module, name):
     calls = []
@@ -257,27 +239,17 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-def test_seeded_maps_match_the_eager_loop(klein, naka223):
-    reg = regular_rep(klein)
-    for m in (reg, regular_rep(naka223)):
-        endos = hom_basis(m, m)
-        for seed in (0, 3):
-            lazy = list(_seeded_maps(endos, 24, seed))
-            eager = _eager_candidates(endos, 24, seed)
-            assert len(lazy) == 24
-            assert [f.blocks for f in lazy] == [f.blocks for f in eager]
-
-
 def test_iso_search_builds_no_combination_when_a_basis_map_succeeds(
         monkeypatch, naka223):
     calls = _count_calls(monkeypatch, modules, "linear_combination")
     r = iso_test(injective_rep(naka223, 1), projective_rep(naka223, 2))
     assert r.is_iso
     assert calls == []
-    # the counter sees the combinations of a search that exhausts the basis
-    with pytest.raises(DecompositionInconclusive):
-        decompose(_kronecker_sqrt2())
-    assert len(calls) == modules.SEARCH_BUDGET - 2
+    # the counter sees the moment-curve points of a search that exhausts
+    # the basis: End(M) = Q(sqrt 2) has s = 2, so t = 0 and t = 1
+    m = _kronecker_sqrt2()
+    assert decompose(m) == [m]
+    assert len(calls) == 2
 
 
 def test_local_certificate_skips_the_splitting_search(
@@ -370,29 +342,116 @@ def test_iso_test_agrees_with_the_searched_reference(build, monkeypatch):
         assert (r.map.source, r.map.target) == (m, copy) and f.is_iso()
 
 
-def _kronecker_sqrt2():
-    """Kronecker module with M_a = I and M_b = [[0, 2], [1, 0]]: End(M) is
-    Q(sqrt 2), a field, so M is indecomposable and the seeded splitting
-    search finds nothing."""
+def _kronecker_algebra():
     q = Quiver([1, 2], [("a", 1, 2), ("b", 1, 2)])
-    k = build_algebra(q, [], loewy_cap=2)
+    return build_algebra(q, [], loewy_cap=2)
+
+
+def _kronecker_root(k, c):
+    """Kronecker module over k with M_a = I and M_b = [[0, c], [1, 0]]: for
+    c not a rational square End(M) is Q(sqrt c), a field, so M is
+    indecomposable, and no endomorphism has a split minimal polynomial."""
     return Representation(k, {1: 2, 2: 2}, {
-        "a": Matrix.identity(2), "b": Matrix.from_rows([[0, 2], [1, 0]])})
+        "a": Matrix.identity(2), "b": Matrix.from_rows([[0, c], [1, 0]])})
 
 
-def test_equal_data_is_iso_where_the_splitting_search_refuses():
+def _kronecker_sqrt2():
+    return _kronecker_root(_kronecker_algebra(), 2)
+
+
+def _change_basis(m, mix):
+    """m with the component at each vertex v moved by the invertible
+    matrix mix[v]: arrow a: s -> t acts by mix[s]^-1 M_a mix[t], and the
+    blocks mix[v] are an isomorphism from m to the result."""
+    inv = {v: linalg.solve_linear(p, Matrix.identity(p.nrows))
+           for v, p in mix.items()}
+    q = m.algebra.quiver
+    return Representation(m.algebra, m.dims, {
+        a.index: inv[a.source] @ m.mats[a.index] @ mix[a.target]
+        for a in q.arrows})
+
+
+def _unitriangular_mix(n):
+    """U L with U and L the unit upper and lower triangular matrices of
+    ones: determinant 1, and no entry zero."""
+    u = Matrix.from_rows([[int(j >= i) for j in range(n)] for i in range(n)])
+    return u @ u.transpose()
+
+
+def test_kronecker_sqrt2_is_decided_and_its_sums_match():
     m = _kronecker_sqrt2()
-    with pytest.raises(DecompositionInconclusive):
-        decompose(m)
+    assert decompose(m) == [m]
     r = iso_test(direct_sum([m, m]), direct_sum([m, m]))
     assert r.is_iso and r.map.is_iso()
     # the same sum after a basis change at vertex 2 in one summand differs
-    # in data, so the refusal stands
+    # in data; its summands are decided and match
     g = Matrix.from_rows([[1, 1], [0, 1]])
     moved = Representation(m.algebra, m.dims,
                            {i: x @ g for i, x in m.mats.items()})
-    with pytest.raises(DecompositionInconclusive):
-        iso_test(direct_sum([m, m]), direct_sum([m, moved]))
+    r = iso_test(direct_sum([m, m]), direct_sum([m, moved]))
+    assert r.is_iso and r.reason == "summands match"
+
+
+def test_quadratic_fields_and_a_simple_split_after_a_basis_change():
+    k = _kronecker_algebra()
+    parts = [_kronecker_root(k, 2), _kronecker_root(k, 3), simple_rep(k, 2)]
+    total = direct_sum(parts)
+    mixed = _change_basis(total, {v: _unitriangular_mix(d)
+                                  for v, d in total.dims.items()})
+    assert mixed.mats != total.mats
+    got = decompose(mixed)
+    assert len(got) == 3
+    assert same_add_closure(got, parts)
+
+
+def test_noncommutative_top_refuses_only_when_nothing_splits(monkeypatch):
+    # End(M + M) / rad is M_2(Q(sqrt 2)), not commutative; with every
+    # split withheld the curve is exhausted and the refusal names it,
+    # while M alone, End(M) = Q(sqrt 2), is still decided
+    monkeypatch.setattr(modules, "_coprime_split", lambda coeffs: None)
+    m = _kronecker_sqrt2()
+    with pytest.raises(DecompositionInconclusive, match="not commutative"):
+        decompose(direct_sum([m, m]))
+    assert decompose(m) == [m]
+
+
+def _distinct_indecomposables():
+    """Pairwise non-isomorphic indecomposables: every uniserial module of
+    kupisch:3,4,4, and Kronecker modules with End(M) = Q, Q(sqrt 2),
+    Q(sqrt 3) and Q(i)."""
+    k = _kronecker_algebra()
+    return [
+        [m for _, m in all_uniserial_quotients(nakayama_from_kupisch(
+            [3, 4, 4]))],
+        [simple_rep(k, 1), simple_rep(k, 2), projective_rep(k, 1)]
+        + [_kronecker_root(k, c) for c in (2, 3, -1)]]
+
+
+_POOLS = _distinct_indecomposables()
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_decompose_recovers_distinct_summands_after_a_basis_change(data):
+    pool = data.draw(st.sampled_from(_POOLS))
+    idx = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1,
+                             max_size=4, unique=True))
+    parts = [pool[i] for i in idx]
+    total = direct_sum(parts)
+    mix = {}
+    for v, d in total.dims.items():
+        p = Matrix.identity(d)
+        steps = data.draw(st.integers(0, 2 * d)) if d > 1 else 0
+        for _ in range(steps):
+            i, j = data.draw(st.sampled_from(
+                [(i, j) for i in range(d) for j in range(d) if i != j]))
+            e = [[int(r == c) for c in range(d)] for r in range(d)]
+            e[i][j] = data.draw(st.sampled_from([-2, -1, 1, 2]))
+            p = p @ Matrix.from_rows(e)
+        mix[v] = p
+    got = decompose(_change_basis(total, mix))
+    assert len(got) == len(parts)
+    assert same_add_closure(got, parts)
 
 
 def test_equal_data_over_different_algebras_is_refused():
