@@ -775,12 +775,13 @@ def _trace(f):
 
 def _candidates(endos, basis):
     """The maps endos, then the moment-curve points sum_j t^j basis[j] for
-    t = 0..(s-1)^2 s/2 with s = len(basis), each point built only when
-    the search asks for it."""
+    t = 1..(s-1)^2 s/2 with s = len(basis), each point built only when
+    the search asks for it.  The point at t = 0 is basis[0], one of the
+    endos, so it is not built again."""
     yield from endos
     s = len(basis)
     flat = [flat_blocks(g) for g in basis]
-    for t in range((s - 1) ** 2 * s // 2 + 1):
+    for t in range(1, (s - 1) ** 2 * s // 2 + 1):
         yield _map_from_flat(basis[0], linear_combination(
             [t ** j for j in range(s)], flat))
 
@@ -797,9 +798,11 @@ def decompose(m):
     and none can split M.
 
     Otherwise the candidates are tried in turn: the Hom basis, then the
-    moment-curve points x_t = sum_j t^j g_j for t = 0..(s-1)^2 s/2.  A
-    candidate whose minimal polynomial has two coprime factors splits M
-    into their kernels (Fitting), and each kernel is decomposed in turn.
+    moment-curve points x_t = sum_j t^j g_j for t = 1..(s-1)^2 s/2.  The
+    point x_0 = g_0 is a Hom-basis map, so the list holds x_t for every t
+    in 0..(s-1)^2 s/2, and it builds each once.  A candidate whose minimal
+    polynomial has two coprime factors splits M into their kernels
+    (Fitting), and each kernel is decomposed in turn.
 
     The list decides every M whose S is commutative.  S is then a product
     of number fields K_1..K_r with s embeddings sigma_a into C, and the
@@ -807,19 +810,19 @@ def decompose(m):
     For a != b the embeddings differ on S, so (sigma_a - sigma_b)(x_t) =
     sum_j t^j (sigma_a - sigma_b)(g_j) is a nonzero polynomial in t of
     degree at most s - 1.  The s(s-1)/2 of them vanish at no more than
-    (s-1)^2 s/2 integers in all, so some t in the range gives a generator
-    x_t.  The minimal polynomial of its image in S is then a product of r
-    distinct irreducibles, one per K_i, and the minimal polynomial of x_t
-    on M has the same irreducible factors, because rad End(M) is
-    nilpotent.  It has coprime factors exactly when r >= 2, that is, when
-    S is not a field, which is when S, and so End(M), has a nontrivial
-    idempotent and M is decomposable.  So when no candidate splits and S
-    is commutative, M is indecomposable.  S is commutative when every
-    commutator [g_i, g_j] lies in rad, the kernel of the trace form: when
-    tr([g_i, g_j] g_l) = 0 for all i, j and l, since the g_l and rad span
-    End(M) and tr(c r) = 0 for r in rad.  If S is not commutative,
-    DecompositionInconclusive is raised: finding zero divisors in a
-    noncommutative S is hard in general.
+    (s-1)^2 s/2 integers in all, so one of the (s-1)^2 s/2 + 1 values of t
+    in 0..(s-1)^2 s/2 gives a generator x_t.  The minimal polynomial of
+    its image in S is then a product of r distinct irreducibles, one per
+    K_i, and the minimal polynomial of x_t on M has the same irreducible
+    factors, because rad End(M) is nilpotent.  It has coprime factors
+    exactly when r >= 2, that is, when S is not a field, which is when S,
+    and so End(M), has a nontrivial idempotent and M is decomposable.  So
+    when no candidate splits and S is commutative, M is indecomposable.  S
+    is commutative when every commutator [g_i, g_j] lies in rad, the kernel
+    of the trace form: when tr([g_i, g_j] g_l) = 0 for all i, j and l,
+    since the g_l and rad span End(M) and tr(c r) = 0 for r in rad.  If S
+    is not commutative, DecompositionInconclusive is raised: finding zero
+    divisors in a noncommutative S is hard in general.
     """
     if m.total_dim == 0:
         return []

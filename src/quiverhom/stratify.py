@@ -32,7 +32,7 @@ from .invariants import (
     gp_dimension, injective_dimension, injective_projective_vertices,
     projective_dimension,
 )
-from .linalg import Echelon, Matrix, hstack
+from .linalg import Echelon, Matrix, hstack, rref
 from .modules import (
     ModuleMap, cokernel_of_map, decompose, direct_sum, dualize, hom_basis,
     iso_test, kernel_of_map, map_in_span, projective_rep,
@@ -171,9 +171,10 @@ def _layer(chain, alg, t, proper):
     """One layer of the trace recursion at the top vertex t: the chain
     grows by the trace of t, and the layer's multiplicity k is returned,
     or None when the layer fails.  alg is the algebra whose projective (or
-    proper standard) at t sizes the layer: the proper standard's size is
-    read from its dimension vector, cached per algebra by _standard_dims.
-    Both layers are decided by counting dimensions.
+    proper standard) at t sizes the layer: the projective's size is the
+    number of basis paths of alg from t, and the proper standard's is
+    counted in e_t alg by _standard_dims, cached per algebra.  Both layers
+    are decided by counting dimensions, and no module of alg is built.
 
     The trace u is generated by its component at t, so its top at t has
     dimension k = dim u_t - dim (rad u)_t, and its projective cover
@@ -185,7 +186,7 @@ def _layer(chain, alg, t, proper):
     if proper:
         d = sum(_standard_dims(alg, t, frozenset({t})).values())
     else:
-        d = sum(projective_rep(alg, t).dims.values())
+        d = len(alg.paths_from(t))
     return k if size == k * d else None
 
 
@@ -287,9 +288,40 @@ def _cross_check(mult, dims_of, m):
 
 @memo
 def _standard_dims(a, v, cut):
-    """Dimension vector of _standard_at(a, v, cut), computed once per
-    (a, v, cut) with cut a frozenset."""
-    return _dimdict(_standard_at(a, v, cut))
+    """Dimension vector of _standard_at(a, v, cut), counted inside e_vA
+    once per (a, v, cut) with cut a frozenset; no module is built.
+
+    P(v) is e_vA with the basis paths from v as its basis, and its radical
+    at w is spanned by the nontrivial paths from v to w.  The submodule
+    they generate for w in cut is spanned by the products p.q, p such a
+    path and q a basis path from its end.  Each product lies in one
+    e_vAe_u, so one row reduction of the products, in the coordinates of
+    the paths from v, splits by the end vertex: its free columns are a
+    basis of the quotient, and its dimension at w is the number of free
+    columns ending at w.  For v not in cut this is the standard module,
+    P(v) modulo the trace of the projectives at cut (Dlab-Ringel 1992);
+    for v in cut it is the proper standard; an empty cut leaves P(v).  The
+    rule reads only a's multiplication table, so it serves the quotient
+    algebras A/Ae_SA as well as A."""
+    col = {i: c for c, i in enumerate(a.paths_from(v))}
+    rows = []
+    for i in col:
+        p = a.basis[i]
+        if p.word and p.target in cut:
+            for j in a.paths_from(p.target):
+                prod = a.mult[i][j]
+                if prod:
+                    row = [0] * len(col)
+                    for k, c in prod.items():
+                        row[col[k]] = c
+                    rows.append(row)
+    piv = set(rref(Matrix(rows, len(rows), len(col)))[1]) if rows else ()
+    dims = {}
+    for i, c in col.items():
+        if c not in piv:
+            w = a.basis[i].target
+            dims[w] = dims.get(w, 0) + 1
+    return dims
 
 
 def check_asserted_duality(a):
@@ -372,8 +404,9 @@ def search_orders(a, bound=64):
     Each step is computed once per (t, S, proper) on its algebra, the
     opposite algebra for the opposite side; the quotient algebras A/Ae_SA
     are cached per frozenset S, at most 2^n - 2 per side; the standard
-    modules' dimension vectors are computed once per (v, cut).  No flag
-    depends on bound."""
+    modules' dimension vectors are computed once per (v, cut), counted
+    inside e_vA by _standard_dims, and no standard module is built.  No
+    flag depends on bound."""
     verts = sorted(a.quiver.vertices)
     if len(verts) > 8:
         raise TooManyVertices("%d vertices would need %d orders"

@@ -246,10 +246,11 @@ def test_iso_search_builds_no_combination_when_a_basis_map_succeeds(
     assert r.is_iso
     assert calls == []
     # the counter sees the moment-curve points of a search that exhausts
-    # the basis: End(M) = Q(sqrt 2) has s = 2, so t = 0 and t = 1
+    # the basis: End(M) = Q(sqrt 2) has s = 2, so t = 1 only, as the point
+    # at t = 0 is the basis map g_0
     m = _kronecker_sqrt2()
     assert decompose(m) == [m]
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_local_certificate_skips_the_splitting_search(

@@ -330,6 +330,33 @@ def test_search_orders_decides_without_hom_or_iso_searches(
     assert len(search_orders(build())) > 0
 
 
+@REFERENCE_ALGEBRAS
+def test_search_orders_builds_no_standard_module(monkeypatch, build):
+    # the standard modules' dimension vectors are counted inside e_vA:
+    # no standard, submodule or quotient module is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("module constructed during the order search")
+    monkeypatch.setattr(stratify, "_standard_at", refuse)
+    for module in (modules, stratify):
+        for name in ("sub_representation", "quotient_by_rows",
+                     "quotient_by_submodule"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    assert len(search_orders(build())) > 0
+
+
+@QUOTIENT_ALGEBRAS
+def test_counted_standard_dims_match_the_built_modules(build):
+    a = build()
+    for side in (a, a.opposite_algebra()):
+        verts = list(side.quiver.vertices)
+        for v in verts:
+            for r in range(len(verts) + 1):
+                for cut in combinations(verts, r):
+                    assert stratify._standard_dims(
+                        side, v, frozenset(cut)) == stratify._dimdict(
+                            stratify._standard_at(side, v, cut))
+
+
 def _quotients_built(alg):
     return sum(1 + _quotients_built(q) for q in alg._quotients.values())
 
