@@ -140,6 +140,14 @@ class _Chain:
     def full(self):
         return self.dim == self.total
 
+    def copy(self):
+        """The chain at its current term, to grow apart from this one: each
+        Echelon is copied, and Echelon.copy shares its rows."""
+        twin = object.__new__(_Chain)
+        twin.__dict__ = dict(vars(self), basis={
+            v: e.copy() for v, e in self.basis.items()})
+        return twin
+
     def grow(self, t, proper):
         """Extend the chain by the trace of t in M/U_{k-1}; returns (k,
         dim U_k - dim U_{k-1}), k the multiplicity the layer claims."""
@@ -198,8 +206,9 @@ def _filt_core(m, algebra, order, proper):
     The module stays over the algebra A throughout.  Once the vertices S
     above t are layered, M/U_{k-1} is annihilated by Ae_SA, so its trace
     at t and the radical of that trace are the same over A as over
-    A/Ae_SA; _layer reads the layer size from that quotient algebra, the
-    one _regular_step uses, cached per S."""
+    A/Ae_SA; _layer reads the layer size from that quotient algebra,
+    cached per S.  The order search reads the same sizes from trace chains
+    instead (_regular_step) and builds no quotient."""
     chain = _Chain(m)
     mult = {}
     for idx in range(len(order) - 1, -1, -1):
@@ -217,30 +226,68 @@ def _filt_core(m, algebra, order, proper):
 
 
 @memo
+def _trace_chain(a, above):
+    """The _Chain on the regular module of a whose last term is the trace
+    Ae_SA of S = above: the chain of S without its largest vertex, grown
+    by that vertex (_trace_grow).  The term reached does not depend on the
+    order in which S is grown, since each grow makes the smallest
+    submodule that holds the components at the vertices grown so far."""
+    if not above:
+        return _Chain(regular_rep(a))
+    t = max(above)
+    return _trace_grow(a, t, above - {t})[0]
+
+
+@memo
+def _trace_grow(a, t, above):
+    """A copy of _trace_chain(a, above) grown once by t with proper=False:
+    (the grown chain, plain k, proper k, size), k and size as _Chain.grow
+    counts them.  The memoized chain of above is never grown in place."""
+    chain = _trace_chain(a, above).copy()
+    below = len(chain.basis[t])
+    k, size = chain.grow(t, False)
+    return chain, k, chain.dims[t] - below, size
+
+
+@memo
 def _regular_step(a, t, above, proper):
-    """The first layer, at t, of a _Chain on the regular module of
-    A/Ae_SA, S = above the vertices above t.  The layers of S span the
-    trace Ae_SA of S in the regular module of A, which leaves exactly that
-    module, so the step depends on (t, S) and not on the order of S.
-    Returns (k, the chain reaches the module), or None for a failed
-    layer."""
-    alg = a.quotient_by_idempotent_ideal(above)
-    chain = _Chain(regular_rep(alg))
-    k = _layer(chain, alg, t, proper)
-    return None if k is None else (k, chain.full())
+    """The layer at t of the trace recursion on the regular module of
+    B = A/Ae_SA, S = above the vertices above t, read on the trace chains
+    of S in the regular modules of A and of A^op; no quotient algebra and
+    no module over one is built.  The layers of S span the trace Ae_SA,
+    which leaves exactly B, so the step depends on (t, S) and not on the
+    order of S.  Returns (k, the chain reaches the module), or None for a
+    failed layer.
+
+    Each side's chain of S grows by t once (_trace_grow).  On the side of
+    A, the layered module is B, and the grow gives the size of the trace
+    Be_tB, the plain k = dim Be_t/Be_tJe_t and the proper k = dim Be_t
+    (see _Chain).  The A^op regular module at t is e_tA, where its chain
+    of S holds e_tAe_SA, so the proper k of A^op is dim e_tB = dim P_B(t),
+    and its plain k, dim e_tB - dim e_tJe_tB, is the dimension of the
+    proper standard module of B at t, P_B(t) modulo the trace of P_B(t) in
+    its radical.  So _layer's rule reads both sizes from the other side's
+    grow: the plain layer passes when dim Be_tB = k dim P_B(t), the proper
+    one when it is k times the proper standard's dimension.  The same
+    holds with the sides swapped."""
+    chain, plain, prop, size = _trace_grow(a, t, above)
+    _, op_plain, op_prop, _ = _trace_grow(a.opposite_algebra(), t, above)
+    k, d = (prop, op_plain) if proper else (plain, op_prop)
+    return (k, chain.full()) if size == k * d else None
 
 
-def _regular_walk(a, order, proper):
+def _regular_walk(a, order, above, proper):
     """Multiplicities of the trace recursion on the regular module along
-    the order, from the shared steps; None at the first failing step or
-    when the last layer does not reach the whole module."""
+    the order, from the shared steps, with above[t] the frozenset of the
+    vertices above t; None at the first failing step or when the last
+    layer does not reach the whole module."""
     mult = {}
-    for idx in range(len(order) - 1, -1, -1):
-        step = _regular_step(a, order[idx], frozenset(order[idx + 1:]), proper)
+    for t in reversed(order):
+        step = _regular_step(a, t, above[t], proper)
         if step is None:
             return None
-        mult[order[idx]], last_zero = step
-    return mult if last_zero else None
+        mult[t], last_full = step
+    return mult if last_full else None
 
 
 def _dimdict(rep):
@@ -341,12 +388,13 @@ def check_asserted_duality(a):
 def _order_flags(a, order):
     """The five stratification flags of the order, from the shared steps.
     Each walk goes top-down and stops at its first failing step, as the
-    trace recursion does.  A step is the first layer of a _Chain on the
-    regular module of A/Ae_SA (_regular_step), which counts the layer in
-    that module's own coordinates.  A regular module that passes a
-    (proper) standard walk is cross-checked against the dimension vectors
-    of the (proper) standard modules.  The opposite side only needs its
-    proper walk.
+    trace recursion does.  A step is the layer at t of the trace recursion
+    on the regular module of A/Ae_SA, S the vertices above t, read on the
+    trace chains of S in the regular modules of A and A^op
+    (_regular_step); the sets S are built once per order and serve all
+    three walks.  A regular module that passes a (proper) standard walk is
+    cross-checked against the dimension vectors of the (proper) standard
+    modules.  The opposite side only needs its proper walk.
 
     Quasi-hereditary is decided from its definition: standardly stratified
     with every End(delta(v)) a division ring.  End(delta(v)) is
@@ -358,12 +406,13 @@ def _order_flags(a, order):
     flags = {}
     for name, proper in (("standardly_stratified", True),
                          ("delta_filtered_regular", False)):
-        mult = _regular_walk(a, order, proper)
+        mult = _regular_walk(a, order, above, proper)
         if mult is not None:
             _cross_check(mult, lambda v: _standard_dims(
                 a, v, (above[v] | {v}) if proper else above[v]), reg)
         flags[name] = mult is not None
-    op_ok = _regular_walk(a.opposite_algebra(), order, True) is not None
+    op_ok = _regular_walk(a.opposite_algebra(), order, above,
+                          True) is not None
     ss = flags["standardly_stratified"]
     flags["properly_stratified"] = ss and op_ok
     schurian = all(_standard_dims(a, v, above[v]).get(v, 0) == 1
@@ -402,11 +451,12 @@ def search_orders(a, bound=64):
     t and the set S of vertices above it (see _regular_step), so the n!
     orders share n * 2^(n-1) steps per kind of walk instead of n * n!.
     Each step is computed once per (t, S, proper) on its algebra, the
-    opposite algebra for the opposite side; the quotient algebras A/Ae_SA
-    are cached per frozenset S, at most 2^n - 2 per side; the standard
-    modules' dimension vectors are computed once per (v, cut), counted
-    inside e_vA by _standard_dims, and no standard module is built.  No
-    flag depends on bound."""
+    opposite algebra for the opposite side, from one grow of t on the
+    trace chain of S on each side, at most n * 2^(n-1) grows per side
+    (_trace_grow); no quotient algebra is built.  The standard modules'
+    dimension vectors are computed once per (v, cut), counted inside e_vA
+    by _standard_dims, and no standard module is built.  No flag depends
+    on bound."""
     verts = sorted(a.quiver.vertices)
     if len(verts) > 8:
         raise TooManyVertices("%d vertices would need %d orders"

@@ -357,6 +357,69 @@ def test_counted_standard_dims_match_the_built_modules(build):
                             stratify._standard_at(side, v, cut))
 
 
+def _steps(side):
+    """Every (t, S) with t a vertex of side and S a set of other vertices."""
+    verts = list(side.quiver.vertices)
+    for t in verts:
+        rest = [v for v in verts if v != t]
+        for r in range(len(rest) + 1):
+            for above in combinations(rest, r):
+                yield t, frozenset(above)
+
+
+@QUOTIENT_ALGEBRAS
+def test_trace_grows_read_the_quotient_layer_sizes(build):
+    # on each side, for B = side/side e_S side: the grow of t on the trace
+    # chain of S counts the layer of B's own regular chain, and the other
+    # side's grow gives dim P_B(t) and the proper standard's dimension
+    a = build()
+    for side in (a, a.opposite_algebra()):
+        other = side.opposite_algebra()
+        for t, above in _steps(side):
+            quo = side.quotient_by_idempotent_ideal(above)
+            _, plain, proper, size = stratify._trace_grow(side, t, above)
+            reg = regular_rep(quo)
+            assert (plain, size) == stratify._Chain(reg).grow(t, False)
+            assert proper == reg.dims[t]
+            _, op_plain, op_proper, _ = stratify._trace_grow(other, t, above)
+            assert op_proper == len(quo.paths_from(t))
+            assert op_plain == sum(stratify._standard_dims(
+                quo, t, frozenset({t})).values())
+
+
+def _check_trace_chains(side):
+    verts = list(side.quiver.vertices)
+    for r in range(len(verts) + 1):
+        for killed in combinations(verts, r):
+            chain = stratify._trace_chain(side, frozenset(killed))
+            rest = (side.quotient_by_idempotent_ideal(killed).dim
+                    if r < len(verts) else 0)
+            assert chain.dim == side.dim - rest
+            assert chain.dim == sum(len(e) for e in chain.basis.values())
+
+
+@REFERENCE_ALGEBRAS
+def test_trace_chains_span_the_traces(build):
+    # dim Ae_SA = dim A - dim A/Ae_SA for every S on both sides, and the
+    # order search grows no memoized chain in place
+    a = build()
+    sides = (a, a.opposite_algebra())
+    for side in sides:
+        _check_trace_chains(side)
+    search_orders(a)
+    for side in sides:
+        _check_trace_chains(side)
+
+
+@REFERENCE_ALGEBRAS
+def test_search_orders_builds_no_quotient_algebra(monkeypatch, build):
+    def refuse(*args):
+        raise AssertionError("quotient algebra built during the order search")
+    a = build()
+    monkeypatch.setattr(type(a), "quotient_by_idempotent_ideal", refuse)
+    assert len(search_orders(a)) > 0
+
+
 def _quotients_built(alg):
     return sum(1 + _quotients_built(q) for q in alg._quotients.values())
 
@@ -370,33 +433,41 @@ def test_search_orders_shares_steps_between_orders(monkeypatch):
     n = 5
     a = _tower(n)
     search_orders(a)
-    # at most one quotient per proper nonempty vertex set on each side
+    # the steps are read on trace chains: no quotient algebra on either side
     for side in (a, a.opposite_algebra()):
-        assert 0 < _quotients_built(side) <= 2 ** n - 2
-    # each (t, set above t) step once per walk: two walks on A, one on A^op;
-    # order by order, the 120 orders took 516 steps
-    assert 0 < len(layers) <= 3 * n * 2 ** (n - 1)
+        assert _quotients_built(side) == 0
+    # one grow per (t, set above t) on each side, shared by the three walks
+    # and by the trace chains; order by order, the 120 orders took 516 steps
+    assert 0 < len(layers) <= n * 2 ** n
 
 
 @pytest.mark.parametrize("spec, order", [
     ("kupisch:2,2,3", (1, 2, 0)), ("bnlambda:4,1,1", (1, 2, 3, 4))])
 def test_filtrations_walk_the_classified_quotients(spec, order):
-    # every family's walk reads A/Ae_SA, S the vertices above each layer,
-    # from the quotients that classifying the order built on each side,
-    # and builds none over a quotient
+    # every family's walk reads A/Ae_SA, S the vertices above each layer:
+    # at most one quotient per such S on each side, none over a quotient,
+    # and a second pass over the same modules builds nothing
     a = parse_construction(spec)
     st = classify_stratification(a, order)
     sides = (a, a.opposite_algebra())
+    above = {frozenset(order[pos + 1:]) for pos in range(len(order))}
 
     def snapshot():
-        return [(set(side._quotients),
+        return [(dict(side._quotients),
                  {s: set(q._quotients) for s, q in side._quotients.items()})
                 for side in sides]
-    before = snapshot()
-    for _, m in canonical_test_set(a):
-        for family in stratify.FAMILIES:
-            filtration_test(m, family, st)
-    assert snapshot() == before
+
+    def walk():
+        for _, m in canonical_test_set(a):
+            for family in stratify.FAMILIES:
+                filtration_test(m, family, st)
+    walk()
+    first = snapshot()
+    for built, inner in first:
+        assert set(built) <= above
+        assert not any(inner.values())
+    walk()
+    assert snapshot() == first
 
 
 @REFERENCE_ALGEBRAS
