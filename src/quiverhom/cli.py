@@ -16,24 +16,23 @@ import sys
 from . import catalog, dsl, verify
 from .errors import (
     BoundExceeded, DecomposableInput, ExtProjective, NotInSubcategory,
-    ParseError, ProjectiveInput, QuiverhomError, UnknownExampleId,
+    ParseError, QuiverhomError, UnknownExampleId,
 )
 from .homology import projective_resolution
 from .invariants import (
     canonical_test_set, invariant_report, projective_dimension,
 )
-from .modules import regular_rep, simple_rep
+from .modules import simple_rep
 from .relar import relative_ar_sequence
 from .reports import emit_report
 from .stratify import (
     characteristic_cotilting, characteristic_tilting, classify_stratification,
-    filtration_test, search_orders, tilting_conjecture_report, verify_tilting,
+    search_orders, tilting_conjecture_report, verify_tilting,
 )
 
 _RELAR_SKIP = {
     NotInSubcategory: "outside subcategory",
     ExtProjective: "relatively projective",
-    ProjectiveInput: "projective",
     DecomposableInput: "decomposable",
 }
 
@@ -136,11 +135,10 @@ def _cmd_stratify(args):
             "costandard": st.nabla[v].dim_vector(),
             "proper_costandard": st.nablabar[v].dim_vector(),
         } for v in st.order]
-        ok, mults = filtration_test(regular_rep(a), "delta", st)
+        mults = st.regular_filtration or {}
         rep["regular_standard_filtration"] = {
-            "filtered": ok,
-            "multiplicities": {v: mults.get(v, 0) for v in sorted(mults)}
-            if mults else {},
+            "filtered": st.delta_filtered_regular,
+            "multiplicities": dict(sorted(mults.items())),
         }
         return rep, 0
     rows = search_orders(a, args.bound)

@@ -46,8 +46,10 @@ FAMILIES = ("delta", "deltabar", "nabla", "nablabar")
 
 class StratData:
     """A classified vertex order, built by classify_stratification: the
-    four standard-type families, the stratification flags, and the tilting
-    and cotilting modules, which characteristic_tilting and
+    four standard-type families, the stratification flags, the
+    multiplicities of the regular module's filtration by standard modules
+    (None when it has none) from the walk that decides those flags, and
+    the tilting and cotilting modules, which characteristic_tilting and
     characteristic_cotilting build once and keep here."""
 
     def __init__(self, algebra, order, families, flags, duality_asserted):
@@ -60,6 +62,7 @@ class StratData:
         self.quasi_hereditary = flags["quasi_hereditary"]
         self.schurian = flags["schurian"]
         self.duality_asserted = duality_asserted
+        self.regular_filtration = None
         self.tilting = None
         self.cotilting = None
 
@@ -114,18 +117,19 @@ class _Chain:
     it, so it is the smallest such submodule.  Each basis row is pushed
     once over the whole walk, so the walk costs about one closure of M.
 
-    The counts are those of the walk that passes to quotients.  By
-    induction the module layered at step k is M/U_{k-1}: submodules of
-    M/U_{k-1} are the U/U_{k-1} with U_{k-1} <= U, so the trace of t in
-    M/U_{k-1}, the smallest submodule containing its component at t, is
-    u = U_k/U_{k-1}, and (M/U_{k-1})/u = M/U_k.  Hence dim u = dim U_k -
-    dim U_{k-1}.  The proper layer reads dim (M/U_{k-1})_t = dim M_t -
-    dim U_{k-1,t}.  The plain layer reads the top of u at t: u_t is
-    M_t/U_{k-1,t}, and (rad u)_t is the sum of the images of u_s under
-    the arrows a: s -> t, i.e. (U_{k-1,t} + sum U_{k,s} M_a)/U_{k-1,t}.
-    Rows of U_{k-1} map into U_{k-1,t}, so that span is U_{k-1,t} plus
-    the images at t of the rows new in U_k, which the worklist produces
-    anyway."""
+    grow returns the counts of both the plain and the proper layer, so
+    one chain serves either walk.  They are those of the walk that passes
+    to quotients.  By induction the module layered at step k is M/U_{k-1}:
+    submodules of M/U_{k-1} are the U/U_{k-1} with U_{k-1} <= U, so the
+    trace of t in M/U_{k-1}, the smallest submodule containing its
+    component at t, is u = U_k/U_{k-1}, and (M/U_{k-1})/u = M/U_k.  Hence
+    dim u = dim U_k - dim U_{k-1}.  The proper layer reads
+    dim (M/U_{k-1})_t = dim M_t - dim U_{k-1,t}.  The plain layer reads
+    the top of u at t: u_t is M_t/U_{k-1,t}, and (rad u)_t is the sum of
+    the images of u_s under the arrows a: s -> t, i.e. (U_{k-1,t} + sum
+    U_{k,s} M_a)/U_{k-1,t}.  Rows of U_{k-1} map into U_{k-1,t}, so that
+    span is U_{k-1,t} plus the images at t of the rows new in U_k, which
+    the worklist produces anyway."""
 
     def __init__(self, m):
         q = m.algebra.quiver
@@ -148,13 +152,14 @@ class _Chain:
             v: e.copy() for v, e in self.basis.items()})
         return twin
 
-    def grow(self, t, proper):
-        """Extend the chain by the trace of t in M/U_{k-1}; returns (k,
-        dim U_k - dim U_{k-1}), k the multiplicity the layer claims."""
+    def grow(self, t):
+        """Extend the chain by the trace of t in M/U_{k-1}; returns (plain
+        k, proper k, dim U_k - dim U_{k-1}), the multiplicities that the
+        plain and the proper layer claim."""
         dims = self.dims
         basis = self.basis
         below = len(basis[t])
-        rad = None if proper else basis[t].copy()
+        rad = basis[t].copy()
         new = basis[t].complete(dims[t])
         size = len(new)
         pending = {t: new} if new else {}
@@ -164,7 +169,7 @@ class _Chain:
             for w, mat in self.arrows[v]:
                 into = basis[w]
                 for img in (block @ mat).data:
-                    if w == t and rad is not None:
+                    if w == t and len(rad) < dims[t]:
                         rad.add(img)
                     if len(into) < dims[w]:
                         row = into.add(img)
@@ -172,7 +177,7 @@ class _Chain:
                             size += 1
                             pending.setdefault(w, []).append(row)
         self.dim += size
-        return dims[t] - (below if proper else len(rad)), size
+        return dims[t] - len(rad), dims[t] - below, size
 
 
 def _layer(chain, alg, t, proper):
@@ -190,18 +195,19 @@ def _layer(chain, alg, t, proper):
     dim u = k dim P_t.  The proper layer is accepted on the count dim u =
     dim(M/U_{k-1} at t) times dim(proper standard at t), which forces a
     filtration."""
-    k, size = chain.grow(t, proper)
+    plain, prop, size = chain.grow(t)
     if proper:
-        d = sum(_standard_dims(alg, t, frozenset({t})).values())
+        k, d = prop, sum(_standard_dims(alg, t, frozenset({t})).values())
     else:
-        d = len(alg.paths_from(t))
+        k, d = plain, len(alg.paths_from(t))
     return k if size == k * d else None
 
 
 def _filt_core(m, algebra, order, proper):
     """Trace recursion from the top of the order, on one _Chain of
-    submodules of m: layer the top vertex t, repeat with the next; the
-    chain must reach m.
+    submodules of m: layer the top vertex t, repeat with the next.  Once
+    every vertex is grown, the chain holds every component of m and so is
+    m: a walk whose layers all pass is a filtration.
 
     The module stays over the algebra A throughout.  Once the vertices S
     above t are layered, M/U_{k-1} is annihilated by Ae_SA, so its trace
@@ -222,42 +228,38 @@ def _filt_core(m, algebra, order, proper):
         if k is None:
             return False, None
         mult[t] = k
-    return (True, mult) if chain.full() else (False, None)
-
-
-@memo
-def _trace_chain(a, above):
-    """The _Chain on the regular module of a whose last term is the trace
-    Ae_SA of S = above: the chain of S without its largest vertex, grown
-    by that vertex (_trace_grow).  The term reached does not depend on the
-    order in which S is grown, since each grow makes the smallest
-    submodule that holds the components at the vertices grown so far."""
-    if not above:
-        return _Chain(regular_rep(a))
-    t = max(above)
-    return _trace_grow(a, t, above - {t})[0]
+    return True, mult
 
 
 @memo
 def _trace_grow(a, t, above):
-    """A copy of _trace_chain(a, above) grown once by t with proper=False:
-    (the grown chain, plain k, proper k, size), k and size as _Chain.grow
-    counts them.  The memoized chain of above is never grown in place."""
-    chain = _trace_chain(a, above).copy()
-    below = len(chain.basis[t])
-    k, size = chain.grow(t, False)
-    return chain, k, chain.dims[t] - below, size
+    """The _Chain on the regular module of a whose last term is the trace
+    Ae_SA of S = above + {t}, as the chain of above grown by t: (the chain,
+    plain k, proper k, size), k and size as _Chain.grow counts them.  The
+    chain of a nonempty set R is the one grown by max R from R - {max R},
+    and that of the empty set is the zero submodule; it is copied, so no
+    memoized chain is grown in place.  The term a chain reaches does not
+    depend on the order in which its vertices are grown, since each grow
+    makes the smallest submodule that holds the components at the
+    vertices grown so far."""
+    if above:
+        top = max(above)
+        chain = _trace_grow(a, top, above - {top})[0].copy()
+    else:
+        chain = _Chain(regular_rep(a))
+    return (chain,) + chain.grow(t)
 
 
 @memo
-def _regular_step(a, t, above, proper):
-    """The layer at t of the trace recursion on the regular module of
-    B = A/Ae_SA, S = above the vertices above t, read on the trace chains
-    of S in the regular modules of A and of A^op; no quotient algebra and
-    no module over one is built.  The layers of S span the trace Ae_SA,
-    which leaves exactly B, so the step depends on (t, S) and not on the
-    order of S.  Returns (k, the chain reaches the module), or None for a
-    failed layer.
+def _regular_step(a, t, above):
+    """The layer at t of the trace recursions on the regular modules of
+    B = A/Ae_SA and of B^op, S = above the vertices above t, read on the
+    trace chains of S in the regular modules of A and of A^op; no quotient
+    algebra and no module over one is built.  The layers of S span the
+    trace Ae_SA, which leaves exactly B, so the step depends on (t, S) and
+    not on the order of S.  Returns the multiplicities of three layers,
+    each None when the layer fails: proper on A, plain on A, and proper on
+    A^op.
 
     Each side's chain of S grows by t once (_trace_grow).  On the side of
     A, the layered module is B, and the grow gives the size of the trace
@@ -270,24 +272,12 @@ def _regular_step(a, t, above, proper):
     grow: the plain layer passes when dim Be_tB = k dim P_B(t), the proper
     one when it is k times the proper standard's dimension.  The same
     holds with the sides swapped."""
-    chain, plain, prop, size = _trace_grow(a, t, above)
-    _, op_plain, op_prop, _ = _trace_grow(a.opposite_algebra(), t, above)
-    k, d = (prop, op_plain) if proper else (plain, op_prop)
-    return (k, chain.full()) if size == k * d else None
-
-
-def _regular_walk(a, order, above, proper):
-    """Multiplicities of the trace recursion on the regular module along
-    the order, from the shared steps, with above[t] the frozenset of the
-    vertices above t; None at the first failing step or when the last
-    layer does not reach the whole module."""
-    mult = {}
-    for t in reversed(order):
-        step = _regular_step(a, t, above[t], proper)
-        if step is None:
-            return None
-        mult[t], last_full = step
-    return mult if last_full else None
+    _, plain, prop, size = _trace_grow(a, t, above)
+    _, op_plain, op_prop, op_size = _trace_grow(a.opposite_algebra(), t,
+                                                above)
+    return (prop if size == prop * op_plain else None,
+            plain if size == plain * op_prop else None,
+            op_prop if op_size == op_prop * plain else None)
 
 
 def _dimdict(rep):
@@ -386,40 +376,49 @@ def check_asserted_duality(a):
 
 
 def _order_flags(a, order):
-    """The five stratification flags of the order, from the shared steps.
-    Each walk goes top-down and stops at its first failing step, as the
-    trace recursion does.  A step is the layer at t of the trace recursion
-    on the regular module of A/Ae_SA, S the vertices above t, read on the
-    trace chains of S in the regular modules of A and A^op
-    (_regular_step); the sets S are built once per order and serve all
-    three walks.  A regular module that passes a (proper) standard walk is
-    cross-checked against the dimension vectors of the (proper) standard
-    modules.  The opposite side only needs its proper walk.
+    """The five stratification flags of the order, and the multiplicities
+    of the regular module's filtration by standard modules (None when it
+    has none), from one walk down the order.  At each vertex t the set S
+    above t grows by one union, and the shared step record of (t, S)
+    (_regular_step) gives the layer at t of three trace recursions: proper
+    and plain on the regular module of A, and proper on that of A^op.
+    Each recursion stops at its first failing layer, and a step is asked
+    for only while one of them runs.  A regular module that passes a
+    (proper) standard walk is cross-checked against the dimension vectors
+    of the (proper) standard modules.
 
     Quasi-hereditary is decided from its definition: standardly stratified
     with every End(delta(v)) a division ring.  End(delta(v)) is
     delta(v)e_v, of dimension [delta(v):L(v)], so that is the schurian
-    test; then the proper standards are the standards and both walks
-    agree.  No global dimension is needed, and so no bound."""
-    reg = regular_rep(a)
-    above = {v: frozenset(order[pos + 1:]) for pos, v in enumerate(order)}
-    flags = {}
-    for name, proper in (("standardly_stratified", True),
-                         ("delta_filtered_regular", False)):
-        mult = _regular_walk(a, order, above, proper)
+    test, run in the same walk; then the proper standards are the
+    standards and both walks agree.  No global dimension is needed, and so
+    no bound."""
+    walks = [{}, {}, {}]
+    schurian = True
+    above = frozenset()
+    for t in reversed(order):
+        if walks.count(None) < 3:
+            for i, k in enumerate(_regular_step(a, t, above)):
+                if k is None:
+                    walks[i] = None
+                elif walks[i] is not None:
+                    walks[i][t] = k
+        schurian = schurian and _standard_dims(a, t, above).get(t, 0) == 1
+        above = above | {t}
+    ss, plain, op = walks
+    for mult, proper in ((ss, True), (plain, False)):
         if mult is not None:
-            _cross_check(mult, lambda v: _standard_dims(
-                a, v, (above[v] | {v}) if proper else above[v]), reg)
-        flags[name] = mult is not None
-    op_ok = _regular_walk(a.opposite_algebra(), order, above,
-                          True) is not None
-    ss = flags["standardly_stratified"]
-    flags["properly_stratified"] = ss and op_ok
-    schurian = all(_standard_dims(a, v, above[v]).get(v, 0) == 1
-                   for v in order)
-    flags["quasi_hereditary"] = ss and schurian
-    flags["schurian"] = schurian
-    return flags
+            cut = {v: frozenset(order[pos if proper else pos + 1:])
+                   for pos, v in enumerate(order)}
+            _cross_check(mult, lambda v: _standard_dims(a, v, cut[v]),
+                         regular_rep(a))
+    return {
+        "standardly_stratified": ss is not None,
+        "delta_filtered_regular": plain is not None,
+        "properly_stratified": ss is not None and op is not None,
+        "quasi_hereditary": ss is not None and schurian,
+        "schurian": schurian,
+    }, plain
 
 
 def classify_stratification(a, order, duality_asserted=False):
@@ -440,19 +439,22 @@ def classify_stratification(a, order, duality_asserted=False):
         nablabar[v] = dualize(_standard_at(op, v, higher + (v,)))
     if duality_asserted:
         check_asserted_duality(a)
-    return StratData(a, order, (delta, deltabar, nabla, nablabar),
-                     _order_flags(a, order), duality_asserted)
+    flags, filtration = _order_flags(a, order)
+    strat = StratData(a, order, (delta, deltabar, nabla, nablabar), flags,
+                      duality_asserted)
+    strat.regular_filtration = filtration
+    return strat
 
 
 def search_orders(a, bound=64):
     """Classification of every vertex order, lexicographically.
 
-    Every flag is decided by walks over steps that depend only on a vertex
-    t and the set S of vertices above it (see _regular_step), so the n!
-    orders share n * 2^(n-1) steps per kind of walk instead of n * n!.
-    Each step is computed once per (t, S, proper) on its algebra, the
-    opposite algebra for the opposite side, from one grow of t on the
-    trace chain of S on each side, at most n * 2^(n-1) grows per side
+    Every flag is decided by one walk per order over step records that
+    depend only on a vertex t and the set S of vertices above it (see
+    _order_flags and _regular_step), so the n! orders share at most
+    n * 2^(n-1) records instead of n * n! steps.  A record is computed
+    once per (t, S), when a walk first asks for it, from one grow of t on
+    the trace chain of S on each side, at most n * 2^(n-1) grows per side
     (_trace_grow); no quotient algebra is built.  The standard modules'
     dimension vectors are computed once per (v, cut), counted inside e_vA
     by _standard_dims, and no standard module is built.  No flag depends
@@ -464,7 +466,7 @@ def search_orders(a, bound=64):
     out = []
     for perm in permutations(verts):
         row = {"order": perm}
-        row.update(_order_flags(a, perm))
+        row.update(_order_flags(a, perm)[0])
         out.append(row)
     return out
 

@@ -12,7 +12,7 @@ from .algebra import (
 from .catalog import (
     klein_endo_algebra, klein_module_pair, verify_endo_presentation,
 )
-from .errors import BoundExceeded, ProjectiveInput, UnknownExampleId
+from .errors import BoundExceeded, UnknownExampleId
 from .homology import (
     cosyzygy, ext_dim, ext_dims, ext_dims_proj, injective_term_vertices,
     is_projective, mueller_domdim, projective_resolution, syzygy,
@@ -392,10 +392,7 @@ def _syzygy_image(bound):
             for i in range(1, r + 1):
                 if not dominant_dimension(mod, bound).geq(i):
                     continue
-                try:
-                    core, _ = omega_approximation(mod, i)
-                except ProjectiveInput:
-                    continue
+                core, _ = omega_approximation(mod, i)
                 checked += 1
                 if not same_add_closure(core, nonproj):
                     ok_back = False

@@ -357,7 +357,8 @@ MEMOIZED = [
     (invariants.algebra_dominant_dimension, (8,)),
     (invariants.global_dimension, (8,)),
     (invariants.gorenstein_dimension, (8,)),
-    (stratify._regular_step, (0, frozenset({1}), False)),
+    (stratify._regular_step, (0, frozenset({1}))),
+    (stratify._trace_grow, (0, frozenset())),
     (stratify._standard_dims, (0, frozenset({1}))),
     (BoundQuiverAlgebra.symmetric_form, ()),
 ]

@@ -88,6 +88,16 @@ COMMANDS += [
 ]
 COMMANDS.append(("stratify-all-orders-stdin-loop-back",
                  ["stratify", "-", "--all-orders"], LOOP_BACK))
+# an order whose regular module is not filtered by standards, and the
+# order searches on a non-schurian Nakayama algebra, a local algebra and
+# its endomorphism extension
+COMMANDS.append(("stratify-kupisch-4-5-5-order-0-1-2",
+                 ["stratify", "kupisch:4,5,5", "--order", "0,1,2"], ""))
+COMMANDS += [
+    ("stratify-all-orders-" + spec.replace(":", "-").replace(",", "-")
+     .replace("@", "-at-"), ["stratify", spec, "--all-orders"], "")
+    for spec in ("kupisch:3,3,4", "klein_four", "endo-of:klein_four@1")
+]
 
 
 FORMATS = {"structured": ".json", "text": ".txt"}

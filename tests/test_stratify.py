@@ -91,6 +91,8 @@ def test_classification_flags_223(st223):
 def test_regular_filtration_multiplicities_223(a223, st223):
     ok, mult = filtration_test(regular_rep(a223), "delta", st223)
     assert ok and mult == {0: 2, 1: 1, 2: 2}
+    # the classification's own plain walk reads the same multiplicities
+    assert st223.regular_filtration == mult
     total = sum(mult[v] * sum(st223.delta[v].dim_vector()) for v in mult)
     assert total == a223.dim
 
@@ -370,28 +372,38 @@ def _steps(side):
 @QUOTIENT_ALGEBRAS
 def test_trace_grows_read_the_quotient_layer_sizes(build):
     # on each side, for B = side/side e_S side: the grow of t on the trace
-    # chain of S counts the layer of B's own regular chain, and the other
-    # side's grow gives dim P_B(t) and the proper standard's dimension
+    # chain of S counts the layer of B's own regular chain, the other
+    # side's grow gives dim P_B(t) and the proper standard's dimension,
+    # and each verdict of the step record is _layer on a regular module
+    # of a quotient: proper and plain on B, proper on B^op
     a = build()
     for side in (a, a.opposite_algebra()):
         other = side.opposite_algebra()
         for t, above in _steps(side):
             quo = side.quotient_by_idempotent_ideal(above)
+            op_quo = other.quotient_by_idempotent_ideal(above)
             _, plain, proper, size = stratify._trace_grow(side, t, above)
             reg = regular_rep(quo)
-            assert (plain, size) == stratify._Chain(reg).grow(t, False)
+            assert (plain, proper, size) == stratify._Chain(reg).grow(t)
             assert proper == reg.dims[t]
             _, op_plain, op_proper, _ = stratify._trace_grow(other, t, above)
             assert op_proper == len(quo.paths_from(t))
             assert op_plain == sum(stratify._standard_dims(
                 quo, t, frozenset({t})).values())
+            assert stratify._regular_step(side, t, above) == tuple(
+                stratify._layer(stratify._Chain(regular_rep(alg)), alg, t,
+                                bar)
+                for alg, bar in ((quo, True), (quo, False), (op_quo, True)))
 
 
 def _check_trace_chains(side):
+    # the chain of a nonempty S is the grown chain of (max S, S - {max S})
     verts = list(side.quiver.vertices)
-    for r in range(len(verts) + 1):
+    for r in range(1, len(verts) + 1):
         for killed in combinations(verts, r):
-            chain = stratify._trace_chain(side, frozenset(killed))
+            top = max(killed)
+            chain = stratify._trace_grow(
+                side, top, frozenset(killed) - {top})[0]
             rest = (side.quotient_by_idempotent_ideal(killed).dim
                     if r < len(verts) else 0)
             assert chain.dim == side.dim - rest
@@ -428,8 +440,7 @@ def test_search_orders_shares_steps_between_orders(monkeypatch):
     layers = []
     real = stratify._Chain.grow
     monkeypatch.setattr(stratify._Chain, "grow",
-                        lambda chain, t, proper: layers.append(t)
-                        or real(chain, t, proper))
+                        lambda chain, t: layers.append(t) or real(chain, t))
     n = 5
     a = _tower(n)
     search_orders(a)
@@ -439,6 +450,23 @@ def test_search_orders_shares_steps_between_orders(monkeypatch):
     # one grow per (t, set above t) on each side, shared by the three walks
     # and by the trace chains; order by order, the 120 orders took 516 steps
     assert 0 < len(layers) <= n * 2 ** n
+
+
+@pytest.mark.parametrize(
+    "build, grows", list(zip(REFERENCE_ALGEBRAS.args[1],
+                             (14, 30, 58, 14, 26, 6, 6, 6, 8, 6))),
+    ids=REFERENCE_ALGEBRAS.kwargs["ids"])
+def test_search_orders_grows_only_the_steps_a_walk_reaches(
+        monkeypatch, build, grows):
+    # a step record, and the grows behind it, is made only while one of
+    # the three walks of some order still runs; building every record
+    # would grow each (t, S) on both sides
+    count = []
+    real = stratify._Chain.grow
+    monkeypatch.setattr(stratify._Chain, "grow",
+                        lambda chain, t: count.append(t) or real(chain, t))
+    search_orders(build())
+    assert len(count) == grows
 
 
 @pytest.mark.parametrize("spec, order", [
