@@ -214,12 +214,20 @@ def gendo_gorenstein_check(n, bound=64):
 # -- canonical test sets ---------------------------------------------------
 
 def _dedupe(named):
+    """The nonzero modules of the named list, each kept unless it is
+    isomorphic to one kept before it.  A module is compared only with the
+    kept modules of its dimension vector, in the order they were kept:
+    iso_test answers "not isomorphic" to every other one at its first
+    check."""
     out = []
+    kept = {}
     for name, rep in named:
         if rep.is_zero():
             continue
-        if any(iso_test(rep, r).is_iso for _, r in out):
+        same = kept.setdefault(rep.dim_vector(), [])
+        if any(iso_test(rep, r).is_iso for r in same):
             continue
+        same.append(rep)
         out.append((name, rep))
     return out
 

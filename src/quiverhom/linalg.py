@@ -1,11 +1,13 @@
 """Exact dense linear algebra over the rationals.
 
-Everything is a dense Matrix of exact rational entries: an entry is an int
-when it is integral and a Fraction otherwise (exact() normalizes a value to
-that form).  Arrow and relation matrices are integral, so most arithmetic
-stays in Python ints; the only true division, the pivot scaling in rref,
-returns an int whenever the pivot divides the entry.  Mixed arithmetic may
-still leave an integral Fraction, which is equal to and hashes like the
+Everything is a dense Matrix of exact rational entries, each an int or a
+Fraction (exact() normalizes a value to an int when it is integral).  rref
+eliminates on integer rows and divides each pivot row by its pivot only at
+the end, the only true division, which returns an int whenever the pivot
+divides the entry.  So every integral entry that rref, row_space,
+kernel_vectors (and left_kernel, its row form) and solve_linear return is an
+int, whatever the input holds.  Other arithmetic on Fractions (matmul, add,
+scale) may leave an integral Fraction, which is equal to and hashes like the
 int.  No float ever arises.
 
 Row reduction uses the fixed pivoting rule "first nonzero column, smallest
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def exact(x):
@@ -81,9 +84,6 @@ class Matrix:
 
     def entry(self, i, j):
         return self.data[i][j]
-
-    def copy_rows(self):
-        return [list(r) for r in self.data]
 
     def transpose(self):
         return Matrix([[self.data[i][j] for i in range(self.nrows)]
@@ -161,46 +161,88 @@ def vstack(mats):
 
 # -- echelon machinery -----------------------------------------------------
 
+def _integer_rows(mat):
+    """The rows of mat as lists of ints, each row scaled by the lcm of its
+    entries' denominators."""
+    out = []
+    for row in mat.data:
+        if all(type(x) is int for x in row):
+            out.append(list(row))
+        else:
+            den = lcm(*(x.denominator for x in row))
+            out.append([x.numerator * (den // x.denominator) for x in row])
+    return out
+
+
+def _echelon(mat):
+    """Fraction-free Gauss-Jordan elimination of mat: (rows, pivots), where
+    each row is a nonzero multiple of the matching row of the RREF, with
+    integer entries.
+
+    The pivoting rule is rref's.  Row i is cleared at the pivot column c of
+    the pivot row by p*row_i - f*pivot_row (p the pivot, f the entry of row
+    i at c, both divided by their gcd), and the result is divided by its
+    content when p is not +-1, so the entries stay small.  Each step scales
+    a row by a nonzero integer, so every row stays a multiple of the row
+    that elimination in Fractions would hold: the zero tests, and so the
+    pivots and row swaps, are the same."""
+    rows = _integer_rows(mat)
+    nr = mat.nrows
+    pivots = []
+    r = 0
+    for c in range(mat.ncols):
+        if r >= nr:
+            break
+        for sel in range(r, nr):
+            if rows[sel][c]:
+                break
+        else:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        prow = rows[r]
+        p = prow[c]
+        for i in range(nr):
+            f = rows[i][c]
+            if not f or i == r:
+                continue
+            ri = rows[i]
+            if p == 1:
+                rows[i] = [a - f * b for a, b in zip(ri, prow)]
+            elif p == -1:
+                rows[i] = [a + f * b for a, b in zip(ri, prow)]
+            else:
+                g = gcd(p, f)
+                s, t = p // g, f // g
+                row = [s * a - t * b for a, b in zip(ri, prow)]
+                g = gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
 def rref(mat):
     """Reduced row echelon form.
 
     Returns (R, pivot_cols).  Pivoting: scan columns left to right, take the
     first row (smallest index among the unused) with a nonzero entry.  An
-    empty shape is its own reduced form.
+    empty shape is its own reduced form.  Elimination runs on integer rows
+    (_echelon), and each pivot row is divided by its pivot only at the end;
+    the RREF is unique, so it is the one elimination in Fractions gives, and
+    every integral entry of it is an int.
     """
-    nr, nc = mat.nrows, mat.ncols
-    if not nr or not nc:
-        return Matrix([[] for _ in range(nr)], nr, nc), ()
-    rows = mat.copy_rows()
-    pivots = []
-    r = 0
-    for c in range(nc):
-        if r >= nr:
-            break
-        sel = None
-        for i in range(r, nr):
-            if rows[i][c] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
+    rows, pivots = _echelon(mat)
+    for r, c in enumerate(pivots):
         p = rows[r][c]
         if p != 1:
             rows[r] = [_divide(x, p) if x else 0 for x in rows[r]]
-        prow = rows[r]
-        for i in range(nr):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                ri = rows[i]
-                rows[i] = [a - f * b for a, b in zip(ri, prow)]
-        pivots.append(c)
-        r += 1
-    return Matrix(rows, nr, nc), tuple(pivots)
+    return Matrix(rows, mat.nrows, mat.ncols), tuple(pivots)
 
 
 def rank(mat):
-    return len(rref(mat)[1])
+    """The number of pivots of the RREF, read before the pivot rows are
+    divided."""
+    return len(_echelon(mat)[1])
 
 
 def row_space(mat):

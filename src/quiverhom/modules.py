@@ -316,8 +316,11 @@ def summand_projection(total, reps, idx):
 
 # -- radical, top, socle ---------------------------------------------------
 
+@memo
 def radical_rows(m):
-    """Row space of the radical at each vertex."""
+    """Row space of the radical at each vertex: a dict from vertex to the
+    nonzero rows of an RREF.  Computed once per module and kept on it
+    (algebra.memo); callers never mutate the shared dict or its matrices."""
     q = m.algebra.quiver
     out = {}
     for v in q.vertices:
@@ -347,7 +350,12 @@ def top_dims(m):
     return tuple(m.dims[v] - rad[v].nrows for v in m.algebra.quiver.vertices)
 
 
+@memo
 def socle_rows(m):
+    """Basis rows of the socle at each vertex: a dict from vertex to the
+    rows killed by every arrow out of it.  Computed once per module and
+    kept on it (algebra.memo); callers never mutate the shared dict or its
+    matrices."""
     q = m.algebra.quiver
     out = {}
     for v in q.vertices:
@@ -501,8 +509,11 @@ def uniserial_quotient(algebra, v, k):
 
 # -- hom spaces ------------------------------------------------------------
 
+@memo
 def hom_basis(m, n):
-    """Basis of the homomorphism space as a list of maps, deterministic."""
+    """Basis of the homomorphism space as a list of maps, deterministic.
+    Computed once per pair and kept on m (algebra.memo), so m keeps n
+    alive; callers never mutate the shared list or its maps."""
     q = m.algebra.quiver
     offs = {}
     total = 0
@@ -593,19 +604,24 @@ def _map_from_flat(like, vec):
 def iso_test(m, n):
     """Exact isomorphism decision.
 
-    Differing structural invariants certify "not isomorphic".  Equal data
-    certifies "isomorphic" before any search: when every arrow matrix of m
-    equals that of n, the identity at each vertex commutes with every arrow,
-    so it is an invertible module map m -> n.  An invertible Hom-basis map
-    certifies "isomorphic" too.  If no basis map f_i: m -> n is
-    invertible and m is indecomposable, the answer is "not isomorphic":
-    End(m) is local (Fitting's lemma), and for an isomorphism
-    f = sum a_i f_i with inverse g = sum b_j g_j, id = sum a_i b_j f_i g_j,
-    so some f_i g_j is a unit of End(m), which makes f_i injective and so
-    invertible.  Otherwise the decompositions of m and n are matched summand
-    by summand (Krull-Schmidt).  decompose decides every module whose
-    End/rad is commutative; the DecompositionInconclusive it raises for
-    the others propagates and is never read as a negative."""
+    The checks run in this order.  Differing dimension vectors certify "not
+    isomorphic".  Equal data certifies "isomorphic" before any search: when
+    every arrow matrix of m equals that of n, the identity at each vertex
+    commutes with every arrow, so it is an invertible module map m -> n.
+    Differing tops or socles certify "not isomorphic".  Then the Hom basis
+    m -> n is built, and an invertible basis map certifies "isomorphic".
+    Only then are the other three Hom bases built: isomorphic modules have
+    equal Hom dimensions, so trying the maps first changes no answer, and
+    differing dimensions certify "not isomorphic", as does an empty
+    Hom(m, n).  If no basis map f_i: m -> n is invertible and m is
+    indecomposable, the answer is "not isomorphic": End(m) is local
+    (Fitting's lemma), and for an isomorphism f = sum a_i f_i with inverse
+    g = sum b_j g_j, id = sum a_i b_j f_i g_j, so some f_i g_j is a unit of
+    End(m), which makes f_i injective and so invertible.  Otherwise the
+    decompositions of m and n are matched summand by summand
+    (Krull-Schmidt).  decompose decides every module whose End/rad is
+    commutative; the DecompositionInconclusive it raises for the others
+    propagates and is never read as a negative."""
     if m.dim_vector() != n.dim_vector():
         return IsoResult("not_iso", reason="dimension vectors differ")
     if m.total_dim == 0:
@@ -619,14 +635,14 @@ def iso_test(m, n):
     if socle_dims(m) != socle_dims(n):
         return IsoResult("not_iso", reason="socles differ")
     fwd = hom_basis(m, n)
+    for f in fwd:
+        if f.is_iso():
+            return IsoResult("iso", map=f)
     if not len(fwd) == len(hom_basis(n, m)) == len(hom_basis(m, m)) \
             == len(hom_basis(n, n)):
         return IsoResult("not_iso", reason="hom dimensions differ")
     if not fwd:
         return IsoResult("not_iso", reason="no nonzero maps")
-    for f in fwd:
-        if f.is_iso():
-            return IsoResult("iso", map=f)
     parts = decompose(m)
     if len(parts) == 1:
         return IsoResult("not_iso", reason="indecomposable, no basis map "

@@ -628,19 +628,12 @@ def _min_left_approx(x, summands):
     assembled from hom bases into the indecomposable summands.  A column
     h: x -> summand j0 is redundant when it factors through the others,
     i.e. lies in the span of their composites with the homs into j0."""
-    homs = {}
-
-    def pair_homs(i, j):
-        if (i, j) not in homs:
-            homs[(i, j)] = hom_basis(summands[i], summands[j])
-        return homs[(i, j)]
-
     cols = [(j, h) for j, s in enumerate(summands) for h in hom_basis(x, s)]
     for idx in reversed(range(len(cols))):
         j0, h = cols[idx]
         rest = cols[:idx] + cols[idx + 1:]
         if map_in_span(h, [g.then(phi) for j, g in rest
-                           for phi in pair_homs(j, j0)]):
+                           for phi in hom_basis(summands[j], summands[j0])]):
             cols = rest
     if not cols:
         return None

@@ -84,7 +84,7 @@ def _reference_coord_matrix(res, i, n):
     ents = homology._presentation_elements(d)
     offs0, h0 = homology._hom_offsets(P0, n)
     offs1, h1 = homology._hom_offsets(P1, n)
-    out = Matrix.zeros(h0, h1).copy_rows()
+    out = [[0] * h1 for _ in range(h0)]
     for j1, (w, _) in enumerate(P1.proj_gen):
         for j0, (v, _) in enumerate(P0.proj_gen):
             block = Matrix.zeros(n.dims[v], n.dims[w])
@@ -231,7 +231,7 @@ def test_a_corrupted_coordinate_matrix_fails_the_certificate(monkeypatch):
             # a column c with a nonzero entry in the first matrix: one
             # more in row c of the second makes their product nonzero
             c = next(c for row in made[0].data for c, x in enumerate(row) if x)
-            rows = B.copy_rows()
+            rows = [list(r) for r in B.data]
             rows[c][0] += 1
             B = Matrix(rows, B.nrows, B.ncols)
         made.append(B)

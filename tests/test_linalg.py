@@ -135,27 +135,52 @@ ENTRIES = st.one_of(
     st.integers(-4, 4).map(Fraction),
     st.fractions(min_value=-4, max_value=4, max_denominator=5))
 
+# wide entries for the elimination: large ints make the row contents that
+# rref divides out, denominators reach 10^3, and integral Fractions such
+# as Fraction(2, 1) reach rref as they are (the tests below build the
+# Matrix directly, not through Matrix.from_rows, which would make them ints)
+WIDE_ENTRIES = st.one_of(
+    ENTRIES,
+    st.integers(-10 ** 9, 10 ** 9),
+    st.integers(-10 ** 9, 10 ** 9).map(Fraction),
+    st.fractions(min_value=-10 ** 9, max_value=10 ** 9,
+                 max_denominator=10 ** 3))
 
-def _rows(nr, nc):
-    return st.lists(st.lists(ENTRIES, min_size=nc, max_size=nc),
+
+def _rows(nr, nc, entries=ENTRIES):
+    return st.lists(st.lists(entries, min_size=nc, max_size=nc),
                     min_size=nr, max_size=nr)
 
 
 @st.composite
 def _matrices(draw, max_side=6):
     nr, nc = draw(st.integers(0, max_side)), draw(st.integers(0, max_side))
-    return draw(_rows(nr, nc)), nc
+    return draw(_rows(nr, nc, WIDE_ENTRIES)), nc
+
+
+def _raw(rows, nc):
+    """The Matrix holding the entries as they are."""
+    return Matrix([list(r) for r in rows], len(rows), nc)
 
 
 def _exact_types(m):
-    return all(type(x) in (int, Fraction) for r in m.data for x in r)
+    """Every entry is an int or a Fraction, and no Fraction is integral."""
+    return all(type(x) is int or type(x) is Fraction and x.denominator != 1
+               for r in m.data for x in r)
+
+
+def test_rref_leaves_no_integral_fraction():
+    rng = random.Random(1)
+    for _ in range(2000):
+        m = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
+        assert _exact_types(rref(m)[0])
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(_matrices())
 def test_echelon_and_kernels_match_the_fraction_reference(mat):
     rows, nc = mat
-    m = Matrix.from_rows(rows, ncols=nc)
+    m = _raw(rows, nc)
     R, piv = rref(m)
     want, want_piv = fraction_rref(rows, nc)
     assert (R.data, piv) == (want, want_piv)
@@ -165,9 +190,11 @@ def test_echelon_and_kernels_match_the_fraction_reference(mat):
     assert rk == fraction_right_kernel(rows, nc)
     assert _exact_types(Matrix(rk, len(rk), nc))
     lk = left_kernel(m)
-    assert lk.shape[1] == len(rows)
+    assert lk.shape[1] == len(rows) and _exact_types(lk)
     assert lk.data == fraction_right_kernel([list(c) for c in zip(*rows)]
                                             if nc else [], len(rows))
+    rs = row_space(m)
+    assert rs.data == want[:len(want_piv)] and _exact_types(rs)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -176,13 +203,12 @@ def test_solve_linear_for_a_left_unknown_matches_the_fraction_reference(
         mat, data):
     """X @ a = b solved as a^T @ X^T = b^T."""
     rows, nc = mat
-    a = Matrix.from_rows(rows, ncols=nc)
+    a = _raw(rows, nc)
     k = data.draw(st.integers(0, 3))
     if data.draw(st.booleans()):
-        b = Matrix.from_rows(data.draw(_rows(k, len(rows))),
-                             ncols=len(rows)) @ a
+        b = _raw(data.draw(_rows(k, len(rows), WIDE_ENTRIES)), len(rows)) @ a
     else:
-        b = Matrix.from_rows(data.draw(_rows(k, nc)), ncols=nc)
+        b = _raw(data.draw(_rows(k, nc, WIDE_ENTRIES)), nc)
     sol = solve_linear(a.transpose(), b.transpose())
     want = fraction_solve_xa_b(rows, b.data, nc)
     if want is None:

@@ -23,7 +23,7 @@ from quiverhom.modules import (
     Representation, ModuleMap, zero_rep, simple_rep, projective_rep,
     projective_from_vertices, projective_map, regular_rep, injective_rep,
     dualize, direct_sum, summand_inclusion, summand_projection,
-    radical_rows, top_dims, socle_dims, socle_submodule,
+    radical_rows, socle_rows, top_dims, socle_dims, socle_submodule,
     sub_representation, cyclic_submodule, quotient_by_rows,
     quotient_by_submodule, kernel_of_map, cokernel_of_map, hom_basis,
     iso_test, decompose, uniserial_quotient, radical_power_rows,
@@ -329,7 +329,14 @@ def test_iso_test_agrees_with_the_searched_reference(build, monkeypatch):
         mods = [m for _, m in canonical_test_set(a)]
     for i, m in enumerate(mods):
         for n in mods[i:]:
-            assert iso_test(m, n).is_iso == searched_iso_test(m, n).is_iso
+            got, want = iso_test(m, n), searched_iso_test(m, n)
+            assert got.is_iso == want.is_iso
+            # on equal data iso_test returns the identity, unsearched
+            if m.mats != n.mats:
+                assert got.reason == want.reason
+                assert (got.map is None) == (want.map is None)
+                if got.map is not None:
+                    assert got.map.blocks == want.map.blocks
 
     def refuse(*args):
         raise AssertionError("equal data needs no search")
@@ -341,6 +348,62 @@ def test_iso_test_agrees_with_the_searched_reference(build, monkeypatch):
         assert r.is_iso
         f = ModuleMap(m, copy, r.map.blocks, validate=True)
         assert (r.map.source, r.map.target) == (m, copy) and f.is_iso()
+
+
+def _all_pairs_dedupe(named):
+    """The deduplication canonical_test_set made before it compared a
+    module only with kept modules of its dimension vector."""
+    out = []
+    for name, rep in named:
+        if rep.is_zero():
+            continue
+        if any(iso_test(rep, r).is_iso for _, r in out):
+            continue
+        out.append((name, rep))
+    return out
+
+
+@REFERENCE_ALGEBRAS
+def test_dedupe_keeps_what_the_all_pairs_loop_keeps(build, monkeypatch):
+    a = build()
+    with monkeypatch.context() as mp:
+        mp.setattr(invariants, "_dedupe", lambda named: named)
+        named = canonical_test_set(a)
+    got = invariants._dedupe(named)
+    want = _all_pairs_dedupe(named)
+    assert [(name, id(m)) for name, m in got] == \
+        [(name, id(m)) for name, m in want]
+
+
+@pytest.mark.parametrize("fn", [radical_rows, socle_rows, hom_basis],
+                         ids=["radical_rows", "socle_rows", "hom_basis"])
+def test_module_memo_computes_once_per_module_and_argument(monkeypatch, fn):
+    calls = []
+    undecorated = fn.__wrapped__
+
+    def counting(owner, *a):
+        calls.append((owner, a))
+        return undecorated(owner, *a)
+
+    monkeypatch.setattr(fn, "__wrapped__", counting)
+    a = nakayama_from_kupisch([2, 2, 3])
+    m, n = projective_rep(a, 0), injective_rep(a, 1)
+    args = [(n,), (m,)] if fn is hom_basis else [()]
+    values = [fn(m, *arg) for arg in args]
+    assert all(fn(m, *arg) is v for arg, v in zip(args, values))
+    assert calls == [(m, arg) for arg in args]
+    # a module with equal data is another owner, and another argument
+    copy = Representation(m.algebra, m.dims, m.mats)
+    got = fn(copy, *args[0])
+    assert calls[-1] == (copy, args[0]) and got is not values[0]
+    if fn is hom_basis:
+        assert [f.blocks for f in got] == [f.blocks for f in values[0]]
+        n_copy = Representation(n.algebra, n.dims, n.mats)
+        fn(m, n_copy)
+        assert calls[-1] == (m, (n_copy,))
+    else:
+        assert got == values[0]
+    assert len(calls) == len(args) + 1 + (fn is hom_basis)
 
 
 def _kronecker_algebra():
