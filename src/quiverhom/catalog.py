@@ -124,16 +124,15 @@ def _left_mult_matrix(a, elem):
     return Matrix(rows, a.dim, a.dim)
 
 
-def verify_endo_presentation(b=None):
-    """Certify the presentation against the concrete endomorphism ring.
+def verify_endo_presentation(b):
+    """Certify the presentation b (klein_endo_algebra()) against the
+    concrete endomorphism ring.
 
     Sends each arrow to an explicit module map on the direct sum, checks
     the defining relations act as zero, and checks the basis paths act as
     linearly independent endomorphisms spanning the full hom space.
     """
-    if b is None:
-        b = klein_endo_algebra()
-    a, _ = klein_module_pair()
+    a = klein_four_like()
     reg = regular_rep(a)
     row = a.element_vector(a.arrow_element("x"))
     xa, incl = cyclic_submodule(reg, 1, row)

@@ -19,8 +19,8 @@ from .homology import (
 )
 from .modules import (
     direct_sum, dualize, injective_rep, is_faithful, iso_test,
-    projective_rep, radical_submodule, regular_rep, simple_rep,
-    socle_submodule, quotient_by_submodule, uniserial_quotient, zero_rep,
+    projective_rep, quotient_by_rows, radical_submodule, regular_rep,
+    simple_rep, socle_rows, uniserial_quotient, zero_rep,
 )
 from .values import Dim
 
@@ -239,14 +239,12 @@ def canonical_test_set(algebra, depth=2, extras=()):
     algebras every uniserial quotient of a projective."""
     named = []
     for v in algebra.quiver.vertices:
-        named.append(("P(%s)" % v, projective_rep(algebra, v)))
+        p = projective_rep(algebra, v)
+        named.append(("P(%s)" % v, p))
         named.append(("I(%s)" % v, injective_rep(algebra, v)))
         named.append(("S(%s)" % v, simple_rep(algebra, v)))
-        rad, _ = radical_submodule(projective_rep(algebra, v))
-        named.append(("rad P(%s)" % v, rad))
-        soc, incl = socle_submodule(projective_rep(algebra, v))
-        named.append(("P(%s)/soc" % v, quotient_by_submodule(
-            projective_rep(algebra, v), incl)[0]))
+        named.append(("rad P(%s)" % v, radical_submodule(p)[0]))
+        named.append(("P(%s)/soc" % v, quotient_by_rows(p, socle_rows(p))[0]))
         for k in range(1, depth + 1):
             named.append(("syz%d S(%s)" % (k, v), syzygy(simple_rep(algebra, v), k)))
             named.append(("cosyz%d S(%s)" % (k, v),

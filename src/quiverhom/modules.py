@@ -374,19 +374,20 @@ def socle_dims(m):
 
 # -- sub and quotient objects ----------------------------------------------
 
-def sub_representation(m, rows_by_vertex, close=True):
-    """Subrepresentation spanned by the given rows (per vertex), closed
-    under the arrow action when close=True.  Returns (sub, inclusion).
+def sub_representation(m, rows_by_vertex):
+    """Subrepresentation spanned by the given rows (per vertex), which must
+    be closed under the arrow action: rows of kernels, socles, radicals and
+    images are.  Returns (sub, inclusion).  A submodule generated by rows
+    that are not closed is the image of a map from a projective
+    (cyclic_submodule).
 
     Each span is held as the nonzero rows of its RREF.  Such a row is 1 at
     its own pivot column, the first nonzero entry, and 0 at every other
     pivot column, so a combination sum x_r B_r has the entry x_r at pivot
     r.  For an arrow a: s -> t, if img = span_s M_a lies in span_t, then
     X_a = img[:, piv_t] are its unique coordinates, and if it does not,
-    X_a span_t differs from img; so X_a span_t == img certifies X_a.  When
-    that check fails, close=True puts img into span_t and runs another
-    pass, and close=False raises CertificateFailure.  A pass that changes
-    no span has read every X_a against the final spans.
+    X_a span_t differs from img; so X_a span_t == img certifies X_a, and
+    a failed check raises CertificateFailure.
 
     The relations are not checked again: span_s M_a = X_a span_t for
     every arrow a, so for every path and hence every relation rho,
@@ -403,23 +404,15 @@ def sub_representation(m, rows_by_vertex, close=True):
             [list(r) for r in rows], len(rows), m.dims[v])
         spans[v] = row_space(mat)
     mats = {}
-    changed = True
-    while changed:
-        changed = False
-        for a in q.arrows:
-            span_t = spans[a.target]
-            img = spans[a.source] @ m.mats[a.index]
-            piv = [r.index(1) for r in span_t.data]
-            x = Matrix([[r[c] for c in piv] for r in img.data],
-                       img.nrows, len(piv))
-            if x @ span_t == img:
-                mats[a.index] = x
-            elif close:
-                spans[a.target] = row_space(vstack([span_t, img]))
-                changed = True
-            else:
-                raise CertificateFailure(
-                    "rows are not closed under the action")
+    for a in q.arrows:
+        span_t = spans[a.target]
+        img = spans[a.source] @ m.mats[a.index]
+        piv = [r.index(1) for r in span_t.data]
+        x = Matrix([[r[c] for c in piv] for r in img.data],
+                   img.nrows, len(piv))
+        if x @ span_t != img:
+            raise CertificateFailure("rows are not closed under the action")
+        mats[a.index] = x
     dims = {v: spans[v].nrows for v in q.vertices}
     sub = Representation(m.algebra, dims, mats, validate=False)
     incl = ModuleMap(sub, m, dict(spans), validate=False)
@@ -427,7 +420,10 @@ def sub_representation(m, rows_by_vertex, close=True):
 
 
 def cyclic_submodule(m, v, row):
-    return sub_representation(m, {v: [list(row)]}, close=True)
+    """(sub, inclusion) of the submodule generated by a row of m at v: the
+    image of the map P(v) -> m that sends the generator to the row."""
+    f = projective_map(projective_rep(m.algebra, v), m, [list(row)])
+    return sub_representation(m, f.blocks)
 
 
 def quotient_by_rows(m, rows_by_vertex):
@@ -474,14 +470,10 @@ def quotient_by_rows(m, rows_by_vertex):
     return quot, proj
 
 
-def quotient_by_submodule(m, incl):
-    return quotient_by_rows(m, {v: incl.blocks[v] for v in incl.blocks})
-
-
 def kernel_of_map(f):
     """(kernel, inclusion) of a module map."""
     ker_rows = {v: left_kernel(f.blocks[v]) for v in f.blocks}
-    return sub_representation(f.source, ker_rows, close=False)
+    return sub_representation(f.source, ker_rows)
 
 
 def image_rows(f):
@@ -494,11 +486,11 @@ def cokernel_of_map(f):
 
 
 def socle_submodule(m):
-    return sub_representation(m, socle_rows(m), close=False)
+    return sub_representation(m, socle_rows(m))
 
 
 def radical_submodule(m):
-    return sub_representation(m, radical_rows(m), close=False)
+    return sub_representation(m, radical_rows(m))
 
 
 def uniserial_quotient(algebra, v, k):

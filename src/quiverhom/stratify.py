@@ -35,9 +35,9 @@ from .invariants import (
 from .linalg import Echelon, Matrix, hstack, rref
 from .modules import (
     ModuleMap, cokernel_of_map, decompose, direct_sum, dualize, hom_basis,
-    iso_test, kernel_of_map, map_in_span, projective_rep,
-    quotient_by_submodule, radical_power_rows, radical_rows, regular_rep,
-    same_add_closure, simple_rep, socle_submodule, sub_representation,
+    iso_test, kernel_of_map, map_in_span, projective_rep, quotient_by_rows,
+    radical_power_rows, regular_rep, same_add_closure, simple_rep,
+    socle_submodule,
 )
 from .values import Dim
 
@@ -86,16 +86,49 @@ class TiltingData:
         self.route = route
 
 
+def _standard_rows(a, v, cut):
+    """Rows spanning the submodule of P(v) = e_vA that its radical
+    generates at the cut vertices, in the coordinates of the basis paths
+    from v, grouped by end vertex: {u: rows}.
+
+    The radical of P(v) at w is spanned by the nontrivial paths p from v
+    to w, so for w in cut that submodule is spanned by the products p.q, q
+    a basis path from w.  Each product lies in e_vAe_u, u the end of q, so
+    its row vanishes at every column of a path that does not end at u.
+    The span is closed under the arrow action, since p.q.x is a
+    combination of products p.q'.  It is the trace of the projectives at
+    cut in rad P(v), so P(v) modulo it is the standard module for v not in
+    cut and the proper standard for v in cut (Dlab-Ringel 1992).  The
+    rule reads only a's multiplication table, so it serves the quotient
+    algebras A/Ae_SA as well as A."""
+    col = {i: c for c, i in enumerate(a.paths_from(v))}
+    rows = {}
+    for i in col:
+        p = a.basis[i]
+        if p.word and p.target in cut:
+            for j in a.paths_from(p.target):
+                prod = a.mult[i][j]
+                if prod:
+                    row = [0] * len(col)
+                    for k, c in prod.items():
+                        row[col[k]] = c
+                    rows.setdefault(a.basis[j].target, []).append(row)
+    return rows
+
+
 def _standard_at(algebra, v, cut):
-    """Projective at v modulo the submodule its radical generates at the
-    cut vertices."""
+    """P(v) modulo the span of _standard_rows(algebra, v, cut), each row
+    restricted to the columns of the paths that end at its vertex u: those
+    columns, in order, are the basis of P(v) at u.  P(v) itself when there
+    are no rows."""
     p = projective_rep(algebra, v)
-    rad = radical_rows(p)
-    gens = {w: rad[w] for w in cut if w in rad and rad[w].nrows}
-    if not gens:
+    rows = _standard_rows(algebra, v, cut)
+    if not rows:
         return p
-    _, incl = sub_representation(p, gens, close=True)
-    return quotient_by_submodule(p, incl)[0]
+    ends = [algebra.basis[i].target for i in algebra.paths_from(v)]
+    return quotient_by_rows(p, {
+        u: [[x for x, w in zip(r, ends) if w == u] for r in rs]
+        for u, rs in rows.items()})[0]
 
 
 class _Chain:
@@ -291,7 +324,10 @@ def filtration_test(m, family, strat):
     opposite algebra, along one _Chain of submodules from the top of the
     order (_filt_core); each layer only counts dimensions, and no trace or
     quotient module is built.  The multiplicities of a passing walk are
-    cross-checked against the dimension vectors of the family."""
+    cross-checked (_cross_check) against the dimension vectors of the
+    walked side's (proper) standard modules, counted by _standard_dims.
+    A costandard module is the dual of such a module over the opposite
+    algebra, so these are the family's, and no member of it is read."""
     if family not in FAMILIES:
         raise NotApplicable("unknown family %r" % (family,))
     if family in ("nabla", "nablabar"):
@@ -300,23 +336,28 @@ def filtration_test(m, family, strat):
     else:
         probe = m
         alg = strat.algebra
-    fam = getattr(strat, family)
     proper = family.endswith("bar")
     ok, mult = _filt_core(probe, alg, strat.order, proper)
     if not ok:
         return False, None
-    _cross_check(mult, lambda v: _dimdict(fam[v]), m)
+    _cross_check(mult, alg, strat.order, proper, m)
     return True, mult
 
 
-def _cross_check(mult, dims_of, m):
-    """The multiplicities times the family's dimension vectors (dims_of(v)
-    for the member at v) must add up to the dimension vector of m."""
+def _cross_check(mult, a, order, proper, m):
+    """The multiplicities times the dimension vectors of a's (proper, when
+    proper is set) standard modules along the order must add up to the
+    dimension vector of m.  The member at v is cut at the vertices above
+    v, and at v too when proper; its dimension vector is _standard_dims.
+    m may be the dual of the walked module: both have one dimension
+    vector."""
     total = {}
-    for v, k in mult.items():
+    for pos, v in enumerate(order):
+        k = mult[v]
         if not k:
             continue
-        for w, d in dims_of(v).items():
+        cut = frozenset(order[pos if proper else pos + 1:])
+        for w, d in _standard_dims(a, v, cut).items():
             total[w] = total.get(w, 0) + k * d
     if total != _dimdict(m):
         raise CertificateFailure(
@@ -328,33 +369,16 @@ def _standard_dims(a, v, cut):
     """Dimension vector of _standard_at(a, v, cut), counted inside e_vA
     once per (a, v, cut) with cut a frozenset; no module is built.
 
-    P(v) is e_vA with the basis paths from v as its basis, and its radical
-    at w is spanned by the nontrivial paths from v to w.  The submodule
-    they generate for w in cut is spanned by the products p.q, p such a
-    path and q a basis path from its end.  Each product lies in one
-    e_vAe_u, so one row reduction of the products, in the coordinates of
-    the paths from v, splits by the end vertex: its free columns are a
-    basis of the quotient, and its dimension at w is the number of free
-    columns ending at w.  For v not in cut this is the standard module,
-    P(v) modulo the trace of the projectives at cut (Dlab-Ringel 1992);
-    for v in cut it is the proper standard; an empty cut leaves P(v).  The
-    rule reads only a's multiplication table, so it serves the quotient
-    algebras A/Ae_SA as well as A."""
-    col = {i: c for c, i in enumerate(a.paths_from(v))}
-    rows = []
-    for i in col:
-        p = a.basis[i]
-        if p.word and p.target in cut:
-            for j in a.paths_from(p.target):
-                prod = a.mult[i][j]
-                if prod:
-                    row = [0] * len(col)
-                    for k, c in prod.items():
-                        row[col[k]] = c
-                    rows.append(row)
-    piv = set(rref(Matrix(rows, len(rows), len(col)))[1]) if rows else ()
+    One row reduction of all of _standard_rows(a, v, cut), in the
+    coordinates of the paths from v, splits by the end vertex, since each
+    row vanishes off the columns of its own end vertex: its free columns
+    are a basis of the quotient, and its dimension at w is the number of
+    free columns ending at w.  An empty cut leaves P(v)."""
+    rows = [r for rs in _standard_rows(a, v, cut).values() for r in rs]
+    paths = a.paths_from(v)
+    piv = set(rref(Matrix(rows, len(rows), len(paths)))[1]) if rows else ()
     dims = {}
-    for i, c in col.items():
+    for c, i in enumerate(paths):
         if c not in piv:
             w = a.basis[i].target
             dims[w] = dims.get(w, 0) + 1
@@ -408,10 +432,7 @@ def _order_flags(a, order):
     ss, plain, op = walks
     for mult, proper in ((ss, True), (plain, False)):
         if mult is not None:
-            cut = {v: frozenset(order[pos if proper else pos + 1:])
-                   for pos, v in enumerate(order)}
-            _cross_check(mult, lambda v: _standard_dims(a, v, cut[v]),
-                         regular_rep(a))
+            _cross_check(mult, a, order, proper, regular_rep(a))
     return {
         "standardly_stratified": ss is not None,
         "delta_filtered_regular": plain is not None,

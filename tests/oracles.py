@@ -21,7 +21,11 @@ fraction_rref.
 
 quotient_tower_walk is the reference for stratify._filt_core: the trace
 recursion as it ran before the submodule chain, building the trace of the
-top vertex and the quotient by it as modules at every layer.
+top vertex and the quotient by it as modules at every layer, with the
+solved references below.  closed_standard is the reference for
+stratify._standard_at: the standard module as the package built it
+before it read the submodule's rows off products of paths, a closure of
+radical rows and the quotient by them.
 
 total_space_is_faithful is the reference for modules.is_faithful: each
 basis element's action written out on the whole module, all of them
@@ -69,10 +73,8 @@ from quiverhom.linalg import (
 )
 from quiverhom.modules import (
     IsoResult, ModuleMap, Representation, decompose, hom_basis,
-    kernel_of_map, projective_rep, quotient_by_submodule, radical_rows,
-    socle_dims, sub_representation, top_dims,
+    kernel_of_map, projective_rep, radical_rows, socle_dims, top_dims,
 )
-from quiverhom.stratify import _standard_at
 
 
 def word_space_dimension(vertices, arrows, relations, loewy):
@@ -458,14 +460,28 @@ def flat_ext_dims(flat, n, imax):
             for i in range(imax + 1)]
 
 
+def closed_standard(alg, v, cut):
+    """P(v) modulo the submodule its radical generates at the cut vertices:
+    the radical rows at cut closed by solved_sub_representation's fixpoint,
+    and the quotient by reduced_quotient_by_rows.  P(v) itself when the
+    radical is zero at every cut vertex."""
+    p = projective_rep(alg, v)
+    rad = radical_rows(p)
+    gens = {w: rad[w] for w in cut if rad[w].nrows}
+    if not gens:
+        return p
+    _, incl = solved_sub_representation(p, gens)
+    return reduced_quotient_by_rows(p, incl.blocks)[0]
+
+
 def quotient_tower_walk(m, algebra, order, proper):
     """(ok, multiplicities) of the trace recursion on m along the order,
     over algebra: at each layer t, from the top of the order, build the
     trace u of t in the current module and the quotient by it.  The layer
     has k = dim u_t - dim (rad u)_t (plain) or k = dim of the current
     module at t (proper), and passes when dim u is k times the dimension
-    of the projective (or the proper standard) at t over A/Ae_SA, S the
-    vertices above t."""
+    of the projective (or the proper standard, closed_standard) at t over
+    A/Ae_SA, S the vertices above t."""
     cur = m
     mult = {}
     for idx in range(len(order) - 1, -1, -1):
@@ -475,17 +491,18 @@ def quotient_tower_walk(m, algebra, order, proper):
                 mult[w] = 0
             return True, mult
         alg = algebra.quotient_by_idempotent_ideal(frozenset(order[idx + 1:]))
-        u, incl = sub_representation(cur, {t: Matrix.identity(cur.dims[t])})
+        u, incl = solved_sub_representation(
+            cur, {t: Matrix.identity(cur.dims[t])})
         if proper:
             k = cur.dims[t]
-            d = sum(_standard_at(alg, t, (t,)).dims.values())
+            d = sum(closed_standard(alg, t, (t,)).dims.values())
         else:
             k = u.dims[t] - radical_rows(u)[t].nrows
             d = sum(projective_rep(alg, t).dims.values())
         if sum(u.dims.values()) != k * d:
             return False, None
         mult[t] = k
-        cur = quotient_by_submodule(cur, incl)[0]
+        cur = reduced_quotient_by_rows(cur, incl.blocks)[0]
     return (True, mult) if cur.is_zero() else (False, None)
 
 

@@ -20,7 +20,9 @@ from unittest.mock import patch
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import is_irreducible_over_q, sympy_coprime_split
+from oracles import (
+    is_irreducible_over_q, solved_sub_representation, sympy_coprime_split,
+)
 from test_stratify import REFERENCE_ALGEBRAS
 
 from quiverhom import homology, modules
@@ -94,6 +96,9 @@ def test_checking_every_module_map_changes_no_answer(monkeypatch):
 def test_proven_maps_skip_the_arrow_check(monkeypatch):
     a = nakayama_from_kupisch([2, 2, 3])
     p = projective_rep(a, 0)
+    # closed rows from the reference fixpoint, which builds a map too
+    rows = solved_sub_representation(
+        p, {1: Matrix.identity(p.dims[1])})[1].blocks
     flags = []
     orig = ModuleMap.__init__
 
@@ -103,7 +108,7 @@ def test_proven_maps_skip_the_arrow_check(monkeypatch):
 
     monkeypatch.setattr(ModuleMap, "__init__", recorded)
     f = projective_map(p, simple_rep(a, 0), [[1]])
-    _, incl = sub_representation(p, {1: Matrix.identity(p.dims[1])})
+    _, incl = sub_representation(p, rows)
     assert flags == [False, False]
     assert f.is_surjective() and incl.is_injective()
 
@@ -142,7 +147,9 @@ def test_proven_constructions_skip_the_relation_check(monkeypatch):
     projective_rep(a, 2)
     projective_from_vertices(a, (2,))
     assert calls == [p]
-    sub, incl = sub_representation(p, {0: Matrix.identity(p.dims[0])})
+    rows = solved_sub_representation(
+        p, {0: Matrix.identity(p.dims[0])})[1].blocks
+    sub, incl = sub_representation(p, rows)
     quot, _ = quotient_by_rows(p, incl.blocks)
     dualize(sub)
     dualize(quot)
@@ -178,7 +185,7 @@ def test_rows_that_are_not_closed_are_refused():
     p = projective_rep(a, 2)
     # the top of P(2) alone: the arrow 2 -> 0 leaves the span
     with pytest.raises(CertificateFailure):
-        sub_representation(p, {2: [[1]]}, close=False)
+        sub_representation(p, {2: [[1]]})
     # the projection onto P(2)/top does not commute with that arrow
     with pytest.raises(InvalidParameters):
         quotient_by_rows(p, {2: [[1]]})

@@ -25,7 +25,7 @@ from quiverhom.modules import (
     dualize, direct_sum, summand_inclusion, summand_projection,
     radical_rows, socle_rows, top_dims, socle_dims, socle_submodule,
     sub_representation, cyclic_submodule, quotient_by_rows,
-    quotient_by_submodule, kernel_of_map, cokernel_of_map, hom_basis,
+    kernel_of_map, cokernel_of_map, hom_basis,
     iso_test, decompose, uniserial_quotient, radical_power_rows,
     is_faithful, map_in_span, _map_from_flat, same_add_closure,
 )
@@ -92,8 +92,10 @@ def test_yoneda_hom_dims(naka223):
 
 def test_vertex_trace(naka223):
     p2 = projective_rep(naka223, 2)
-    # the trace of vertex 0: the smallest submodule containing P(2)e_0
-    sub, incl = sub_representation(p2, {0: Matrix.identity(p2.dims[0])})
+    # the trace of vertex 0: the smallest submodule containing P(2)e_0,
+    # its rows closed by the reference fixpoint
+    _, ref = solved_sub_representation(p2, {0: Matrix.identity(p2.dims[0])})
+    sub, incl = sub_representation(p2, ref.blocks)
     assert sub.dim_vector() == (1, 1, 0)
     assert incl.is_injective()
 
@@ -121,8 +123,9 @@ def test_projective_map_cover(naka223):
 
 def test_quotient_roundtrip(naka223):
     p = projective_rep(naka223, 2)
-    sub, incl = sub_representation(p, {0: Matrix.identity(p.dims[0])})
-    quot, proj = quotient_by_submodule(p, incl)
+    _, ref = solved_sub_representation(p, {0: Matrix.identity(p.dims[0])})
+    sub, incl = sub_representation(p, ref.blocks)
+    quot, proj = quotient_by_rows(p, incl.blocks)
     assert quot.total_dim == p.total_dim - sub.total_dim
     assert incl.then(proj).is_zero()
 
@@ -542,11 +545,11 @@ def _test_modules(build):
     return _TEST_MODULES[build]
 
 
-def _outcome(construct, m, rows, *close):
+def _outcome(construct, m, *args):
     """(dims, arrow matrices, blocks of the map), or the type of the
     refusal."""
     try:
-        obj, f = construct(m, rows, *close)
+        obj, f = construct(m, *args)
     except (CertificateFailure, InvalidParameters) as e:
         return type(e)
     return obj.dims, obj.mats, f.blocks
@@ -575,7 +578,8 @@ def test_sub_and_quotient_match_the_solved_references(build, data):
     # off the echelon rows equal the solved ones, and both refuse alike.
     # In m + m, the rows (u, c u) span the graph of c times the inclusion
     # of the rows u, closed when the u are, with echelon rows that are not
-    # unit rows.
+    # unit rows.  The submodule a random row generates, the image of a map
+    # from a projective, is the reference closure of that row.
     m = data.draw(st.sampled_from(_test_modules(build)))
     entry = st.sampled_from([0, 0, 0, 1, -1, 2])
     raw = {v: data.draw(st.lists(st.lists(entry, min_size=m.dims[v],
@@ -593,15 +597,17 @@ def test_sub_and_quotient_match_the_solved_references(build, data):
                       (m, _with_dependent_rows(closed, data)), (m, raw),
                       (pair, graph(raw)),
                       (m, _with_dependent_rows(raw, data))):
-        for close in (False, True):
-            assert _outcome(sub_representation, mod, rows, close) == \
-                _outcome(solved_sub_representation, mod, rows, close)
+        assert _outcome(sub_representation, mod, rows) == \
+            _outcome(solved_sub_representation, mod, rows, False)
         assert _outcome(quotient_by_rows, mod, rows) == \
             _outcome(reduced_quotient_by_rows, mod, rows)
     for mod, rows in ((m, closed), (pair, graph(closed))):
-        assert _outcome(sub_representation, mod, rows, False) != \
-            CertificateFailure
+        assert _outcome(sub_representation, mod, rows) != CertificateFailure
         assert _outcome(quotient_by_rows, mod, rows) != InvalidParameters
+    for v, rs in raw.items():
+        for row in rs:
+            assert _outcome(cyclic_submodule, m, v, row) == \
+                _outcome(solved_sub_representation, m, {v: [row]})
 
 
 @pytest.mark.parametrize("build", REFERENCE_ALGEBRAS.args[1][:6],

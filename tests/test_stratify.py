@@ -23,8 +23,8 @@ from quiverhom.invariants import (
     canonical_test_set, global_dimension,
 )
 from quiverhom.modules import (
-    direct_sum, dualize, iso_test, projective_rep, quotient_by_submodule,
-    radical_rows, regular_rep, simple_rep, sub_representation,
+    direct_sum, dualize, iso_test, projective_rep, quotient_by_rows,
+    radical_rows, regular_rep, simple_rep,
 )
 from quiverhom.stratify import (
     characteristic_cotilting, characteristic_tilting, classify_stratification,
@@ -34,7 +34,10 @@ from quiverhom.stratify import (
 )
 from quiverhom.values import Dim
 
-from oracles import quotient_tower_walk, rediscovered_quotient
+from oracles import (
+    closed_standard, quotient_tower_walk, rediscovered_quotient,
+    solved_sub_representation,
+)
 
 
 @pytest.fixture(scope="module")
@@ -74,8 +77,8 @@ def test_proper_standard_is_quotient_of_standard(st223, st31):
             d = st.delta[v]
             rows = radical_rows(d)
             if v in rows and rows[v].nrows:
-                sub, incl = sub_representation(d, {v: rows[v]}, close=True)
-                q, _ = quotient_by_submodule(d, incl)
+                _, incl = solved_sub_representation(d, {v: rows[v]})
+                q, _ = quotient_by_rows(d, incl.blocks)
             else:
                 q = d
             assert iso_test(q, st.deltabar[v]).is_iso
@@ -293,7 +296,8 @@ def test_search_orders_matches_order_by_order_recursion(build):
 def _iso_reference_layer(cur, alg, t):
     """The standard layer as decided by an isomorphism test: k = dim u /
     dim P_t when that divides, then u against P_t^k; None on failure."""
-    u, _ = sub_representation(cur, {t: linalg.Matrix.identity(cur.dims[t])})
+    u, _ = solved_sub_representation(
+        cur, {t: linalg.Matrix.identity(cur.dims[t])})
     du = sum(u.dims.values())
     p = projective_rep(alg, t)
     dp = sum(p.dims.values())
@@ -340,23 +344,26 @@ def test_search_orders_builds_no_standard_module(monkeypatch, build):
         raise AssertionError("module constructed during the order search")
     monkeypatch.setattr(stratify, "_standard_at", refuse)
     for module in (modules, stratify):
-        for name in ("sub_representation", "quotient_by_rows",
-                     "quotient_by_submodule"):
+        for name in ("sub_representation", "quotient_by_rows"):
             monkeypatch.setattr(module, name, refuse, raising=False)
     assert len(search_orders(build())) > 0
 
 
 @QUOTIENT_ALGEBRAS
 def test_counted_standard_dims_match_the_built_modules(build):
+    # both readings of the row builder, the counted dimension vector and
+    # the built quotient, against the closure of the radical rows
     a = build()
     for side in (a, a.opposite_algebra()):
         verts = list(side.quiver.vertices)
         for v in verts:
             for r in range(len(verts) + 1):
                 for cut in combinations(verts, r):
+                    want = closed_standard(side, v, cut)
+                    got = stratify._standard_at(side, v, cut)
+                    assert (got.dims, got.mats) == (want.dims, want.mats)
                     assert stratify._standard_dims(
-                        side, v, frozenset(cut)) == stratify._dimdict(
-                            stratify._standard_at(side, v, cut))
+                        side, v, frozenset(cut)) == stratify._dimdict(want)
 
 
 def _steps(side):
