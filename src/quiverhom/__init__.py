@@ -9,8 +9,8 @@ from .algebra import (
     symmetric_chain_family,
 )
 from .catalog import (
-    is_construction_text, klein_endo_algebra, klein_module_pair,
-    parse_construction, verify_endo_presentation,
+    endo_quiver_construction, is_construction_text, klein_endo_algebra,
+    klein_module_pair, parse_construction, verify_endo_presentation,
 )
 from .dsl import AlgebraSpec, parse_algebra_dsl, pretty_print
 from .errors import ParseError, QuiverhomError, UnknownExampleId
@@ -33,9 +33,8 @@ from .relar import omega_approximation, relative_ar_sequence
 from .reports import emit_report
 from .stratify import (
     characteristic_cotilting, characteristic_tilting, classify_stratification,
-    endo_quiver_construction, filtration_test, search_orders,
-    tilting_conjecture_report, verify_duality_consequences,
-    verify_main_equivalences, verify_tilting,
+    filtration_test, search_orders, tilting_conjecture_report,
+    verify_duality_consequences, verify_main_equivalences, verify_tilting,
 )
 from .values import Dim
 from .verify import all_example_ids, verify_paper_example

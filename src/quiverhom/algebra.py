@@ -454,6 +454,19 @@ class BoundQuiverAlgebra:
         return quo
 
 
+def check_asserted_duality(a):
+    """Necessary Cartan-symmetry check for an asserted simple-preserving
+    duality; a failure is a contradiction, not a soft negative."""
+    c = a.cartan_matrix()
+    n = len(a.quiver.vertices)
+    for i in range(n):
+        for j in range(n):
+            if c.entry(i, j) != c.entry(j, i):
+                raise CertificateFailure(
+                    "asserted duality contradicted: Cartan matrix is "
+                    "asymmetric at (%d, %d)" % (i, j))
+
+
 def build_algebra(quiver, relations, loewy_cap=12):
     """Construct the algebra presented by the quiver and relations.
 

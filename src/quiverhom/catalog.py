@@ -1,20 +1,26 @@
-"""Named algebra constructions behind the command line, plus a certified
-bound quiver presentation of the endomorphism ring of the regular module
-extended by the submodule one loop generates."""
+"""Named algebra constructions behind the command line, with the two
+certified bound quiver presentations of endomorphism rings among them:
+endo_quiver_construction, for the regular module of a symmetric algebra
+extended by socle simples (`endo-of:`), and klein_endo_algebra, for the
+regular module of the two-loop local algebra extended by the submodule
+one loop generates."""
 from .algebra import (
-    Quiver, bnlambda_family, build_algebra, combination_relation,
-    klein_four_like, monomial_relation, nakayama_from_kupisch,
-    symmetric_chain_family,
+    Quiver, bnlambda_family, build_algebra, check_asserted_duality,
+    combination_relation, klein_four_like, monomial_relation,
+    nakayama_from_kupisch, symmetric_chain_family,
 )
 from .errors import (
-    CertificateFailure, InvalidParameters, InvalidSeries, ParseError,
+    BoundExceeded, CertificateFailure, InvalidParameters, InvalidSeries,
+    ParseError, PreconditionFailed,
 )
-from .linalg import Matrix, rank, solve_linear
+from .homology import mueller_domdim
+from .invariants import algebra_dominant_dimension
+from .linalg import Matrix, rank, row_space, solve_linear
 from .modules import (
     ModuleMap, cyclic_submodule, direct_sum, flat_blocks, hom_basis,
-    regular_rep, summand_inclusion, summand_projection,
+    projective_rep, radical_power_rows, regular_rep, simple_rep, socle_dims,
+    socle_rows, summand_inclusion, summand_projection,
 )
-from .stratify import check_asserted_duality, endo_quiver_construction
 
 CONSTRUCTION_NAMES = (
     "kupisch", "bnlambda", "symmetric_chain", "klein_four", "endo-of")
@@ -78,6 +84,100 @@ def is_construction_text(text):
     return head in CONSTRUCTION_NAMES
 
 
+# -- endomorphism algebra of A plus socle simples ---------------------------
+
+def _socle_word(a, v):
+    """The socle of the projective at v as a combination of basis paths;
+    needs a one-dimensional socle concentrated at v."""
+    p = projective_rep(a, v)
+    if socle_dims(p) != tuple(int(w == v) for w in a.quiver.vertices):
+        raise PreconditionFailed(
+            "socle of the projective at %r is not simple at %r" % (v, v))
+    row = row_space(socle_rows(p)[v]).data[0]
+    # the projective's component at v is indexed by the source-v basis
+    # paths ending at v, in basis order
+    at_v = [p2 for p2 in a.basis if p2.source == v and p2.target == v]
+    return [(coeff, path) for coeff, path in zip(row, at_v) if coeff]
+
+
+def endo_quiver_construction(a, socle_vertices, bound=64):
+    """Presentation of the endomorphism algebra of the regular module plus
+    the chosen socle simples over a certified symmetric algebra: one new
+    vertex per chosen simple, a two-arrow loop through it, zero relations
+    against every other arrow, and the socle word as the new loop's value.
+    Certified by the dimension formula and a dominant dimension
+    cross-check, which is BoundExceeded when the bound cuts a value off
+    and no contradiction shows.  An empty, repeated or unknown socle list
+    is InvalidParameters."""
+    if not a.is_symmetric:
+        raise PreconditionFailed("construction needs a certified symmetric "
+                                 "algebra")
+    for v in a.quiver.vertices:
+        if all(mat.nrows == 0 for mat in
+               radical_power_rows(projective_rep(a, v), 2).values()):
+            raise PreconditionFailed(
+                "projective at %r has Loewy length below three" % (v,))
+    chosen = sorted(socle_vertices)
+    if not chosen:
+        raise InvalidParameters("no socle vertices chosen")
+    if len(set(chosen)) != len(chosen):
+        raise InvalidParameters("repeated socle vertices %r" % (chosen,))
+    unknown = [v for v in chosen if v not in a.quiver.vertices]
+    if unknown:
+        raise InvalidParameters("unknown vertices %r" % (unknown,))
+    fresh = max(int(v) for v in a.quiver.vertices) + 1
+    new_vertex = {v: fresh + k for k, v in enumerate(chosen)}
+    verts = list(a.quiver.vertices) + [new_vertex[v] for v in chosen]
+    arrows = [(ar.name, ar.source, ar.target) for ar in a.quiver.arrows]
+    for v in chosen:
+        arrows.append(("al%s" % v, v, new_vertex[v]))
+        arrows.append(("be%s" % v, new_vertex[v], v))
+    q = Quiver(verts, arrows)
+
+    def names(path):
+        return [a.quiver.arrows[i].name for i in path.word]
+
+    rels = []
+    for rel in a.relations:
+        rels.append(combination_relation(
+            q, [(c, names(p)) for c, p in rel.terms]))
+    for v in chosen:
+        socle = _socle_word(a, v)
+        for name, src, tgt in arrows:
+            if tgt == v:
+                rels.append(monomial_relation(q, [name, "al%s" % v]))
+            if src == v:
+                rels.append(monomial_relation(q, ["be%s" % v, name]))
+        combo = [(1, ["al%s" % v, "be%s" % v])]
+        combo += [(-c, names(p)) for c, p in socle]
+        rels.append(combination_relation(q, combo))
+    out = build_algebra(q, rels, loewy_cap=a.loewy_bound + 2)
+    expect = a.dim + 3 * len(chosen)
+    if out.dim != expect:
+        raise CertificateFailure(
+            "presented algebra has dimension %d, expected %d"
+            % (out.dim, expect))
+    pair = direct_sum([regular_rep(a)]
+                      + [simple_rep(a, v) for v in chosen])
+    want = mueller_domdim(pair, bound)
+    got = algebra_dominant_dimension(out, bound)
+    if want != got:
+        # two values contradict unless one is a floor the other can meet
+        try:
+            met = all(d.eq(e.n) for d, e in ((got, want), (want, got))
+                      if e.is_exact)
+        except BoundExceeded:
+            met = True
+        if not met:
+            raise CertificateFailure(
+                "dominant dimension cross-check failed: %s vs %s"
+                % (got, want))
+        raise BoundExceeded(
+            "bound %d cut the dominant dimension cross-check off: %s vs %s"
+            % (bound, got, want), bound)
+    return out
+
+
 # -- endomorphism ring of the regular module plus one loop's image ----------
 
 _KE_REL_DATA = (
@@ -108,13 +208,8 @@ def klein_endo_algebra():
     """
     q = Quiver([1, 2], [("y", 1, 1), ("de", 2, 2), ("al", 1, 2),
                         ("be", 2, 1)])
-    rels = []
-    for combo in _KE_REL_DATA:
-        if len(combo) == 1:
-            rels.append(monomial_relation(q, list(combo[0][1])))
-        else:
-            rels.append(combination_relation(q, [(c, list(w))
-                                                 for c, w in combo]))
+    rels = [combination_relation(q, [(c, list(w)) for c, w in combo])
+            for combo in _KE_REL_DATA]
     return build_algebra(q, rels, loewy_cap=6)
 
 

@@ -18,8 +18,8 @@ from .homology import (
     projective_resolution, syzygy,
 )
 from .modules import (
-    direct_sum, dualize, injective_rep, is_faithful, iso_test,
-    projective_rep, quotient_by_rows, radical_submodule, regular_rep,
+    direct_sum, dualize, first_of_each_iso_class, injective_rep, is_faithful,
+    iso_test, projective_rep, quotient_by_rows, radical_submodule, regular_rep,
     simple_rep, socle_rows, uniserial_quotient, zero_rep,
 )
 from .values import Dim
@@ -213,30 +213,12 @@ def gendo_gorenstein_check(n, bound=64):
 
 # -- canonical test sets ---------------------------------------------------
 
-def _dedupe(named):
-    """The nonzero modules of the named list, each kept unless it is
-    isomorphic to one kept before it.  A module is compared only with the
-    kept modules of its dimension vector, in the order they were kept:
-    iso_test answers "not isomorphic" to every other one at its first
-    check."""
-    out = []
-    kept = {}
-    for name, rep in named:
-        if rep.is_zero():
-            continue
-        same = kept.setdefault(rep.dim_vector(), [])
-        if any(iso_test(rep, r).is_iso for r in same):
-            continue
-        same.append(rep)
-        out.append((name, rep))
-    return out
-
-
 def canonical_test_set(algebra, depth=2, extras=()):
-    """Named nonzero modules exercising the category at desk scale:
-    projectives, injectives, simples, radicals, socle quotients, syzygies
-    and cosyzygies of simples up to the depth, any extras, and for serial
-    algebras every uniserial quotient of a projective."""
+    """Named nonzero modules, the first of each isomorphism class,
+    exercising the category at desk scale: projectives, injectives,
+    simples, radicals, socle quotients, syzygies and cosyzygies of simples
+    up to the depth, any extras, and for serial algebras every uniserial
+    quotient of a projective."""
     named = []
     for v in algebra.quiver.vertices:
         p = projective_rep(algebra, v)
@@ -252,7 +234,8 @@ def canonical_test_set(algebra, depth=2, extras=()):
     if getattr(algebra, "kupisch", None):
         named.extend(all_uniserial_quotients(algebra))
     named.extend(extras)
-    return _dedupe(named)
+    keep = first_of_each_iso_class([m for _, m in named])
+    return [named[i] for i in keep]
 
 
 def all_uniserial_quotients(algebra):

@@ -485,10 +485,6 @@ def cokernel_of_map(f):
     return quotient_by_rows(f.target, image_rows(f))
 
 
-def socle_submodule(m):
-    return sub_representation(m, socle_rows(m))
-
-
 def radical_submodule(m):
     return sub_representation(m, radical_rows(m))
 
@@ -642,6 +638,26 @@ def iso_test(m, n):
     if same_add_closure(parts, decompose(n)):
         return IsoResult("iso", reason="summands match")
     return IsoResult("not_iso", reason="summands differ")
+
+
+def first_of_each_iso_class(mods):
+    """Positions of the nonzero modules of the list, each kept unless it is
+    isomorphic to one kept before it.  A module is compared only with the
+    kept modules of its dimension vector, in the order they were kept:
+    iso_test answers "not isomorphic" to every other one at its first
+    check.  Positions, not modules, so that one module listed twice (under
+    two names, say) is kept once, at its first place."""
+    kept = []
+    by_dims = {}
+    for i, m in enumerate(mods):
+        if m.is_zero():
+            continue
+        same = by_dims.setdefault(m.dim_vector(), [])
+        if any(iso_test(m, n).is_iso for n in same):
+            continue
+        same.append(m)
+        kept.append(i)
+    return kept
 
 
 def same_add_closure(parts_a, parts_b):

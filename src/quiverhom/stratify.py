@@ -5,39 +5,30 @@ membership by the trace recursion, run as a chain of submodules of the
 module itself (see _Chain), classifies orders (standardly and
 properly stratified, quasi-hereditary), constructs and certifies the
 characteristic tilting module, and provides the extensional verifiers for
-the tilting-orthogonality and duality consequences.  Also contains the
-quiver surgery that presents the endomorphism algebra of a symmetric
-algebra extended by socle simples.
+the tilting-orthogonality and duality consequences.
 """
 from __future__ import annotations
 
 from itertools import permutations
 from math import factorial, inf
 
-from .algebra import (
-    Quiver, build_algebra, combination_relation, memo, monomial_relation,
-)
+from .algebra import check_asserted_duality, memo
 from .errors import (
-    BoundExceeded, CertificateFailure, InvalidParameters, NotApplicable,
-    NotAuslanderGorenstein, NotGorensteinCertified, NotStratified,
-    NotTilting, PreconditionFailed, TooManyVertices,
+    BoundExceeded, CertificateFailure, NotApplicable, NotAuslanderGorenstein,
+    NotGorensteinCertified, NotStratified, NotTilting, TooManyVertices,
 )
-from .homology import (
-    cosyzygy, ext1_cocycles, ext_dims, extension_from_cocycle, mueller_domdim,
-)
+from .homology import cosyzygy, ext1_cocycles, ext_dims, extension_from_cocycle
 from .invariants import (
-    algebra_dominant_dimension, auslander_gorenstein_parameter,
-    canonical_test_set, certified_gorenstein_dimension, codominant_dimension,
-    dominant_dimension, gi_dimension, global_dimension, gorenstein_dimension,
-    gp_dimension, injective_dimension, injective_projective_vertices,
-    projective_dimension,
+    auslander_gorenstein_parameter, canonical_test_set,
+    certified_gorenstein_dimension, codominant_dimension, dominant_dimension,
+    gi_dimension, global_dimension, gorenstein_dimension, gp_dimension,
+    injective_dimension, injective_projective_vertices, projective_dimension,
 )
 from .linalg import Echelon, Matrix, hstack, rref
 from .modules import (
-    ModuleMap, cokernel_of_map, decompose, direct_sum, dualize, hom_basis,
-    iso_test, kernel_of_map, map_in_span, projective_rep, quotient_by_rows,
-    radical_power_rows, regular_rep, same_add_closure, simple_rep,
-    socle_submodule,
+    ModuleMap, cokernel_of_map, decompose, direct_sum, dualize,
+    first_of_each_iso_class, hom_basis, kernel_of_map, map_in_span,
+    projective_rep, quotient_by_rows, regular_rep, same_add_closure,
 )
 from .values import Dim
 
@@ -385,20 +376,6 @@ def _standard_dims(a, v, cut):
     return dims
 
 
-def check_asserted_duality(a):
-    """Necessary Cartan-symmetry check for an asserted simple-preserving
-    duality; a failure is a contradiction, not a soft negative."""
-    c = a.cartan_matrix()
-    n = len(a.quiver.vertices)
-    for i in range(n):
-        for j in range(n):
-            if c.entry(i, j) != c.entry(j, i):
-                raise CertificateFailure(
-                    "asserted duality contradicted: Cartan matrix is "
-                    "asymmetric at (%d, %d)" % (i, j))
-    return True
-
-
 def _order_flags(a, order):
     """The five stratification flags of the order, and the multiplicities
     of the regular module's filtration by standard modules (None when it
@@ -495,13 +472,8 @@ def search_orders(a, bound=64):
 def _basic_parts(reps):
     """Indecomposable summands of the given modules with iso-duplicates
     removed."""
-    basic = []
-    for r in reps:
-        for p in decompose(r):
-            if not p.is_zero() and not any(iso_test(p, q).is_iso
-                                           for q in basic):
-                basic.append(p)
-    return basic
+    parts = [p for r in reps for p in decompose(r)]
+    return [parts[i] for i in first_of_each_iso_class(parts)]
 
 
 def _self_orthogonal_pd(t, pd):
@@ -827,99 +799,4 @@ def verify_duality_consequences(strat, testset=None, bound=64):
                 "quasi-hereditary instance: global dimension %s is not "
                 "twice the tilting projective dimension" % g)
         out["gldim"] = 2 * m
-    return out
-
-
-# -- endomorphism algebra of A plus socle simples ---------------------------
-
-def _socle_word(a, v):
-    """The socle of the projective at v as a combination of basis paths;
-    needs a one-dimensional socle concentrated at v."""
-    p = projective_rep(a, v)
-    soc, incl = socle_submodule(p)
-    if sum(soc.dims.values()) != 1 or soc.dims.get(v, 0) != 1:
-        raise PreconditionFailed(
-            "socle of the projective at %r is not simple at %r" % (v, v))
-    row = incl.blocks[v].data[0]
-    # the projective's component at v is indexed by the source-v basis
-    # paths ending at v, in basis order
-    at_v = [p2 for p2 in a.basis if p2.source == v and p2.target == v]
-    return [(coeff, path) for coeff, path in zip(row, at_v) if coeff]
-
-
-def endo_quiver_construction(a, socle_vertices, bound=64):
-    """Presentation of the endomorphism algebra of the regular module plus
-    the chosen socle simples over a certified symmetric algebra: one new
-    vertex per chosen simple, a two-arrow loop through it, zero relations
-    against every other arrow, and the socle word as the new loop's value.
-    Certified by the dimension formula and a dominant dimension
-    cross-check, which is BoundExceeded when the bound cuts a value off
-    and no contradiction shows.  An empty, repeated or unknown socle list
-    is InvalidParameters."""
-    if not a.is_symmetric:
-        raise PreconditionFailed("construction needs a certified symmetric "
-                                 "algebra")
-    for v in a.quiver.vertices:
-        if all(mat.nrows == 0 for mat in
-               radical_power_rows(projective_rep(a, v), 2).values()):
-            raise PreconditionFailed(
-                "projective at %r has Loewy length below three" % (v,))
-    chosen = sorted(socle_vertices)
-    if not chosen:
-        raise InvalidParameters("no socle vertices chosen")
-    if len(set(chosen)) != len(chosen):
-        raise InvalidParameters("repeated socle vertices %r" % (chosen,))
-    unknown = [v for v in chosen if v not in a.quiver.vertices]
-    if unknown:
-        raise InvalidParameters("unknown vertices %r" % (unknown,))
-    fresh = max(int(v) for v in a.quiver.vertices) + 1
-    new_vertex = {v: fresh + k for k, v in enumerate(chosen)}
-    verts = list(a.quiver.vertices) + [new_vertex[v] for v in chosen]
-    arrows = [(ar.name, ar.source, ar.target) for ar in a.quiver.arrows]
-    for v in chosen:
-        arrows.append(("al%s" % v, v, new_vertex[v]))
-        arrows.append(("be%s" % v, new_vertex[v], v))
-    q = Quiver(verts, arrows)
-
-    def names(path):
-        return [a.quiver.arrows[i].name for i in path.word]
-
-    rels = []
-    for rel in a.relations:
-        rels.append(combination_relation(
-            q, [(c, names(p)) for c, p in rel.terms]))
-    for v in chosen:
-        socle = _socle_word(a, v)
-        for name, src, tgt in arrows:
-            if tgt == v:
-                rels.append(monomial_relation(q, [name, "al%s" % v]))
-            if src == v:
-                rels.append(monomial_relation(q, ["be%s" % v, name]))
-        combo = [(1, ["al%s" % v, "be%s" % v])]
-        combo += [(-c, names(p)) for c, p in socle]
-        rels.append(combination_relation(q, combo))
-    out = build_algebra(q, rels, loewy_cap=a.loewy_bound + 2)
-    expect = a.dim + 3 * len(chosen)
-    if out.dim != expect:
-        raise CertificateFailure(
-            "presented algebra has dimension %d, expected %d"
-            % (out.dim, expect))
-    pair = direct_sum([regular_rep(a)]
-                      + [simple_rep(a, v) for v in chosen])
-    want = mueller_domdim(pair, bound)
-    got = algebra_dominant_dimension(out, bound)
-    if want != got:
-        # two values contradict unless one is a floor the other can meet
-        try:
-            met = all(d.eq(e.n) for d, e in ((got, want), (want, got))
-                      if e.is_exact)
-        except BoundExceeded:
-            met = True
-        if not met:
-            raise CertificateFailure(
-                "dominant dimension cross-check failed: %s vs %s"
-                % (got, want))
-        raise BoundExceeded(
-            "bound %d cut the dominant dimension cross-check off: %s vs %s"
-            % (bound, got, want), bound)
     return out

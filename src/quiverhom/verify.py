@@ -10,7 +10,8 @@ from .algebra import (
     bnlambda_family, nakayama_from_kupisch, symmetric_chain_family,
 )
 from .catalog import (
-    klein_endo_algebra, klein_module_pair, verify_endo_presentation,
+    endo_quiver_construction, klein_endo_algebra, klein_module_pair,
+    verify_endo_presentation,
 )
 from .errors import BoundExceeded, UnknownExampleId
 from .homology import (
@@ -27,13 +28,13 @@ from .invariants import (
 from .linalg import Matrix, kernel_vectors, left_kernel, rank, solve_linear
 from .modules import (
     decompose, direct_sum, dualize, iso_test, projective_rep, regular_rep,
-    simple_rep, uniserial_quotient,
+    same_add_closure, simple_rep, uniserial_quotient,
 )
 from .relar import omega_approximation, relative_ar_sequence
 from .stratify import (
     characteristic_cotilting, characteristic_tilting, classify_stratification,
-    endo_quiver_construction, filtration_test, same_add_closure,
-    search_orders, tilting_conjecture_report, verify_duality_consequences,
+    filtration_test, search_orders, tilting_conjecture_report,
+    verify_duality_consequences,
 )
 from .values import Dim
 

@@ -128,3 +128,48 @@ def test_every_cache_access_is_owned():
              for defs, line in _cache_users(tree)
              if not CACHE_OWNERS & set(defs)]
     assert stray == []
+
+
+def _defined(tree):
+    """Names a module binds at its top level other than by an import."""
+    for node in tree.body:
+        if isinstance(node, DEFS + (ast.ClassDef,)):
+            yield node.name
+        elif isinstance(node, ast.Assign):
+            yield from (t.id for t in node.targets if isinstance(t, ast.Name))
+
+
+def _relative_imports(tree):
+    """(module, name) of every `from .module import name`; `from . import
+    module` names a module, not a definition, and is passed over."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 \
+                and node.module:
+            for alias in node.names:
+                yield node.module, alias.name
+
+
+def test_every_relative_import_names_the_defining_module():
+    """A package module other than __init__.py imports each name from the
+    module that defines it, not through another module that imports it
+    in turn."""
+    trees = dict(_trees())
+    defined = {name[:-3]: set(_defined(tree)) for name, tree in trees.items()}
+    relayed = [(name, module, imported) for name, tree in trees.items()
+               if name != "__init__.py"
+               for module, imported in _relative_imports(tree)
+               if imported not in defined[module]]
+    assert relayed == []
+
+
+def test_named_algebras_are_built_outside_stratify():
+    """catalog, which builds every named algebra, imports nothing from
+    stratify, and stratify imports none of the names that present an
+    algebra."""
+    trees = dict(_trees())
+    assert "stratify" not in {
+        m for m, _ in _relative_imports(trees["catalog.py"])}
+    builders = {"Quiver", "build_algebra", "combination_relation",
+                "monomial_relation"}
+    assert [n for _, n in _relative_imports(trees["stratify.py"])
+            if n in builders] == []

@@ -12,9 +12,9 @@ from quiverhom.algebra import (
 from quiverhom import modules, verify
 from quiverhom.errors import (
     BoundExceeded, DecompositionInconclusive, DominantDimensionZero,
-    NotApplicable, NotAuslanderGorenstein,
+    NotApplicable,
 )
-from quiverhom.homology import ext_dim, mueller_domdim, syzygy
+from quiverhom.homology import ext_dim, mueller_domdim
 from quiverhom.invariants import (
     algebra_dominant_dimension, all_uniserial_quotients, auslander_gorenstein_parameter,
     canonical_test_set, codominant_dimension, dominant_dimension,
@@ -25,7 +25,7 @@ from quiverhom.invariants import (
 )
 from quiverhom.homology import injective_term_vertices, projective_resolution
 from quiverhom.modules import (
-    cyclic_submodule, decompose, direct_sum, dualize, iso_test, projective_rep,
+    cyclic_submodule, decompose, direct_sum, iso_test, projective_rep,
     regular_rep, simple_rep, uniserial_quotient,
 )
 from quiverhom.values import Dim

@@ -21,13 +21,14 @@ from quiverhom.algebra import (
 from quiverhom.linalg import Matrix
 from quiverhom.modules import (
     Representation, ModuleMap, zero_rep, simple_rep, projective_rep,
-    projective_from_vertices, projective_map, regular_rep, injective_rep,
+    projective_map, regular_rep, injective_rep,
     dualize, direct_sum, summand_inclusion, summand_projection,
-    radical_rows, socle_rows, top_dims, socle_dims, socle_submodule,
+    radical_rows, socle_rows, top_dims, socle_dims,
     sub_representation, cyclic_submodule, quotient_by_rows,
     kernel_of_map, cokernel_of_map, hom_basis,
     iso_test, decompose, uniserial_quotient, radical_power_rows,
     is_faithful, map_in_span, _map_from_flat, same_add_closure,
+    first_of_each_iso_class,
 )
 from quiverhom.invariants import all_uniserial_quotients, canonical_test_set
 
@@ -76,7 +77,7 @@ def test_top_socle(naka223):
     top, proj = quotient_by_rows(p2, radical_rows(p2))
     assert top.dim_vector() == (0, 0, 1)
     assert proj.is_surjective()
-    soc, incl = socle_submodule(p2)
+    soc, incl = sub_representation(p2, socle_rows(p2))
     assert soc.dim_vector() == (0, 1, 0)
     assert incl.is_injective()
 
@@ -328,7 +329,8 @@ def test_iso_test_agrees_with_the_searched_reference(build, monkeypatch):
     # modules with equal dimension vectors all meet
     a = build()
     with monkeypatch.context() as mp:
-        mp.setattr(invariants, "_dedupe", lambda named: named)
+        mp.setattr(invariants, "first_of_each_iso_class",
+                   lambda mods: range(len(mods)))
         mods = [m for _, m in canonical_test_set(a)]
     for i, m in enumerate(mods):
         for n in mods[i:]:
@@ -353,16 +355,16 @@ def test_iso_test_agrees_with_the_searched_reference(build, monkeypatch):
         assert (r.map.source, r.map.target) == (m, copy) and f.is_iso()
 
 
-def _all_pairs_dedupe(named):
+def _all_pairs_dedupe(mods):
     """The deduplication canonical_test_set made before it compared a
     module only with kept modules of its dimension vector."""
     out = []
-    for name, rep in named:
+    for i, rep in enumerate(mods):
         if rep.is_zero():
             continue
-        if any(iso_test(rep, r).is_iso for _, r in out):
+        if any(iso_test(rep, mods[j]).is_iso for j in out):
             continue
-        out.append((name, rep))
+        out.append(i)
     return out
 
 
@@ -370,12 +372,10 @@ def _all_pairs_dedupe(named):
 def test_dedupe_keeps_what_the_all_pairs_loop_keeps(build, monkeypatch):
     a = build()
     with monkeypatch.context() as mp:
-        mp.setattr(invariants, "_dedupe", lambda named: named)
-        named = canonical_test_set(a)
-    got = invariants._dedupe(named)
-    want = _all_pairs_dedupe(named)
-    assert [(name, id(m)) for name, m in got] == \
-        [(name, id(m)) for name, m in want]
+        mp.setattr(invariants, "first_of_each_iso_class",
+                   lambda mods: range(len(mods)))
+        mods = [m for _, m in canonical_test_set(a)]
+    assert first_of_each_iso_class(mods) == _all_pairs_dedupe(mods)
 
 
 @pytest.mark.parametrize("fn", [radical_rows, socle_rows, hom_basis],

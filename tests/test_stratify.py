@@ -14,8 +14,7 @@ from quiverhom.catalog import klein_endo_algebra, parse_construction
 from quiverhom.dsl import parse_algebra_dsl
 from quiverhom.errors import (
     BoundExceeded, CertificateFailure, DecompositionInconclusive,
-    InvalidParameters, NotApplicable, NotStratified, PreconditionFailed,
-    TooManyVertices,
+    NotApplicable, NotStratified, TooManyVertices,
 )
 from quiverhom.homology import ext_dim
 from quiverhom.invariants import (
@@ -24,13 +23,12 @@ from quiverhom.invariants import (
 )
 from quiverhom.modules import (
     direct_sum, dualize, iso_test, projective_rep, quotient_by_rows,
-    radical_rows, regular_rep, simple_rep,
+    radical_rows, regular_rep, same_add_closure, simple_rep,
 )
 from quiverhom.stratify import (
     characteristic_cotilting, characteristic_tilting, classify_stratification,
-    endo_quiver_construction, filtration_test, same_add_closure, search_orders,
-    tilting_conjecture_report, verify_duality_consequences,
-    verify_main_equivalences, verify_tilting,
+    filtration_test, search_orders, tilting_conjecture_report,
+    verify_duality_consequences, verify_main_equivalences, verify_tilting,
 )
 from quiverhom.values import Dim
 
@@ -674,58 +672,6 @@ def test_duality_consequences_b31(st31):
     assert (out["m"], out["gordim"], out["gldim"]) == (2, 4, 4)
     assert out["agree"]
     assert len(out["modules"]) == 11
-
-
-def test_endo_extension_dimensions_and_domdim():
-    cases = [
-        (symmetric_chain_family(2), [2], 9, 4),
-        (symmetric_chain_family(3), [3], 13, 6),
-        (klein_four_like(), [1], 7, 2),
-    ]
-    for base, socs, dim, dd in cases:
-        out = endo_quiver_construction(base, socs)
-        assert out.dim == dim
-        assert len(out.quiver.vertices) == len(base.quiver.vertices) + len(socs)
-        assert algebra_dominant_dimension(out) == Dim.exact(dd)
-
-
-def test_endo_extension_quiver_shape():
-    out = endo_quiver_construction(symmetric_chain_family(2), [2])
-    assert tuple(out.quiver.vertices) == (1, 2, 3)
-    assert [(ar.name, ar.source, ar.target) for ar in out.quiver.arrows] == [
-        ("a1", 1, 2), ("b1", 2, 1), ("al2", 2, 3), ("be2", 3, 2)]
-
-
-def test_endo_extension_needs_symmetric_base():
-    with pytest.raises(PreconditionFailed):
-        endo_quiver_construction(bnlambda_family(3, (1,)), [3])
-
-
-def test_endo_cross_check_tells_a_cut_off_from_a_contradiction(monkeypatch):
-    # the endomorphism side has dominant dimension 6; below bound 6 one or
-    # both values are floors the other can meet, which is no contradiction
-    base = symmetric_chain_family(3)
-    for bound in range(6):
-        with pytest.raises(BoundExceeded) as err:
-            endo_quiver_construction(base, [3], bound=bound)
-        assert str(err.value).startswith("bound %d cut " % bound)
-    assert str(err.value) == ("bound 5 cut the dominant dimension "
-                              "cross-check off: >=5 vs 6")
-    for bound in (6, 64):
-        assert endo_quiver_construction(base, [3], bound=bound).dim == 13
-    for wrong in (Dim.exact(5), Dim.at_least(7)):
-        monkeypatch.setattr(stratify, "mueller_domdim",
-                            lambda *args, wrong=wrong: wrong)
-        with pytest.raises(CertificateFailure,
-                           match="^dominant dimension cross-check failed"):
-            endo_quiver_construction(base, [3])
-
-
-def test_endo_extension_refuses_bad_socle_lists():
-    base = klein_four_like()
-    for socs in ([], [1, 1], [9]):
-        with pytest.raises(InvalidParameters):
-            endo_quiver_construction(base, socs)
 
 
 def test_tilting_modules_are_built_once_per_stratification(monkeypatch, a223):
