@@ -3,7 +3,8 @@
 Input is a presentation file, `-` for the same text on stdin, or a
 construction shorthand such as `kupisch:2,2,3`.  Output goes to stdout in
 a plain text rendering or, with `--format structured`, as versioned JSON
-that is byte-identical across runs with the same inputs.
+that is byte-identical across runs with the same inputs.  Each command
+imports, when it runs, the modules that only it uses.
 
 Exit codes: 0 success, 1 computational failure or refusal (a value the
 bound cut off that cannot settle a comparison is refused, naming the
@@ -13,7 +14,6 @@ import argparse
 import os
 import sys
 
-from . import catalog, dsl, verify
 from .errors import (
     BoundExceeded, DecomposableInput, ExtProjective, NotInSubcategory,
     ParseError, QuiverhomError, UnknownExampleId,
@@ -23,12 +23,7 @@ from .invariants import (
     canonical_test_set, invariant_report, projective_dimension,
 )
 from .modules import simple_rep
-from .relar import relative_ar_sequence
 from .reports import emit_report
-from .stratify import (
-    characteristic_cotilting, characteristic_tilting, classify_stratification,
-    search_orders, tilting_conjecture_report, verify_tilting,
-)
 
 _RELAR_SKIP = {
     NotInSubcategory: "outside subcategory",
@@ -54,10 +49,12 @@ def _load(args):
     construction shorthand is certified at --bound."""
     text = args.input
     if text == "-" or os.path.isfile(text):
-        spec = dsl.parse_algebra_dsl(_read(text))
+        from .dsl import parse_algebra_dsl
+        spec = parse_algebra_dsl(_read(text))
         return spec, spec.build(), "<stdin>" if text == "-" else text
-    if catalog.is_construction_text(text):
-        return None, catalog.parse_construction(text, args.bound), text
+    from .catalog import is_construction_text, parse_construction
+    if is_construction_text(text):
+        return None, parse_construction(text, args.bound), text
     raise ParseError(
         "input %r is neither an existing file, '-', nor a construction "
         "shorthand" % (text,))
@@ -82,7 +79,7 @@ def _parse_order(text, a):
 
 def _pick_order(args, spec, a):
     """Explicit flag first, then a DSL order directive, else None."""
-    if getattr(args, "order", None):
+    if args.order is not None:
         return _parse_order(args.order, a)
     if spec is not None and spec.order is not None:
         return spec.order
@@ -121,6 +118,7 @@ def _cmd_resolve(args):
 
 
 def _cmd_stratify(args):
+    from .stratify import classify_stratification, search_orders
     spec, a, echo = _load(args)
     rep = _base(args, "stratify", echo)
     order = _pick_order(args, spec, a)
@@ -147,6 +145,10 @@ def _cmd_stratify(args):
 
 
 def _cmd_tilting(args):
+    from .stratify import (
+        characteristic_cotilting, characteristic_tilting,
+        classify_stratification, tilting_conjecture_report, verify_tilting,
+    )
     spec, a, echo = _load(args)
     order = _pick_order(args, spec, a) or tuple(sorted(a.quiver.vertices))
     st = classify_stratification(a, order, duality_asserted=_duality(spec))
@@ -165,6 +167,7 @@ def _cmd_tilting(args):
 
 
 def _cmd_relar(args):
+    from .relar import relative_ar_sequence
     _, a, echo = _load(args)
     rep = _base(args, "relar", echo)
     rep["level"] = args.level
@@ -194,9 +197,9 @@ def _cmd_relar(args):
 
 
 def _cmd_verify_paper(args):
-    ids = verify.all_example_ids() if args.id == "all" else [args.id]
-    results = [verify.verify_paper_example(i, args.bound, args.seed)
-               for i in ids]
+    from .verify import all_example_ids, verify_paper_example
+    ids = all_example_ids() if args.id == "all" else [args.id]
+    results = [verify_paper_example(i, args.bound, args.seed) for i in ids]
     ok = all(r["pass"] for r in results)
     rep = {"command": "verify-paper", "bound": args.bound, "seed": args.seed,
            "pass": ok, "results": results}

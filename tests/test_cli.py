@@ -378,3 +378,14 @@ def test_dsl_order_that_is_no_permutation_is_a_parse_error(tmp_path):
         assert out == ""
         assert err.startswith("parse error:") and message in err
         assert "Traceback" not in err
+
+
+def test_empty_order_is_a_parse_error(capsys):
+    """A given --order is read even when empty: stratify does not fall back
+    to every order, nor tilting to the default one."""
+    for command in ("stratify", "tilting"):
+        assert cli.main([command, "kupisch:2,2,3", "--order", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("parse error: order must be comma-separated "
+                                "integers, got ''\n"), command

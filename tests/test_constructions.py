@@ -10,7 +10,11 @@ Representation._check_relations, and maps that commute with the arrows by
 construction (projective_map, the inclusion of sub_representation) skip
 the ModuleMap check; the differential tests run each check on every
 construction anyway and assert that nothing fails and that no answer
-changes."""
+changes.
+
+Importing the package imports none of its modules until a public name is
+read, and the command line imports only what its command runs."""
+import ast
 import os
 import subprocess
 import sys
@@ -25,6 +29,7 @@ from oracles import (
 )
 from test_stratify import REFERENCE_ALGEBRAS
 
+import quiverhom
 from quiverhom import homology, modules
 from quiverhom.algebra import Path, bnlambda_family, nakayama_from_kupisch
 from quiverhom.catalog import parse_construction
@@ -245,6 +250,68 @@ def _fresh(code):
 def test_import_leaves_sympy_out():
     code = "import sys, quiverhom, quiverhom.cli; print('sympy' in sys.modules)"
     assert _fresh(code).strip() == "False"
+
+
+# -- what an import loads: the package lazily, the CLI per command ----------
+
+PACKAGE = os.path.dirname(modules.__file__)
+
+
+def _init_imports():
+    """(module, name) of every `from .module import name` in __init__.py."""
+    with open(os.path.join(PACKAGE, "__init__.py")) as fh:
+        tree = ast.parse(fh.read())
+    return [(node.module, alias.name) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names]
+
+
+def test_cli_imports_only_what_its_command_runs():
+    optional = ["catalog", "dsl", "relar", "stratify", "verify"]
+    code = "\n".join([
+        "import io, sys",
+        "def loaded(names):",
+        "    return [m for m in names if 'quiverhom.' + m in sys.modules]",
+        "import quiverhom.cli",
+        "print(loaded(%r))" % optional,
+        "out, sys.stdout = sys.stdout, io.TextIOWrapper(io.BytesIO())",
+        "code = quiverhom.cli.main(['analyze', 'kupisch:2,2,3',"
+        " '--format', 'structured'])",
+        "sys.stdout = out",
+        "print(code, loaded(['stratify', 'verify']))",
+        "import quiverhom",
+        "quiverhom.search_orders",
+        "print(sorted(m[10:] for m in sys.modules"
+        " if m.startswith('quiverhom.')))",
+    ])
+    imported, analyzed, named = _fresh(code).splitlines()
+    assert imported == "[]"
+    assert analyzed == "0 []"
+    wanted = {module for module, _ in _init_imports()}
+    assert wanted <= set(ast.literal_eval(named))
+
+
+def test_public_names_are_the_api_and_its_modules():
+    """The API that __init__.py names plus the package modules it loads,
+    cli apart: the same 75 names whichever of __all__, dir() or a star
+    import reads them first, each the object its module holds."""
+    api = {name: module for module, name in _init_imports()}
+    assert len(api) == 62
+    mods = {name[:-3] for name in os.listdir(PACKAGE)
+            if name.endswith(".py") and not name.startswith("_")} - {"cli"}
+    want = sorted(set(api) | mods)
+    assert len(want) == 75
+    public = "print(sorted(n for n in %s if not n.startswith('_')))"
+    for code in ["import quiverhom; " + public % "quiverhom.__all__",
+                 "import quiverhom; " + public % "dir(quiverhom)",
+                 "from quiverhom import *; " + public % "dir()"]:
+        assert ast.literal_eval(_fresh(code)) == want, code
+    assert sorted(quiverhom.__all__) == want
+    for name, module in api.items():
+        held = vars(sys.modules["quiverhom." + module])[name]
+        assert getattr(quiverhom, name) is held, name
+    for name in mods:
+        assert getattr(quiverhom, name) is sys.modules["quiverhom." + name]
 
 
 def test_paper_examples_that_split_leave_sympy_out():

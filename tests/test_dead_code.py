@@ -1,6 +1,7 @@
-"""Every module-level function and class, and every method other than a
+"""Every module-level function and class, and every method, other than a
 dunder, is named somewhere in the package: code that only tests reach, or
-nothing at all, is not kept."""
+nothing at all, is not kept.  A dunder is a hook the interpreter calls,
+such as the package's module-level __getattr__."""
 import ast
 from pathlib import Path
 
@@ -8,6 +9,10 @@ import quiverhom
 
 PACKAGE = Path(quiverhom.__file__).parent
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _is_dunder(node):
+    return node.name.startswith("__") and node.name.endswith("__")
 
 
 def _names(tree):
@@ -42,7 +47,8 @@ def _unreferenced(defined, names=_names):
 def test_every_top_level_definition_is_referenced():
     defined = [(name, node.name) for name, tree in _trees()
                for node in tree.body
-               if isinstance(node, DEFS + (ast.ClassDef,))]
+               if isinstance(node, DEFS + (ast.ClassDef,))
+               and not _is_dunder(node)]
     assert _unreferenced(defined) == []
 
 
@@ -53,8 +59,7 @@ def test_every_method_is_referenced():
     defined = [(name, cls.name, node.name) for name, tree in _trees()
                for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
                for node in cls.body if isinstance(node, DEFS)
-               and not (node.name.startswith("__")
-                        and node.name.endswith("__"))]
+               and not _is_dunder(node)]
     assert _unreferenced(defined, _attributes) == []
 
 
