@@ -3,17 +3,24 @@ algebras over the rationals: dominant and Gorenstein dimensions,
 stratifications with their characteristic tilting modules, and relative
 almost-split sequences, all with certified exact arithmetic.
 
-Importing the package imports none of its modules.  The first public
-name read from it imports the whole API at once, so `quiverhom.cli` and
-any single module can be imported without the rest."""
+Importing the package imports none of its modules.  The name of a
+module imports that module alone, so `quiverhom.cli` and any single
+module can be imported without the rest, `from quiverhom import cli`
+included.  Any other public name read from it imports the whole API at
+once."""
+from importlib import import_module as _import_module
+from importlib.util import find_spec as _find_spec
 
 
 def __getattr__(name):
-    """Import the whole public API on the first public name asked for,
-    bind it and `__all__` in the package, and return the name."""
+    """The package module called name, imported alone; else import the
+    whole public API on the first public name asked for, bind it and
+    `__all__` in the package, and return the name."""
     if name.startswith("_") and name != "__all__":
         raise AttributeError("module %r has no attribute %r"
                              % (__name__, name))
+    if _find_spec(__name__ + "." + name) is not None:
+        return _import_module(__name__ + "." + name)
     from .algebra import (
         Quiver, bnlambda_family, build_algebra, combination_relation,
         klein_four_like, monomial_relation, nakayama_from_kupisch,

@@ -18,6 +18,14 @@ extension-group data lives on the links: each keeps, per target, the
 coordinate matrix of its degree 0 with its size and rank, and a module
 keeps only the dimensions it was asked for, per target, read off its
 links.
+
+Most of those coordinate matrices are empty: Hom(term 0, n) or
+Hom(term 1, n) is zero whenever n vanishes at the vertices of the term's
+tops.  An empty matrix is made with no path action read and has rank 0
+with no elimination, and a product with an empty factor is zero, so two
+links are multiplied out to check that they compose to zero only when both
+matrices are nonempty; their shapes are compared for every pair.  These
+are exact, not cut-offs: an empty matrix has no entries to compute.
 """
 from __future__ import annotations
 
@@ -37,20 +45,26 @@ def projective_cover(m):
 
     The top of m at v has the basis of the unit rows off the pivot columns
     of radical_rows(m)[v], an RREF whose rows each lead with 1 at their
-    pivot column."""
+    pivot column.  Generator j goes to the unit row at column c_j of its
+    vertex, so the row of path p from generator j is row c_j of the action
+    of p: f is read off the path actions by row selection, the map
+    projective_map would build from those unit rows, with each row copied
+    so that f shares no list with m."""
     rad = radical_rows(m)
     verts = []
-    images = []
+    cols = []
     for v in m.algebra.quiver.vertices:
         pivset = {r.index(1) for r in rad[v].data}
         for c in range(m.dims[v]):
             if c not in pivset:
                 verts.append(v)
-                row = [0] * m.dims[v]
-                row[c] = 1
-                images.append(row)
+                cols.append(c)
     P = projective_from_vertices(m.algebra, tuple(verts))
-    f = projective_map(P, m, images)
+    basis = m.algebra.basis
+    f = ModuleMap(P, m, {
+        w: Matrix([list(m.path_action(basis[i]).data[cols[j]])
+                   for j, i in P.proj_row_paths[w]], P.dims[w], m.dims[w])
+        for w in m.algebra.quiver.vertices}, validate=False)
     if not f.is_surjective():
         raise CertificateFailure("cover misses part of the module")
     return P, f
@@ -73,10 +87,10 @@ class ProjectiveResolution:
     components and arrow matrices, so the same squares commute.
 
     Each link is made once, on demand, and keeps the presentation of the
-    differential from the next term into its own, as generator-to-
-    generator algebra elements (see _presentation_elements).  The
-    presentation does not depend on the target of an extension group, so
-    every target reads the same entries.  Against each target, a link
+    differential from the next term into its own, as the list of its
+    nonzero generator-to-generator terms (see _presentation_elements).
+    The presentation does not depend on the target of an extension group,
+    so every target reads the same terms.  Against each target, a link
     keeps the degree-0 coordinate matrix of its module with its size and
     rank, and whether it composes to zero with the next link's
     (see _ext_links); the extension dimensions of a module, per target,
@@ -125,8 +139,8 @@ class ProjectiveResolution:
         return self.cover(i).then(self.inclusion(i - 1))
 
     def presentation(self, i):
-        """Generator-to-generator entries of differential i, built once
-        per link."""
+        """Nonzero generator-to-generator terms of differential i, built
+        once per link."""
         if i < 1:
             raise ValueError("differentials start at 1")
         res = self._at(i - 1)
@@ -184,18 +198,20 @@ def is_injective_mod(m):
 # -- extension groups ------------------------------------------------------
 
 def _presentation_elements(d):
-    """Generator-to-generator entries of a map between projectives built by
-    projective_from_vertices; entry [j1][j0] is an algebra element dict in
-    e_{v_j0} A e_{w_j1}."""
+    """The nonzero generator-to-generator terms of a map between
+    projectives built by projective_from_vertices, one tuple (j1, j0, bi, c)
+    each: the image of generator j1 of the source has coefficient c at
+    basis path bi from generator j0 of the target, a path in
+    e_{v_j0} A e_{w_j1}.  Terms come in the order of j1, then of the
+    target's rows at w_j1.  A generator pair with no term has the zero
+    entry, and costs its readers nothing."""
     P1, P0 = d.source, d.target
-    ents = [[{} for _ in P0.proj_gen] for _ in P1.proj_gen]
+    terms = []
     for j1, (w, pos) in enumerate(P1.proj_gen):
-        row = d.block(w).data[pos]
-        for r, (j0, bi) in enumerate(P0.proj_row_paths[w]):
-            c = row[r]
+        for (j0, bi), c in zip(P0.proj_row_paths[w], d.block(w).data[pos]):
             if c:
-                ents[j1][j0][bi] = c
-    return ents
+                terms.append((j1, j0, bi, c))
+    return terms
 
 
 def _hom_offsets(P, n):
@@ -207,26 +223,30 @@ def _hom_offsets(P, n):
     return offs, total
 
 
-def _coord_matrix(P0, P1, ents, n):
+def _coord_matrix(P0, P1, terms, n):
     """Matrix of composing with a differential P1 -> P0, given by its
-    presentation entries, on generator coordinates: a map P0 -> n given as
+    presentation terms, on generator coordinates: a map P0 -> n given as
     a row over the generator components of n goes to the row of the
-    composite P1 -> P0 -> n.  Entry [j1][j0] lies in e_v A e_w, with v the
-    vertex of generator j0 and w that of generator j1, so each of its paths
-    p with coefficient c adds c times the action of p, from the component
-    of n at v to the one at w, into the (j0, j1) block."""
-    basis = n.algebra.basis
+    composite P1 -> P0 -> n.  A term (j1, j0, bi, c) has a path p from v,
+    the vertex of generator j0, to w, that of generator j1, and adds c
+    times the action of p, from the component of n at v to the one at w,
+    into the (j0, j1) block.
+
+    When Hom(P0, n) or Hom(P1, n) is zero (h0 or h1 is 0) the matrix has
+    no entries, whatever the terms: it is returned with no path action
+    read."""
     offs0, h0 = _hom_offsets(P0, n)
     offs1, h1 = _hom_offsets(P1, n)
     out = [[0] * h1 for _ in range(h0)]
-    for j1, c1 in enumerate(offs1):
-        for j0, r0 in enumerate(offs0):
-            for bi, c in ents[j1][j0].items():
-                for i, prow in enumerate(n.path_action(basis[bi]).data):
-                    orow = out[r0 + i]
-                    for j, x in enumerate(prow):
-                        if x:
-                            orow[c1 + j] += c * x
+    if h0 and h1:
+        basis = n.algebra.basis
+        for j1, j0, bi, c in terms:
+            r0, c1 = offs0[j0], offs1[j1]
+            for i, prow in enumerate(n.path_action(basis[bi]).data):
+                orow = out[r0 + i]
+                for j, x in enumerate(prow):
+                    if x:
+                        orow[c1 + j] += c * x
     return Matrix(out, h0, h1)
 
 
@@ -240,7 +260,13 @@ def _ext_links(m, n, imax):
     that target's key.  The entry is made once per link and target, and
     checked is set when B and the next link's matrix have been found to
     compose to zero, so each pair of links is checked once per target; a
-    cycle's closing link is one of them."""
+    cycle's closing link is one of them.
+
+    An empty B (no rows or no columns) has rank 0, found with no
+    elimination.  Every pair must agree in shape (the columns of the
+    upper B are the rows of the lower); it is multiplied out only when
+    both matrices are nonempty, since any other product of agreeing
+    shapes has no entries or a zero inner dimension, and is zero."""
     key = id(n)
     res = projective_resolution(m)
     out = []
@@ -248,15 +274,21 @@ def _ext_links(m, n, imax):
     for _ in range(imax + 1):
         e = res._ext.get(key)
         if e is None:
-            B = _coord_matrix(res.term(0), res.term(1), res.presentation(1), n)
-            e = res._ext[key] = [n, B, B.nrows, rank(B), False]
+            nxt = res._link()._next
+            B = _coord_matrix(res._cover.source, nxt._link()._cover.source,
+                              res.presentation(1), n)
+            e = res._ext[key] = [n, B, B.nrows,
+                                 rank(B) if B.nrows and B.ncols else 0, False]
         if above is not None and not above[4]:
-            if not (above[1] @ e[1]).is_zero():
+            A, B = above[1], e[1]
+            if A.ncols != B.nrows:
+                raise CertificateFailure("coordinate complex shapes disagree")
+            if A.nrows and A.ncols and B.ncols and not (A @ B).is_zero():
                 raise CertificateFailure("coordinate complex fails to compose to zero")
             above[4] = True
         out.append(e)
         above = e
-        # a link with an entry has been linked: term(1) made its next link
+        # a link with an entry has been linked: its cover made its next link
         res = res._next
     return out
 
@@ -407,18 +439,15 @@ def transpose_of(m):
     op = a.opposite_algebra()
     res = projective_resolution(m)
     P0, P1 = res.term(0), res.term(1)
-    ents = res.presentation(1)
+    terms = res.presentation(1)
     P0op = projective_from_vertices(op, P0.proj_summand_vertices)
     P1op = projective_from_vertices(op, P1.proj_summand_vertices)
     pos1 = {w: {ji: r for r, ji in enumerate(P1op.proj_row_paths[w])}
             for w in op.quiver.vertices}
-    images = []
-    for j0, (v, _) in enumerate(P0op.proj_gen):
-        row = [0] * P1op.dims[v]
-        for j1 in range(len(P1op.proj_gen)):
-            for bi, c in ents[j1][j0].items():
-                row[pos1[v][(j1, bi)]] += c
-        images.append(row)
+    images = [[0] * P1op.dims[v] for v, _ in P0op.proj_gen]
+    for j1, j0, bi, c in terms:
+        v = P0op.proj_gen[j0][0]
+        images[j0][pos1[v][(j1, bi)]] += c
     g = projective_map(P0op, P1op, images)
     coker, _ = cokernel_of_map(g)
     return coker

@@ -241,7 +241,12 @@ def rref(mat):
 
 def rank(mat):
     """The number of pivots of the RREF, read before the pivot rows are
-    divided."""
+    divided.  One row or one column has rank 1 exactly when some entry is
+    nonzero, which is read with no elimination."""
+    if mat.nrows == 1:
+        return int(any(mat.data[0]))
+    if mat.ncols == 1:
+        return int(any(r[0] for r in mat.data))
     return len(_echelon(mat)[1])
 
 

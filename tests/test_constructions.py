@@ -267,28 +267,31 @@ def _init_imports():
 
 
 def test_cli_imports_only_what_its_command_runs():
+    """Either form of importing cli loads none of the optional modules,
+    nor does analyze; a public name then loads the whole API."""
     optional = ["catalog", "dsl", "relar", "stratify", "verify"]
-    code = "\n".join([
-        "import io, sys",
-        "def loaded(names):",
-        "    return [m for m in names if 'quiverhom.' + m in sys.modules]",
-        "import quiverhom.cli",
-        "print(loaded(%r))" % optional,
-        "out, sys.stdout = sys.stdout, io.TextIOWrapper(io.BytesIO())",
-        "code = quiverhom.cli.main(['analyze', 'kupisch:2,2,3',"
-        " '--format', 'structured'])",
-        "sys.stdout = out",
-        "print(code, loaded(['stratify', 'verify']))",
-        "import quiverhom",
-        "quiverhom.search_orders",
-        "print(sorted(m[10:] for m in sys.modules"
-        " if m.startswith('quiverhom.')))",
-    ])
-    imported, analyzed, named = _fresh(code).splitlines()
-    assert imported == "[]"
-    assert analyzed == "0 []"
-    wanted = {module for module, _ in _init_imports()}
-    assert wanted <= set(ast.literal_eval(named))
+    for form in ["import quiverhom.cli as cli", "from quiverhom import cli"]:
+        code = "\n".join([
+            "import io, sys",
+            "def loaded(names):",
+            "    return [m for m in names if 'quiverhom.' + m in sys.modules]",
+            form,
+            "print(loaded(%r))" % optional,
+            "out, sys.stdout = sys.stdout, io.TextIOWrapper(io.BytesIO())",
+            "code = cli.main(['analyze', 'kupisch:2,2,3',"
+            " '--format', 'structured'])",
+            "sys.stdout = out",
+            "print(code, loaded(['stratify', 'verify']))",
+            "import quiverhom",
+            "quiverhom.search_orders",
+            "print(sorted(m[10:] for m in sys.modules"
+            " if m.startswith('quiverhom.')))",
+        ])
+        imported, analyzed, named = _fresh(code).splitlines()
+        assert imported == "[]", form
+        assert analyzed == "0 []", form
+        wanted = {module for module, _ in _init_imports()}
+        assert wanted <= set(ast.literal_eval(named)), form
 
 
 def test_public_names_are_the_api_and_its_modules():

@@ -21,8 +21,8 @@ from quiverhom.invariants import (
 from quiverhom.linalg import Matrix
 from quiverhom.modules import (
     ModuleMap, cyclic_submodule, direct_sum, dualize, iso_test,
-    projective_rep, regular_rep, simple_rep, summand_inclusion,
-    summand_projection,
+    projective_map, projective_rep, radical_rows, regular_rep, simple_rep,
+    summand_inclusion, summand_projection,
 )
 from quiverhom.values import Dim
 
@@ -77,24 +77,29 @@ def test_resolution_differentials_compose_to_zero(a223):
 
 def _reference_coord_matrix(res, i, n):
     """Coordinate matrix of degree i built from the composed differential
-    i + 1, one element block per generator pair: the sum of c times the
-    action of each path from v to w in the entry."""
+    i + 1, one element block per generator pair.  The image of generator
+    j1 of P1, at vertex w, is its proj_gen row of d.block(w); the columns
+    of that row are the pairs (j0, path) of P0.proj_row_paths[w], and the
+    block of (j0, j1) is the sum of c times the action of each path from
+    v, the vertex of j0, to w with coefficient c in that row."""
     d = res.differential(i + 1)
     P0, P1 = d.target, d.source
-    ents = homology._presentation_elements(d)
     offs0, h0 = homology._hom_offsets(P0, n)
     offs1, h1 = homology._hom_offsets(P1, n)
+    blocks = {}
+    for j1, (w, pos) in enumerate(P1.proj_gen):
+        row = d.block(w).data[pos]
+        for (j0, bi), c in zip(P0.proj_row_paths[w], row):
+            v = P0.proj_gen[j0][0]
+            p = n.algebra.basis[bi]
+            assert (p.source, p.target) == (v, w)
+            block = blocks.get((j0, j1), Matrix.zeros(n.dims[v], n.dims[w]))
+            blocks[j0, j1] = block + n.path_action(p).scale(c)
     out = [[0] * h1 for _ in range(h0)]
-    for j1, (w, _) in enumerate(P1.proj_gen):
-        for j0, (v, _) in enumerate(P0.proj_gen):
-            block = Matrix.zeros(n.dims[v], n.dims[w])
-            for bi, c in ents[j1][j0].items():
-                p = n.algebra.basis[bi]
-                if p.source == v and p.target == w:
-                    block = block + n.path_action(p).scale(c)
-            for r, row in enumerate(block.data):
-                for k, x in enumerate(row):
-                    out[offs0[j0] + r][offs1[j1] + k] += x
+    for (j0, j1), block in blocks.items():
+        for r, brow in enumerate(block.data):
+            for k, x in enumerate(brow):
+                out[offs0[j0] + r][offs1[j1] + k] += x
     return Matrix(out, h0, h1)
 
 
@@ -303,6 +308,85 @@ def test_each_link_builds_its_coordinate_matrix_once_per_target(monkeypatch):
               for n in mods}
     assert len(built) == len(walked)
     assert len(walked) < len(mods) ** 2 * (imax + 1)
+
+
+def _empty_pairs(mods, imax):
+    """(m, n, i) with links i and i + 1 of m against n adjacent and at
+    least one of their coordinate matrices empty."""
+    out = []
+    for m in mods:
+        for n in mods:
+            Bs = [e[1] for e in homology._ext_links(m, n, imax)]
+            for i in range(imax):
+                if not all(B.nrows and B.ncols for B in Bs[i:i + 2]):
+                    out.append((m, n, i))
+    return out
+
+
+def test_a_pair_with_an_empty_coordinate_matrix_is_still_checked():
+    """An empty matrix skips the product, not the check: every link above
+    the last one walked is marked checked, pairs with an empty side
+    among them."""
+    mods = [m for _, m in canonical_test_set(parse_construction("kupisch:2,2,3"))]
+    imax = 3
+    pairs = _empty_pairs(mods, imax)
+    assert pairs
+    for m, n, i in pairs:
+        assert projective_resolution(m)._at(i)._ext[id(n)][4]
+
+
+def test_a_stored_matrix_of_the_wrong_width_fails_the_shape_check():
+    """Link 0's matrix widened by a column no longer agrees with the rows
+    of link 1's, and the check refuses it even where link 1's matrix is
+    empty, so nothing is multiplied."""
+    mods = [m for _, m in canonical_test_set(parse_construction("kupisch:2,2,3"))]
+    found = [(m, n) for m, n, i in _empty_pairs(mods, 1)
+             if not projective_resolution(m)._at(1)._ext[id(n)][1].ncols]
+    assert found
+    for m, n in found:
+        e = projective_resolution(m)._ext[id(n)]
+        B = e[1]
+        e[1] = Matrix([row + [0] for row in B.data], B.nrows, B.ncols + 1)
+        e[4] = False
+        with pytest.raises(CertificateFailure) as err:
+            homology._ext_links(m, n, 1)
+        assert str(err.value) == "coordinate complex shapes disagree"
+        e[1] = B
+
+
+@pytest.mark.parametrize("spec", ["kupisch:2,2,3", "bnlambda:3,1",
+                                  "klein_four"])
+def test_covers_are_the_maps_of_their_unit_rows(spec):
+    """The cover read off by row selection is the map projective_map
+    builds from the unit rows of the top: the columns off the pivots of
+    the radical's RREF, in order.  Its rows are copies, not the rows of
+    the module's path actions."""
+    for _, m in canonical_test_set(parse_construction(spec)):
+        P, f = projective_cover(m)
+        rad = radical_rows(m)
+        units = []
+        for v in m.algebra.quiver.vertices:
+            pivots = {r.index(1) for r in rad[v].data}
+            units += [[int(k == c) for k in range(m.dims[v])]
+                      for c in range(m.dims[v]) if c not in pivots]
+        assert f.blocks == projective_map(P, m, units).blocks
+        shared = {id(row) for mat in m._paths.values() for row in mat.data}
+        assert not any(id(row) in shared
+                       for b in f.blocks.values() for row in b.data)
+
+
+def test_resolving_leaves_the_path_actions_unchanged():
+    """Covers, kernels and coordinate matrices read the path actions of
+    every module they resolve; none of them writes into one."""
+    a = parse_construction("bnlambda:3,1")
+    mods = [m for _, m in canonical_test_set(a)]
+    before = [{p.key(): [list(r) for r in m.path_action(p).data]
+               for p in a.basis} for m in mods]
+    for m in mods:
+        for n in mods:
+            ext_dims(m, n, 3)
+    assert before == [{p.key(): m.path_action(p).data for p in a.basis}
+                      for m in mods]
 
 
 def test_injective_envelope_223(a223):

@@ -197,6 +197,19 @@ def test_echelon_and_kernels_match_the_fraction_reference(mat):
     assert rs.data == want[:len(want_piv)] and _exact_types(rs)
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(0, 6), st.booleans(), st.booleans(), st.data())
+def test_rank_of_one_row_or_one_column_is_the_rref_pivot_count(
+        k, one_row, zero, data):
+    """rank reads a 1 x k or k x 1 matrix without elimination; it agrees
+    with rref on int and Fraction entries, on zero vectors of either type
+    and on k = 0."""
+    entries = st.sampled_from([0, Fraction(0)]) if zero else WIDE_ENTRIES
+    vec = data.draw(st.lists(entries, min_size=k, max_size=k))
+    m = _raw([vec], k) if one_row else _raw([[x] for x in vec], 1)
+    assert rank(m) == len(rref(m)[1])
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(_matrices(), st.data())
 def test_solve_linear_for_a_left_unknown_matches_the_fraction_reference(
