@@ -270,6 +270,7 @@ def test_cli_imports_only_what_its_command_runs():
     """Either form of importing cli loads none of the optional modules,
     nor does analyze; a public name then loads the whole API."""
     optional = ["catalog", "dsl", "relar", "stratify", "verify"]
+    wanted = {module for module, _ in _init_imports()}
     for form in ["import quiverhom.cli as cli", "from quiverhom import cli"]:
         code = "\n".join([
             "import io, sys",
@@ -290,7 +291,6 @@ def test_cli_imports_only_what_its_command_runs():
         imported, analyzed, named = _fresh(code).splitlines()
         assert imported == "[]", form
         assert analyzed == "0 []", form
-        wanted = {module for module, _ in _init_imports()}
         assert wanted <= set(ast.literal_eval(named)), form
 
 
