@@ -27,7 +27,7 @@ from .errors import (
     QuotientCollapse,
 )
 from .linalg import (
-    Matrix, exact, kernel_vectors, linear_combination, rank, reduce_row, rref,
+    Matrix, exact, kernel_vectors, moment_curve, rank, reduce_row, rref,
 )
 
 
@@ -328,8 +328,8 @@ class BoundQuiverAlgebra:
         that is not symmetric gives None at once.  Otherwise let c_0 ..
         c_{k-1} be the kernel basis of the symmetric functionals and n the
         number of vertices; the candidates are the c_j, then the points
-        L_t = sum_j t^j c_j of the moment curve for t = 0 .. n(k-1), and the
-        rank of the Gram matrix certifies each one.
+        L_t = sum_j t^j c_j of the moment curve for t = 1 .. n(k-1) (L_0 is
+        c_0), and the rank of the Gram matrix certifies each one.
 
         The list is complete.  Let A be symmetric and L a symmetric
         functional.  The left radical {x : L(xy) = 0 for all y} is a right
@@ -365,10 +365,8 @@ class BoundQuiverAlgebra:
                 if any(vec):
                     rows.append(vec)
         cands = kernel_vectors(Matrix(rows, len(rows), d))
-        k = len(cands)
-        curve = (linear_combination([t ** j for j in range(k)], cands)
-                 for t in range(len(self.quiver.vertices) * (k - 1) + 1))
-        for lam in chain(cands, curve):
+        last = len(self.quiver.vertices) * (len(cands) - 1)
+        for lam in chain(cands, moment_curve(cands, last)):
             gram = []
             for i in range(d):
                 row = [0] * d
@@ -623,6 +621,14 @@ def klein_four_like():
     return build_algebra(q, rels, loewy_cap=4)
 
 
+def _two_way_chain(m):
+    """The quiver on vertices 1..m with arrows a_i: i -> i+1 and
+    b_i: i+1 -> i."""
+    return Quiver(list(range(1, m + 1)),
+                  [("a%d" % i, i, i + 1) for i in range(1, m)]
+                  + [("b%d" % i, i + 1, i) for i in range(1, m)])
+
+
 def bnlambda_family(m, lams):
     """Two-way chain algebra on m >= 2 vertices with 0/1 twist parameters.
 
@@ -639,10 +645,7 @@ def bnlambda_family(m, lams):
                                 % (m - 2, len(lams)))
     if any(l not in (0, 1) for l in lams):
         raise InvalidParameters("twist parameters must be 0 or 1")
-    verts = list(range(1, m + 1))
-    arrows = [("a%d" % i, i, i + 1) for i in range(1, m)]
-    arrows += [("b%d" % i, i + 1, i) for i in range(1, m)]
-    q = Quiver(verts, arrows)
+    q = _two_way_chain(m)
     rels = [monomial_relation(q, ["b%d" % (m - 1), "a%d" % (m - 1)])]
     for i in range(2, m):
         combo = [(1, ["b%d" % (i - 1), "a%d" % (i - 1)])]
@@ -663,10 +666,7 @@ def symmetric_chain_family(m):
     """
     if m < 2:
         raise InvalidParameters("chain needs at least two vertices")
-    verts = list(range(1, m + 1))
-    arrows = [("a%d" % i, i, i + 1) for i in range(1, m)]
-    arrows += [("b%d" % i, i + 1, i) for i in range(1, m)]
-    q = Quiver(verts, arrows)
+    q = _two_way_chain(m)
     rels = []
     for i in range(1, m - 1):
         rels.append(monomial_relation(q, ["a%d" % i, "a%d" % (i + 1)]))

@@ -15,7 +15,7 @@ from .errors import (
 )
 from .homology import mueller_domdim
 from .invariants import algebra_dominant_dimension
-from .linalg import Matrix, rank, row_space, solve_linear
+from .linalg import Matrix, linear_combination, rank, row_space, solve_linear
 from .modules import (
     ModuleMap, cyclic_submodule, direct_sum, flat_blocks, hom_basis,
     projective_rep, radical_power_rows, regular_rep, simple_rep, socle_dims,
@@ -255,28 +255,24 @@ def verify_endo_presentation(b):
         "be": endo(incl, 1, 0),
     }
     idem = {1: pr[0].then(inc[0]), 2: pr[1].then(inc[1])}
-    for combo in _KE_REL_DATA:
-        total = None
-        for coeff, word in combo:
-            h = idem[b.quiver.arrow(word[0]).source]
-            for name in word:
-                h = h.then(gens[name])
-            vec = [coeff * x for x in flat_blocks(h)]
-            total = vec if total is None else [s + x
-                                               for s, x in zip(total, vec)]
-        if any(total):
-            raise CertificateFailure(
-                "a defining relation acts nontrivially on the module pair")
-    one = [x + y for x, y in zip(flat_blocks(idem[1]), flat_blocks(idem[2]))]
-    ident = flat_blocks(ModuleMap.identity(m))
-    if one != ident:
-        raise CertificateFailure("vertex idempotents do not sum to one")
 
     def path_map(p):
         out = idem[p.source]
         for ai in p.word:
             out = out.then(gens[b.quiver.arrows[ai].name])
         return out
+
+    for combo in _KE_REL_DATA:
+        terms = [flat_blocks(path_map(b.quiver.path_from_names(word)))
+                 for _, word in combo]
+        if any(linear_combination([c for c, _ in combo], terms)):
+            raise CertificateFailure(
+                "a defining relation acts nontrivially on the module pair")
+    one = linear_combination([1, 1], [flat_blocks(idem[1]),
+                                      flat_blocks(idem[2])])
+    ident = flat_blocks(ModuleMap.identity(m))
+    if one != ident:
+        raise CertificateFailure("vertex idempotents do not sum to one")
 
     rows = [flat_blocks(path_map(p)) for p in b.basis]
     rk = rank(Matrix(rows, len(rows), len(rows[0])))

@@ -30,7 +30,9 @@ are exact, not cut-offs: an empty matrix has no entries to compute.
 from __future__ import annotations
 
 from .errors import CertificateFailure, NotGeneratorCogenerator
-from .linalg import Echelon, Matrix, rank, rref, left_kernel, solve_linear
+from .linalg import (
+    Echelon, Matrix, hstack, rank, rref, left_kernel, solve_linear, vstack,
+)
 from .modules import (
     ModuleMap, direct_sum, dualize, decompose,
     hom_basis, iso_test, kernel_of_map, map_in_span, projective_from_vertices,
@@ -45,26 +47,19 @@ def projective_cover(m):
 
     The top of m at v has the basis of the unit rows off the pivot columns
     of radical_rows(m)[v], an RREF whose rows each lead with 1 at their
-    pivot column.  Generator j goes to the unit row at column c_j of its
-    vertex, so the row of path p from generator j is row c_j of the action
-    of p: f is read off the path actions by row selection, the map
-    projective_map would build from those unit rows, with each row copied
-    so that f shares no list with m."""
+    pivot column, and generator j goes to the unit row at column c_j of
+    its vertex."""
     rad = radical_rows(m)
     verts = []
-    cols = []
+    units = []
     for v in m.algebra.quiver.vertices:
         pivset = {r.index(1) for r in rad[v].data}
         for c in range(m.dims[v]):
             if c not in pivset:
                 verts.append(v)
-                cols.append(c)
+                units.append([int(k == c) for k in range(m.dims[v])])
     P = projective_from_vertices(m.algebra, tuple(verts))
-    basis = m.algebra.basis
-    f = ModuleMap(P, m, {
-        w: Matrix([list(m.path_action(basis[i]).data[cols[j]])
-                   for j, i in P.proj_row_paths[w]], P.dims[w], m.dims[w])
-        for w in m.algebra.quiver.vertices}, validate=False)
+    f = projective_map(P, m, units)
     if not f.is_surjective():
         raise CertificateFailure("cover misses part of the module")
     return P, f
@@ -208,7 +203,7 @@ def _presentation_elements(d):
     P1, P0 = d.source, d.target
     terms = []
     for j1, (w, pos) in enumerate(P1.proj_gen):
-        for (j0, bi), c in zip(P0.proj_row_paths[w], d.block(w).data[pos]):
+        for (j0, bi), c in zip(P0.proj_row_paths[w], d.blocks[w].data[pos]):
             if c:
                 terms.append((j1, j0, bi, c))
     return terms
@@ -370,7 +365,7 @@ def _factor(f, g, why):
     factor through f."""
     blocks = {}
     for v in f.source.algebra.quiver.vertices:
-        sol = solve_linear(f.block(v), g.block(v))
+        sol = solve_linear(f.blocks[v], g.blocks[v])
         if sol is None:
             raise CertificateFailure(why)
         blocks[v] = sol
@@ -413,19 +408,15 @@ def extension_from_cocycle(m, psi):
     incl = res.inclusion(0)
     cover0 = res.cover(0)
     ns = direct_sum([n, res.term(0)])
-    g = ModuleMap(omega, ns,
-                  {v: Matrix([pr + ir for pr, ir in
-                              zip(psi.block(v).data,
-                                  incl.block(v).scale(-1).data)],
-                             omega.dims[v], ns.dims[v])
-                   for v in m.algebra.quiver.vertices})
+    verts = m.algebra.quiver.vertices
+    g = ModuleMap(omega, ns, {v: hstack([psi.blocks[v],
+                                         incl.blocks[v].scale(-1)])
+                              for v in verts})
     mid, pi = cokernel_of_map(g)
     iota = summand_inclusion(ns, [n, res.term(0)], 0).then(pi)
-    h = ModuleMap(ns, m,
-                  {v: Matrix(
-                      [[0] * m.dims[v] for _ in range(n.dims[v])] + cover0.block(v).data,
-                      ns.dims[v], m.dims[v])
-                   for v in m.algebra.quiver.vertices})
+    h = ModuleMap(ns, m, {v: vstack([Matrix.zeros(n.dims[v], m.dims[v]),
+                                     cover0.blocks[v]])
+                          for v in verts})
     hbar = _factor(pi, h, "quotient map does not descend")
     return ShortExact(n, iota, mid, hbar, m)
 

@@ -35,8 +35,8 @@ def injective_projective_vertices(algebra):
 
 def dominant_dimension(m, bound=64):
     """Number of leading projective terms of the minimal injective
-    resolution; a resolution that ends while still inside projectives is
-    reported as AtLeast(bound) with a termination note.  That resolution
+    resolution; a resolution that ends with every term projective has no
+    term that is not, so it is certified infinite.  That resolution
     is the dual of the projective resolution of D(m) over the opposite
     algebra, so a term is projective when each of its summands P(v) is
     injective there."""
@@ -48,7 +48,7 @@ def dominant_dimension(m, bound=64):
         if any(v not in pj for v in res.term(t).proj_summand_vertices):
             return Dim.exact(t)
         if res.syzygy(t + 1).is_zero():
-            return Dim.at_least(bound, note="resolution terminated in projectives")
+            return Dim.infinite(note="resolution terminated in projectives")
     return Dim.at_least(bound, note="bound reached")
 
 

@@ -397,6 +397,15 @@ def linear_combination(coeffs, vectors):
     return out
 
 
+def moment_curve(vectors, last):
+    """The points sum_j t^j vectors[j] of the moment curve for t = 1..last,
+    each built only when it is asked for; nothing when last <= 0.  The
+    point at t = 0 is vectors[0], so it is not built here."""
+    for t in range(1, last + 1):
+        yield linear_combination([t ** j for j in range(len(vectors))],
+                                 vectors)
+
+
 def poly_eval_matrix(coeffs, mat):
     """Evaluate a polynomial (low degree first) at a square matrix."""
     n = mat.nrows

@@ -21,7 +21,7 @@ from .errors import (
 from .linalg import (
     Matrix, exact, hstack, vstack, rank, reduce_row, rref, kernel_vectors,
     left_kernel, linear_combination, row_space, minimal_polynomial,
-    poly_eval_matrix,
+    moment_curve, poly_eval_matrix,
 )
 
 
@@ -117,9 +117,6 @@ class ModuleMap:
                 if lhs != rhs:
                     raise InvalidParameters(
                         "blocks do not commute with arrow %s" % a.name)
-
-    def block(self, v):
-        return self.blocks[v]
 
     def then(self, other):
         if other.source is not self.target:
@@ -225,23 +222,20 @@ def projective_map(proj, target, images):
     """Map out of projective_from_vertices data: images[j] is a row of the
     target component at the j-th generator vertex.
 
-    The map is not checked against the arrows: row (p, j) goes to
-    images[j]·action(p).  An arrow a sends row (p, j) to the sum of
-    c_k·row (p_k, j), where p·a = sum c_k p_k in A, and the map sends that
-    to images[j]·(sum c_k action(p_k)) = images[j]·action(p)·T_a, because
-    the target satisfies the relations (the Representation invariant)."""
+    Row (p, j) is images[j]·action(p), the combination of the rows of
+    action(p) with the entries of images[j] as coefficients.  The map is
+    not checked against the arrows: an arrow a sends row (p, j) to the sum
+    of c_k·row (p_k, j), where p·a = sum c_k p_k in A, and the map sends
+    that to images[j]·(sum c_k action(p_k)) = images[j]·action(p)·T_a,
+    because the target satisfies the relations (the Representation
+    invariant)."""
+    basis = proj.algebra.basis
     blocks = {}
     for w in proj.algebra.quiver.vertices:
-        rows = []
-        for j, i in proj.proj_row_paths[w]:
-            p = proj.algebra.basis[i]
-            img = images[j]
-            row = [0] * target.dims[w]
-            if img is not None and any(img):
-                gm = Matrix([img], 1, len(img)) @ target.path_action(p)
-                row = gm.data[0]
-            rows.append(row)
-        blocks[w] = Matrix(rows, proj.dims[w], target.dims[w])
+        blocks[w] = Matrix(
+            [linear_combination(images[j], target.path_action(basis[i]).data)
+             if any(images[j]) else [0] * target.dims[w]
+             for j, i in proj.proj_row_paths[w]], proj.dims[w], target.dims[w])
     return ModuleMap(proj, target, blocks, validate=False)
 
 
@@ -281,28 +275,19 @@ def direct_sum(reps):
             ro += r.dims[a.source]
             co += r.dims[a.target]
         mats[a.index] = Matrix(out, dims[a.source], dims[a.target])
-    total = Representation(algebra, dims, mats, validate=False)
-    slices = []
-    start = {v: 0 for v in q.vertices}
-    for r in reps:
-        sl = {v: (start[v], start[v] + r.dims[v]) for v in q.vertices}
-        slices.append(sl)
-        for v in q.vertices:
-            start[v] += r.dims[v]
-    total.summand_slices = slices
-    return total
+    return Representation(algebra, dims, mats, validate=False)
 
 
 def summand_inclusion(total, reps, idx):
-    sl = total.summand_slices[idx]
+    """The inclusion of reps[idx] into total, their direct sum: at each
+    vertex its rows follow those of the summands before it."""
     r = reps[idx]
     blocks = {}
     for v in total.algebra.quiver.vertices:
-        rows = [[0] * total.dims[v] for _ in range(r.dims[v])]
-        lo, _hi = sl[v]
-        for i in range(r.dims[v]):
-            rows[i][lo + i] = 1
-        blocks[v] = Matrix(rows, r.dims[v], total.dims[v])
+        lo = sum(s.dims[v] for s in reps[:idx])
+        n = total.dims[v]
+        blocks[v] = Matrix([[int(c == lo + i) for c in range(n)]
+                            for i in range(r.dims[v])], r.dims[v], n)
     return ModuleMap(r, total, blocks, validate=False)
 
 
@@ -800,14 +785,13 @@ def _trace(f):
 def _candidates(endos, basis):
     """The maps endos, then the moment-curve points sum_j t^j basis[j] for
     t = 1..(s-1)^2 s/2 with s = len(basis), each point built only when
-    the search asks for it.  The point at t = 0 is basis[0], one of the
-    endos, so it is not built again."""
+    the search asks for it, and the basis flattened only once the endos
+    are used up."""
     yield from endos
     s = len(basis)
-    flat = [flat_blocks(g) for g in basis]
-    for t in range(1, (s - 1) ** 2 * s // 2 + 1):
-        yield _map_from_flat(basis[0], linear_combination(
-            [t ** j for j in range(s)], flat))
+    for vec in moment_curve([flat_blocks(g) for g in basis],
+                            (s - 1) ** 2 * s // 2):
+        yield _map_from_flat(basis[0], vec)
 
 
 def decompose(m):

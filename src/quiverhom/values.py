@@ -2,9 +2,9 @@
 
 Homological dimensions computed under a truncation bound come in three
 flavours.  Exact(n) is a proven value.  AtLeast(n) says the computation ran
-out of budget with the value still >= n (an optional note records why, e.g.
-a coresolution that terminated inside projectives, which means the honest
-value is infinity).  Infinite carries a syzygy periodicity certificate.
+out of budget with the value still >= n (an optional note records why).
+Infinite carries its certificate: a syzygy period, or a note such as a
+coresolution that ended with every term projective.
 
 Dim owns every comparison with a cut-off value: geq, leq and eq answer only
 when every value the Dim admits gives the same answer, and otherwise raise

@@ -273,12 +273,17 @@ def _exact_core_battery(seed):
     return c
 
 
+def _ext_algebras():
+    """The three algebras of the Ext batteries, built afresh."""
+    return (nakayama_from_kupisch([2, 2, 3]), nakayama_from_kupisch([4, 5]),
+            symmetric_chain_family(2))
+
+
 def _simple_ext_support():
     """Nonvanishing of Ext against a simple is read off the resolution
     terms: covers on one side, envelopes on the other."""
     c = Checks()
-    for a in (nakayama_from_kupisch([2, 2, 3]), nakayama_from_kupisch([4, 5]),
-              symmetric_chain_family(2)):
+    for a in _ext_algebras():
         ok = True
         count = 0
         mods = [(nm, m) for nm, m in canonical_test_set(a)
@@ -346,8 +351,7 @@ def _dominant_lower_bound(bound):
 
 def _ext_agreement():
     c = Checks()
-    for a in (nakayama_from_kupisch([2, 2, 3]), nakayama_from_kupisch([4, 5]),
-              symmetric_chain_family(2)):
+    for a in _ext_algebras():
         mods = [m for _, m in canonical_test_set(a) if not m.is_zero()][:8]
         agree = shift = True
         for m in mods:
@@ -365,18 +369,22 @@ def _ext_agreement():
     return c
 
 
+def _parameter_cases():
+    """Algebras with their Auslander-Gorenstein parameters, built afresh."""
+    return [(nakayama_from_kupisch([4, 5, 5]), 2),
+            (nakayama_from_kupisch([2, 2, 3]), 3),
+            (nakayama_from_kupisch([3, 4, 4]), 4),
+            (bnlambda_family(3, (1,)), 4)]
+
+
 def _syzygy_image(bound):
     """Below the dominant dimension, membership in the syzygy-image
     category is decided by the dominant dimension; witnessed by
     reconstructing each module from its cosyzygy."""
     c = Checks()
-    cases = [(nakayama_from_kupisch([4, 5, 5]), 2),
-             (nakayama_from_kupisch([2, 2, 3]), 3),
-             (nakayama_from_kupisch([3, 4, 4]), 4),
-             (bnlambda_family(3, (1,)), 4)]
     ok_back = ok_forth = True
     checked = 0
-    for a, r in cases:
+    for a, r in _parameter_cases():
         c.expect("certified parameter", auslander_gorenstein_parameter(
             a, bound), r)
         for _, mod in canonical_test_set(a, depth=2):
@@ -406,14 +414,10 @@ def _syzygy_image(bound):
 
 def _cosyzygy_class(bound):
     c = Checks()
-    cases = [(nakayama_from_kupisch([4, 5, 5]), 2, (1,)),
-             (nakayama_from_kupisch([2, 2, 3]), 3, (1, 2)),
-             (nakayama_from_kupisch([3, 4, 4]), 4, (1, 2, 3)),
-             (bnlambda_family(3, (1,)), 4, (1, 2, 3))]
-    for a, r, steps in cases:
+    for a, r in _parameter_cases():
         reg = regular_rep(a)
         ok = True
-        for i in steps:
+        for i in range(1, r):
             for s in decompose(cosyzygy(reg, i)):
                 ok &= all(f(s, bound).eq(k) for f, k in (
                     (projective_dimension, i), (injective_dimension, r - i),

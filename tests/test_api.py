@@ -6,7 +6,10 @@ random.
 perfbench/spans.py wraps package functions and methods by name from
 outside the package, so renaming or deleting one breaks `--trace 1`
 without failing any computation: these tests hold the package to the
-names and the Representation signature that file reads."""
+names and the Representation signature that file reads.  In the same way
+they hold it to the calls, with their positional arguments, that
+perfbench/workloads.py makes, so that dropping a parameter a workload
+passes fails here and not in a benchmark run."""
 import ast
 import importlib
 import importlib.util
@@ -16,6 +19,7 @@ from pathlib import Path
 import quiverhom
 
 SPANS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+WORKLOADS_PY = SPANS_PY.parent / "workloads.py"
 PACKAGE = Path(quiverhom.__file__).parent
 
 
@@ -38,6 +42,75 @@ def test_every_traced_name_exists():
         if not found:
             missing.append((name, modname, owner, attr))
     assert missing == []
+
+
+def _workload_calls(tree):
+    """(name, positional argument count) of each call the workloads make
+    on the package: on a name bound to package(), or on the "q" entry of a
+    state dict, directly or through a local name bound to the attribute
+    (ext = st["q"].ext_dims; ext(m, n, g))."""
+    pkg = {t.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+           and isinstance(node.value, ast.Call)
+           and getattr(node.value.func, "id", None) == "package"
+           for t in node.targets}
+
+    def is_package(node):
+        if isinstance(node, ast.Subscript):
+            node = node.slice
+            return isinstance(node, ast.Constant) and node.value in pkg
+        return isinstance(node, ast.Name) and node.id in pkg
+
+    aliases = {t.id: node.value.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Assign)
+               and isinstance(node.value, ast.Attribute)
+               and is_package(node.value.value) for t in node.targets}
+    calls = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Attribute) and is_package(f.value):
+            calls.add((f.attr, len(node.args)))
+        elif isinstance(f, ast.Name) and f.id in aliases:
+            calls.add((aliases[f.id], len(node.args)))
+    return calls
+
+
+def _workload_inputs(tree):
+    """ORDER_INPUTS and EXT_INPUTS, evaluated from the file's top-level
+    function definitions and those two assignments alone: importing the
+    file would import its `oracles`, a name tests/ has too."""
+    keep = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+            or isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) in ("ORDER_INPUTS", "EXT_INPUTS")
+                for t in node.targets)]
+    ns = {}
+    exec(compile(ast.Module(body=keep, type_ignores=[]), str(WORKLOADS_PY),
+                 "exec"), ns)
+    return ns["ORDER_INPUTS"] + ns["EXT_INPUTS"]
+
+
+def test_every_workload_call_binds():
+    """Each package name the workloads call exists and accepts the
+    positional arguments they pass, the constructors of the order-search
+    and ext-sweep inputs with their argument tuples among them."""
+    tree = ast.parse(WORKLOADS_PY.read_text(), filename=str(WORKLOADS_PY))
+    calls = _workload_calls(tree)
+    assert calls >= {("verify_paper_example", 3), ("search_orders", 2),
+                     ("canonical_test_set", 1), ("ext_dims", 3),
+                     ("all_example_ids", 0)}
+    inputs = _workload_inputs(tree)
+    assert {ctor for _, ctor, _, _ in inputs} == {
+        "nakayama_from_kupisch", "bnlambda_family"}
+    unbound = []
+    for name, args in sorted(calls) + [(c, a) for _, c, a, _ in inputs]:
+        fn = getattr(quiverhom, name, None)
+        try:
+            inspect.signature(fn).bind(
+                *(args if isinstance(args, tuple) else (None,) * args))
+        except (TypeError, ValueError):
+            unbound.append((name, args))
+    assert unbound == []
 
 
 def test_representation_takes_the_arguments_the_tracer_reads():

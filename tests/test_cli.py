@@ -96,7 +96,8 @@ def test_quasi_hereditary_does_not_depend_on_bound(capsys):
 def test_relar_leaves_modules_cut_off_by_the_bound_undecided(capsys):
     # at --bound 0 a dominant dimension of at least 1 reads ">=0": those
     # modules are undecided, not outside the subcategory, and every other
-    # row is the row of the default bound
+    # row is the row of the default bound; the projective-injectives P(1)
+    # and P(2) have dominant dimension certified infinite at every bound
     rows = {}
     for bound in ("0", "64"):
         assert cli.main(["relar", "kupisch:3,4,4", "--bound", bound,
@@ -105,8 +106,8 @@ def test_relar_leaves_modules_cut_off_by_the_bound_undecided(capsys):
                        json.loads(capsys.readouterr().out)["modules"]}
     undecided = {name for name, status in rows["0"].items()
                  if status == "undecided at bound 0"}
-    assert undecided == {"P(0)", "rad P(0)", "P(0)/soc", "P(1)", "S(1)",
-                         "rad P(1)", "syz2 S(1)", "P(2)"}
+    assert undecided == {"P(0)", "rad P(0)", "P(0)/soc", "S(1)",
+                         "rad P(1)", "syz2 S(1)"}
     assert {name: rows["64"][name] for name in rows["0"]
             if name not in undecided} == {
         name: status for name, status in rows["0"].items()
@@ -139,8 +140,9 @@ def test_relar_below_the_algebra_dominant_dimension_is_not_applicable(
 
 def test_relar_names_decomposable_canonical_modules(capsys):
     # at bound 0 no row reaches the algebra's dominant dimension, and the
-    # decomposable rad P(2) and cosyz1 S(2) are rows of their own; at
-    # bound 1 the command still refuses
+    # decomposable rad P(2) and cosyz1 S(2) are rows of their own; the
+    # projective-injective P(1) has dominant dimension certified infinite,
+    # so it is decided at every bound; at bound 1 the command still refuses
     assert cli.main(["relar", "bnlambda:3,0", "--bound", "0",
                      "--format", "structured"]) == 0
     captured = capsys.readouterr()
@@ -149,7 +151,8 @@ def test_relar_names_decomposable_canonical_modules(capsys):
     assert [r["module"] for r in rows
             if r["status"] == "decomposable"] == ["rad P(2)", "cosyz1 S(2)"]
     assert {r["status"] for r in rows} == {
-        "undecided at bound 0", "outside subcategory", "decomposable"}
+        "undecided at bound 0", "outside subcategory", "decomposable",
+        "relatively projective"}
     assert cli.main(["relar", "bnlambda:3,0", "--bound", "1"]) == 1
     assert capsys.readouterr().err == (
         "error: the algebra has dominant dimension 0, below level 1\n")

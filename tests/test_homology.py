@@ -78,7 +78,7 @@ def test_resolution_differentials_compose_to_zero(a223):
 def _reference_coord_matrix(res, i, n):
     """Coordinate matrix of degree i built from the composed differential
     i + 1, one element block per generator pair.  The image of generator
-    j1 of P1, at vertex w, is its proj_gen row of d.block(w); the columns
+    j1 of P1, at vertex w, is its proj_gen row of d.blocks[w]; the columns
     of that row are the pairs (j0, path) of P0.proj_row_paths[w], and the
     block of (j0, j1) is the sum of c times the action of each path from
     v, the vertex of j0, to w with coefficient c in that row."""
@@ -88,7 +88,7 @@ def _reference_coord_matrix(res, i, n):
     offs1, h1 = homology._hom_offsets(P1, n)
     blocks = {}
     for j1, (w, pos) in enumerate(P1.proj_gen):
-        row = d.block(w).data[pos]
+        row = d.blocks[w].data[pos]
         for (j0, bi), c in zip(P0.proj_row_paths[w], row):
             v = P0.proj_gen[j0][0]
             p = n.algebra.basis[bi]
@@ -489,7 +489,7 @@ def test_factor_refuses_a_map_that_does_not_factor(a21, why):
     assert str(err.value) == why
     h = homology._factor(ident, cover, why)
     assert h.source is P and h.target is cover.target
-    assert all(h.block(v) == cover.block(v) for v in a21.quiver.vertices)
+    assert all(h.blocks[v] == cover.blocks[v] for v in a21.quiver.vertices)
 
 
 def test_split_sequence_detected(a21):

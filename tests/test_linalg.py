@@ -7,9 +7,11 @@ from oracles import (
     fraction_minimal_polynomial, fraction_right_kernel, fraction_rref,
     fraction_solve_xa_b,
 )
+from quiverhom import linalg
 from quiverhom.linalg import (
     Matrix, hstack, vstack, rref, rank, row_space, kernel_vectors,
-    left_kernel, solve_linear, minimal_polynomial, poly_eval_matrix,
+    left_kernel, solve_linear, minimal_polynomial, moment_curve,
+    poly_eval_matrix,
 )
 
 
@@ -103,6 +105,25 @@ def test_stack_helpers():
     assert h.shape == (2, 5)
     v = vstack([a, Matrix.zeros(1, 2)])
     assert v.shape == (3, 2)
+
+
+def test_moment_curve_yields_the_points_from_one_to_last(monkeypatch):
+    vecs = [[1, 0, 2], [0, 1, -1], [Fraction(1, 2), 0, 0]]
+    want = [[sum(t ** j * v[i] for j, v in enumerate(vecs))
+             for i in range(3)] for t in (1, 2, 3)]
+    assert list(moment_curve(vecs, 3)) == want
+    assert want[0] == [Fraction(3, 2), 1, 1]
+    for last in (0, -1, -4):
+        assert list(moment_curve(vecs, last)) == []
+    assert list(moment_curve([], 0)) == []
+    # each point is built when it is asked for, not before
+    calls = []
+    orig = linalg.linear_combination
+    monkeypatch.setattr(linalg, "linear_combination",
+                        lambda *args: calls.append(args) or orig(*args))
+    points = moment_curve(vecs, 10 ** 9)
+    assert calls == []
+    assert next(points) == want[0] and len(calls) == 1
 
 
 def test_minimal_polynomial_nilpotent():

@@ -21,7 +21,7 @@ from quiverhom.algebra import (
 from quiverhom.linalg import Matrix
 from quiverhom.modules import (
     Representation, ModuleMap, zero_rep, simple_rep, projective_rep,
-    projective_map, regular_rep, injective_rep,
+    projective_from_vertices, projective_map, regular_rep, injective_rep,
     dualize, direct_sum, summand_inclusion, summand_projection,
     radical_rows, socle_rows, top_dims, socle_dims,
     sub_representation, cyclic_submodule, quotient_by_rows,
@@ -122,6 +122,56 @@ def test_projective_map_cover(naka223):
     assert coker.dim_vector() == s.dim_vector()
 
 
+def _product_per_row(proj, target, images):
+    """Blocks of the map out of a projective, one product per row: row
+    (p, j) is the 1 x d matrix of images[j] times the action of p.  The
+    reference for projective_map, which combines the rows of the action
+    instead."""
+    blocks = {}
+    for w in proj.algebra.quiver.vertices:
+        rows = []
+        for j, i in proj.proj_row_paths[w]:
+            img = images[j]
+            gm = Matrix([img], 1, len(img)) @ target.path_action(
+                proj.algebra.basis[i])
+            rows.append(gm.data[0])
+        blocks[w] = Matrix(rows, proj.dims[w], target.dims[w])
+    return blocks
+
+
+_MAP_TARGETS = {}
+
+
+def _map_targets(spec):
+    """The algebra and its regular module with its canonical test
+    modules, made once per session."""
+    if spec not in _MAP_TARGETS:
+        a = parse_construction(spec)
+        _MAP_TARGETS[spec] = a, [regular_rep(a)] + [
+            m for _, m in canonical_test_set(a)]
+    return _MAP_TARGETS[spec]
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(data=st.data())
+def test_projective_map_is_the_product_per_row(data):
+    a, targets = _map_targets(data.draw(st.sampled_from(
+        ["kupisch:2,2,3", "bnlambda:3,1", "klein_four",
+         "symmetric_chain:2"])))
+    n = data.draw(st.sampled_from(targets))
+    verts = tuple(data.draw(st.lists(st.sampled_from(a.quiver.vertices),
+                                     min_size=1, max_size=3)))
+    entry = st.one_of(st.integers(-3, 3),
+                      st.fractions(-2, 2, max_denominator=3))
+    images = [data.draw(st.lists(entry, min_size=n.dims[v],
+                                 max_size=n.dims[v])) for v in verts]
+    P = projective_from_vertices(a, verts)
+    f = projective_map(P, n, images)
+    assert f.blocks == _product_per_row(P, n, images)
+    # the blocks commute with every arrow
+    ModuleMap(P, n, f.blocks, validate=True)
+
+
 def test_quotient_roundtrip(naka223):
     p = projective_rep(naka223, 2)
     _, ref = solved_sub_representation(p, {0: Matrix.identity(p.dims[0])})
@@ -139,7 +189,7 @@ def test_direct_sum_slices(naka223):
     prj = summand_projection(tot, parts, 1)
     comp = inc.then(prj)
     for v in naka223.quiver.vertices:
-        assert comp.block(v) == Matrix.identity(parts[1].dims[v])
+        assert comp.blocks[v] == Matrix.identity(parts[1].dims[v])
 
 
 def test_decompose_regular(naka223):
@@ -245,7 +295,7 @@ def _count_calls(monkeypatch, module, name):
 
 def test_iso_search_builds_no_combination_when_a_basis_map_succeeds(
         monkeypatch, naka223):
-    calls = _count_calls(monkeypatch, modules, "linear_combination")
+    calls = _count_calls(monkeypatch, linalg, "linear_combination")
     r = iso_test(injective_rep(naka223, 1), projective_rep(naka223, 2))
     assert r.is_iso
     assert calls == []
