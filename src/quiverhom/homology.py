@@ -14,10 +14,9 @@ modules it has resolved, keyed by their data, so a module or syzygy equal
 to one already there shares its resolution: every cover, kernel,
 presentation and extension-group matrix is made once per distinct
 module, and a periodic resolution is a cycle of links.  The
-extension-group data lives on the links: each keeps, per target, the
-coordinate matrix of its degree 0 with its size and rank, and a module
-keeps only the dimensions it was asked for, per target, read off its
-links.
+extension-group data lives on the links alone: each keeps, per target, the
+coordinate matrix of its degree 0 with its rank, and every extension
+dimension is read off those entries.
 
 Most of those coordinate matrices are empty: Hom(term 0, n) or
 Hom(term 1, n) is zero whenever n vanishes at the vertices of the term's
@@ -86,10 +85,9 @@ class ProjectiveResolution:
     nonzero generator-to-generator terms (see _presentation_elements).
     The presentation does not depend on the target of an extension group,
     so every target reads the same terms.  Against each target, a link
-    keeps the degree-0 coordinate matrix of its module with its size and
-    rank, and whether it composes to zero with the next link's
-    (see _ext_links); the extension dimensions of a module, per target,
-    are kept on the module (see _ext_lists)."""
+    keeps the degree-0 coordinate matrix of its module with its rank, and
+    whether it composes to zero with the next link's (see _ext_links);
+    nothing else about an extension group is kept."""
 
     def __init__(self, m):
         self.module = m
@@ -249,38 +247,37 @@ def _ext_links(m, n, imax):
     """The entries against n of links 0..imax of m's resolution.
 
     Degree i of m is degree 0 of its syzygy i, so each link keeps, per
-    target, one entry [n, B, h, rank, checked]: B is the coordinate matrix
-    of degree 0 of the link's module, h its row count (the dimension of
-    Hom(term 0, n)) and rank its rank.  It holds n so that id(n) stays
-    that target's key.  The entry is made once per link and target, and
-    checked is set when B and the next link's matrix have been found to
-    compose to zero, so each pair of links is checked once per target; a
-    cycle's closing link is one of them.
+    target, one entry [B, rank, checked] under the key n (a module hashes
+    by identity): B is the coordinate matrix of degree 0 of the link's
+    module, whose row count is the dimension of Hom(term 0, n), and rank
+    its rank.  The entry is made once per link and target, and checked is
+    set when B and the next link's matrix have been found to compose to
+    zero, so each pair of links is checked once per target; a cycle's
+    closing link is one of them.
 
     An empty B (no rows or no columns) has rank 0, found with no
     elimination.  Every pair must agree in shape (the columns of the
     upper B are the rows of the lower); it is multiplied out only when
     both matrices are nonempty, since any other product of agreeing
     shapes has no entries or a zero inner dimension, and is zero."""
-    key = id(n)
     res = projective_resolution(m)
     out = []
     above = None
     for _ in range(imax + 1):
-        e = res._ext.get(key)
+        e = res._ext.get(n)
         if e is None:
             nxt = res._link()._next
             B = _coord_matrix(res._cover.source, nxt._link()._cover.source,
                               res.presentation(1), n)
-            e = res._ext[key] = [n, B, B.nrows,
-                                 rank(B) if B.nrows and B.ncols else 0, False]
-        if above is not None and not above[4]:
-            A, B = above[1], e[1]
+            e = res._ext[n] = [B, rank(B) if B.nrows and B.ncols else 0,
+                               False]
+        if above is not None and not above[2]:
+            A, B = above[0], e[0]
             if A.ncols != B.nrows:
                 raise CertificateFailure("coordinate complex shapes disagree")
             if A.nrows and A.ncols and B.ncols and not (A @ B).is_zero():
                 raise CertificateFailure("coordinate complex fails to compose to zero")
-            above[4] = True
+            above[2] = True
         out.append(e)
         above = e
         # a link with an entry has been linked: its cover made its next link
@@ -288,28 +285,19 @@ def _ext_links(m, n, imax):
     return out
 
 
-def _ext_lists(m, n, imax):
-    """Dimensions of the extension groups of m against n, kept on m per
-    target as (n, dims) and grown to degree imax when shorter.  Degree i
-    is h_i - r_i - r_(i-1), read off link i and the link above it."""
-    cache = m._cache.setdefault("extco", {})
-    entry = cache.get(id(n))
-    if entry is None or len(entry[1]) <= imax:
-        dims = []
-        r_above = 0
-        for _, _, h, r, _ in _ext_links(m, n, imax):
-            dims.append(h - r - r_above)
-            r_above = r
-        entry = cache[id(n)] = (n, dims)
-    return entry[1]
-
-
 def ext_dims_proj(m, n, imax):
     """Dimensions of the extension groups of degrees 0..imax, computed on
-    the projective side only."""
+    the projective side only.  Degree i is h_i - r_i - r_(i-1), with h_i
+    the row count and r_i the rank of link i's matrix, read off link i
+    and the link above it."""
     if m.is_zero() or n.is_zero():
         return [0] * (imax + 1)
-    return _ext_lists(m, n, imax)[:imax + 1]
+    dims = []
+    r_above = 0
+    for B, r, _ in _ext_links(m, n, imax):
+        dims.append(B.nrows - r - r_above)
+        r_above = r
+    return dims
 
 
 def ext_dims(m, n, imax):
@@ -337,7 +325,7 @@ def ext1_cocycles(m, n):
     if m.is_zero() or n.is_zero():
         return []
     res = projective_resolution(m)
-    B0, B1 = (e[1] for e in _ext_links(m, n, 1))
+    B0, B1 = (e[0] for e in _ext_links(m, n, 1))
     P1 = res.term(1)
     ker = left_kernel(B1)
     if ker.nrows == 0:

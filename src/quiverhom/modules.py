@@ -461,13 +461,11 @@ def kernel_of_map(f):
     return sub_representation(f.source, ker_rows)
 
 
-def image_rows(f):
-    return {v: row_space(f.blocks[v]) for v in f.blocks}
-
-
 def cokernel_of_map(f):
-    """(cokernel, projection) of a module map."""
-    return quotient_by_rows(f.target, image_rows(f))
+    """(cokernel, projection) of a module map: the quotient of its target
+    by the span of the rows of its blocks, which quotient_by_rows reduces
+    once."""
+    return quotient_by_rows(f.target, f.blocks)
 
 
 def radical_submodule(m):

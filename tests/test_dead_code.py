@@ -106,11 +106,10 @@ def test_every_parameter_is_read():
     assert sorted(set(unread) - UNREAD_PARAMETERS) == []
 
 
-# the one value cache (algebra.memo), the resolution table and the
-# per-module Ext dimensions (the coordinate matrices live on the
-# resolution links), whose storage perfbench/spans.py reads, and the
-# constructors that make each _cache
-CACHE_OWNERS = {"memo", "projective_resolution", "_ext_lists", "__init__"}
+# the one value cache (algebra.memo), the resolution table (whose links
+# hold the Ext coordinate matrices, every extension dimension read off
+# them) and the constructors that make each _cache
+CACHE_OWNERS = {"memo", "projective_resolution", "__init__"}
 
 
 def _cache_users(node, enclosing=()):
@@ -126,13 +125,22 @@ def _cache_users(node, enclosing=()):
 def test_every_cache_access_is_owned():
     """Values are cached through algebra.memo, not by a hand-written
     check-compute-store block: every ._cache access in the package lies
-    inside memo, the resolution table, the Ext dimensions or a
-    constructor."""
+    inside memo, the resolution table or a constructor."""
     stray = [(name, line, defs[-1] if defs else None)
              for name, tree in _trees()
              for defs, line in _cache_users(tree)
              if not CACHE_OWNERS & set(defs)]
     assert stray == []
+
+
+def test_no_store_is_keyed_by_id():
+    """No package code calls the builtin id: a store keyed by id(x) must
+    also hold x, or a new object may reuse the key, so key by x itself."""
+    calls = [(name, node.lineno) for name, tree in _trees()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "id"]
+    assert calls == []
 
 
 def _defined(tree):

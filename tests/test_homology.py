@@ -112,7 +112,7 @@ def test_coordinate_matrices_match_the_composed_differentials(spec):
     for m in mods:
         res = projective_resolution(m)
         for n in mods:
-            Bs = [e[1] for e in homology._ext_links(m, n, imax)]
+            Bs = [e[0] for e in homology._ext_links(m, n, imax)]
             assert len(Bs) == imax + 1
             for i, B in enumerate(Bs):
                 assert B == _reference_coord_matrix(res, i, n)
@@ -262,8 +262,8 @@ def _links(m, imax):
 
 
 def test_cached_ext_dimensions_are_prefixes_of_the_longest_answer():
-    """Each pair answers at imax 2, then 6, then 3 from the links and the
-    dimensions kept on the module; every answer is a prefix of the
+    """Each pair answers at imax 2, then 6, then 3 from the entries kept
+    on its resolution's links; every answer is a prefix of the
     longest one and equals the answer on modules built afresh.  Degree 6
     is past the period, so the walk goes through a cycle's closing link,
     and every link above the last one walked is checked against the link
@@ -286,7 +286,7 @@ def test_cached_ext_dimensions_are_prefixes_of_the_longest_answer():
         assert all(d == longest[:len(d)] for d in dims)
     for m in closing:
         for n in mods:
-            assert all(res._ext[id(n)][4] for res in _links(m, 6)[:-1])
+            assert all(res._ext[n][2] for res in _links(m, 6)[:-1])
 
 
 def test_each_link_builds_its_coordinate_matrix_once_per_target(monkeypatch):
@@ -316,7 +316,7 @@ def _empty_pairs(mods, imax):
     out = []
     for m in mods:
         for n in mods:
-            Bs = [e[1] for e in homology._ext_links(m, n, imax)]
+            Bs = [e[0] for e in homology._ext_links(m, n, imax)]
             for i in range(imax):
                 if not all(B.nrows and B.ncols for B in Bs[i:i + 2]):
                     out.append((m, n, i))
@@ -332,7 +332,7 @@ def test_a_pair_with_an_empty_coordinate_matrix_is_still_checked():
     pairs = _empty_pairs(mods, imax)
     assert pairs
     for m, n, i in pairs:
-        assert projective_resolution(m)._at(i)._ext[id(n)][4]
+        assert projective_resolution(m)._at(i)._ext[n][2]
 
 
 def test_a_stored_matrix_of_the_wrong_width_fails_the_shape_check():
@@ -341,17 +341,17 @@ def test_a_stored_matrix_of_the_wrong_width_fails_the_shape_check():
     empty, so nothing is multiplied."""
     mods = [m for _, m in canonical_test_set(parse_construction("kupisch:2,2,3"))]
     found = [(m, n) for m, n, i in _empty_pairs(mods, 1)
-             if not projective_resolution(m)._at(1)._ext[id(n)][1].ncols]
+             if not projective_resolution(m)._at(1)._ext[n][0].ncols]
     assert found
     for m, n in found:
-        e = projective_resolution(m)._ext[id(n)]
-        B = e[1]
-        e[1] = Matrix([row + [0] for row in B.data], B.nrows, B.ncols + 1)
-        e[4] = False
+        e = projective_resolution(m)._ext[n]
+        B = e[0]
+        e[0] = Matrix([row + [0] for row in B.data], B.nrows, B.ncols + 1)
+        e[2] = False
         with pytest.raises(CertificateFailure) as err:
             homology._ext_links(m, n, 1)
         assert str(err.value) == "coordinate complex shapes disagree"
-        e[1] = B
+        e[0] = B
 
 
 @pytest.mark.parametrize("spec", ["kupisch:2,2,3", "bnlambda:3,1",
