@@ -114,33 +114,19 @@ class Quiver:
     def arrows_to(self, v):
         return self._to[v]
 
-    def trivial_path(self, v):
-        if v not in self._vindex:
-            raise InvalidParameters("unknown vertex %r" % (v,))
-        return Path(v, v, ())
-
-    def arrow_path(self, a):
-        return Path(a.source, a.target, (a.index,))
-
-    def compose(self, p, q):
-        if p.target != q.source:
-            raise InvalidParameters("paths do not compose")
-        return Path(p.source, q.target, p.word + q.word)
-
-    def path_from_names(self, names, source=None):
-        if not names:
-            if source is None:
-                raise InvalidParameters("trivial path needs a vertex")
-            return self.trivial_path(source)
+    def path_from_names(self, names):
+        """The path through the named arrows, in order; at least one."""
         seq = [self.arrow(n) for n in names]
-        p = self.arrow_path(seq[0])
-        for a in seq[1:]:
-            p = self.compose(p, self.arrow_path(a))
-        return p
+        if not seq:
+            raise InvalidParameters("a path needs at least one arrow")
+        for a, b in zip(seq, seq[1:]):
+            if a.target != b.source:
+                raise InvalidParameters("paths do not compose")
+        return Path(seq[0].source, seq[-1].target, tuple(a.index for a in seq))
 
     def paths_by_length(self, max_len):
         """Lists of all paths, one list per length 0 .. max_len."""
-        levels = [[self.trivial_path(v) for v in self.vertices]]
+        levels = [[Path(v, v, ()) for v in self.vertices]]
         for _ in range(max_len):
             nxt = []
             for p in levels[-1]:
@@ -466,17 +452,13 @@ def check_asserted_duality(a):
 
 
 def build_algebra(quiver, relations, loewy_cap=12):
-    """Construct the algebra presented by the quiver and relations.
+    """Construct the algebra presented by the quiver and the Relation
+    objects; a relation whose terms cancelled is passed over.
 
     Raises BoundExceeded if no truncation level up to loewy_cap closes the
     relation ideal.
     """
-    rels = []
-    for r in relations:
-        if not isinstance(r, Relation):
-            r = Relation(r)
-        if r.terms:
-            rels.append(r)
+    rels = [r for r in relations if r.terms]
 
     for N in range(2, loewy_cap + 1):
         by_len = quiver.paths_by_length(N)
@@ -498,13 +480,11 @@ def build_algebra(quiver, relations, loewy_cap=12):
                     if len(u) + lmin + len(v) > N:
                         continue
                     vec = [0] * nc
-                    hit = False
                     for c, p in r.terms:
                         if len(u) + len(p) + len(v) <= N:
                             w = (u.source, u.word + p.word + v.word)
                             vec[col_of[w]] += c
-                            hit = True
-                    if hit and any(vec):
+                    if any(vec):
                         rows.append(vec)
         mat = Matrix(rows, len(rows), nc) if rows else Matrix.zeros(0, nc)
         R, piv = rref(mat)
@@ -556,12 +536,22 @@ def build_algebra(quiver, relations, loewy_cap=12):
 
 # -- canonical families ----------------------------------------------------
 
-def nakayama_from_kupisch(kupisch, cyclic=True):
-    """Nakayama algebra with the given Kupisch series.
+def nakayama_from_kupisch(kupisch):
+    """Nakayama algebra with the given Kupisch series c_0 .. c_{n-1}.
 
-    Vertices are 0 .. n-1 with arrows i -> i+1 (mod n when cyclic); entry i
-    is the composition length of the projective at vertex i, so the path of
-    that length starting at i is a relation whenever it exists.
+    The series decides the quiver: vertices 0 .. n-1 with arrows
+    a_i: i -> i+1, on the line when c_{n-1} = 1 and on the cycle (indices
+    mod n) otherwise.  Entry i is the composition length of the projective
+    at vertex i, so the path of that length starting at i is a relation
+    whenever it exists.
+
+    One rule admits a series: every vertex i with a successor j has
+    c_i >= 2 and c_j >= c_i - 1.  On the line no projective overruns the
+    quiver, c_i <= n - i, without a check of its own: c_{n-1} = 1, and the
+    drop rule gives c_i <= c_{i+1} + 1 <= n - i by induction down from
+    n - 1.  On the cycle the last entry is at least 2 by the choice of
+    shape, so on both shapes the first half of the rule asks it of every
+    entry but the last.
     """
     kup = [int(a) for a in kupisch]
     n = len(kup)
@@ -569,42 +559,20 @@ def nakayama_from_kupisch(kupisch, cyclic=True):
         raise InvalidSeries("empty series")
     if any(a < 1 for a in kup):
         raise InvalidSeries("entries must be positive")
-    if cyclic:
-        if any(a < 2 for a in kup):
-            raise InvalidSeries("cyclic series needs all entries >= 2")
-        for i in range(n):
-            if kup[(i + 1) % n] < kup[i] - 1:
-                raise InvalidSeries(
-                    "entry %d drops by more than one after position %d"
-                    % (kup[(i + 1) % n], i))
-    else:
-        if kup[n - 1] != 1:
-            raise InvalidSeries("linear series must end in 1")
-        for i in range(n - 1):
-            if kup[i] < 2:
-                raise InvalidSeries("linear series needs interior entries >= 2")
-            if kup[i] > n - i:
-                raise InvalidSeries("entry %d at position %d overruns the quiver"
-                                    % (kup[i], i))
-            if kup[i + 1] < kup[i] - 1:
-                raise InvalidSeries(
-                    "entry %d drops by more than one after position %d"
-                    % (kup[i + 1], i))
+    cyclic = kup[-1] != 1
+    steps = [(i, (i + 1) % n) for i in range(n if cyclic else n - 1)]
+    if any(kup[i] < 2 for i, _ in steps):
+        raise InvalidSeries("cyclic series needs all entries >= 2" if cyclic
+                            else "linear series needs interior entries >= 2")
+    for i, j in steps:
+        if kup[j] < kup[i] - 1:
+            raise InvalidSeries(
+                "entry %d drops by more than one after position %d"
+                % (kup[j], i))
 
-    verts = list(range(n))
-    if cyclic:
-        arrows = [("a%d" % i, i, (i + 1) % n) for i in range(n)]
-    else:
-        arrows = [("a%d" % i, i, i + 1) for i in range(n - 1)]
-    q = Quiver(verts, arrows)
-
-    rels = []
-    for i in range(n):
-        a = kup[i]
-        if not cyclic and i + a > n - 1:
-            continue
-        names = ["a%d" % ((i + k) % n if cyclic else i + k) for k in range(a)]
-        rels.append(monomial_relation(q, names))
+    q = Quiver(range(n), [("a%d" % i, i, j) for i, j in steps])
+    rels = [monomial_relation(q, ["a%d" % ((i + k) % n) for k in range(c)])
+            for i, c in enumerate(kup) if cyclic or i + c < n]
     alg = build_algebra(q, rels, loewy_cap=max(kup) + 1)
     alg.kupisch = list(kup)
     return alg

@@ -105,7 +105,7 @@ def _cmd_resolve(args):
         s = simple_rep(a, v)
         pd = projective_dimension(s, args.bound)
         res = projective_resolution(s)
-        depth = (pd.onset or 0) + (pd.period or 1) if pd.is_infinite else pd.n
+        depth = pd.onset + pd.period if pd.is_infinite else pd.n
         rows.append({
             "vertex": v,
             "projdim": pd,

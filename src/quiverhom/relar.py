@@ -21,17 +21,19 @@ from .modules import decompose
 
 
 class RelativeARResult:
-    """Outcome of a relative translate computation, with the sequence data
-    when it is determined."""
+    """Outcome of a relative translate computation, with the middle term
+    of the sequence when it is determined."""
 
-    def __init__(self, module, level, translate, ext1_dim,
-                 middle=None, determinate=False):
+    def __init__(self, module, level, translate, ext1_dim):
         self.module = module
         self.level = level
         self.translate = translate
         self.ext1_dim = ext1_dim
-        self.middle = middle
-        self.determinate = determinate
+        self.middle = None
+
+    @property
+    def determinate(self):
+        return self.middle is not None
 
 
 def omega_approximation(m, n):
@@ -116,5 +118,4 @@ def relative_ar_sequence(m, level, bound=64):
             raise CertificateFailure(
                 "%s end of the sequence leaves the subcategory" % name)
     res.middle = ses.mid
-    res.determinate = True
     return res

@@ -451,35 +451,30 @@ def _stratified_gorenstein(bound):
     return c
 
 
-REGISTRY = {}
-
-
-def _register(example_id, fn):
-    REGISTRY[example_id] = fn
-
-
-_register("ex3.1-n3", lambda bound, seed: _serial_tower(3, bound))
-_register("ex3.1-n4", lambda bound, seed: _serial_tower(4, bound))
-_register("ex3.1-n5", lambda bound, seed: _serial_tower(5, bound))
-_register("ex3.2", lambda bound, seed: _gorenstein_serial(bound))
-_register("ex3.3", lambda bound, seed: _acyclic_serial(bound))
-_register("ex3.5", lambda bound, seed: _klein_gendo(bound))
-_register("ex3.6-d1", lambda bound, seed: _serial_pair_d1(bound))
-_register("ex3.6-d2", lambda bound, seed: _serial_pair_d2(bound))
-_register("ex3.6-parity", lambda bound, seed: _serial_pair_parity(bound))
-_register("prop4.4-B3lambda0", lambda bound, seed: _two_way_zero_twist(bound))
-_register("thm4.7-n2", lambda bound, seed: _two_way_tower(2, bound))
-_register("thm4.7-n3", lambda bound, seed: _two_way_tower(3, bound))
-_register("thm4.7-n4", lambda bound, seed: _two_way_tower(4, bound))
-_register("lemma4.3-n3", lambda bound, seed: _chain_endo(3, bound))
-_register("lemma4.3-n4", lambda bound, seed: _chain_endo(4, bound))
-_register("props-core", lambda bound, seed: _exact_core_battery(seed))
-_register("props-benson", lambda bound, seed: _simple_ext_support())
-_register("props-xidom", lambda bound, seed: _dominant_lower_bound(bound))
-_register("props-ext", lambda bound, seed: _ext_agreement())
-_register("props-omega", lambda bound, seed: _syzygy_image(bound))
-_register("props-quadruple", lambda bound, seed: _cosyzygy_class(bound))
-_register("props-mazov", lambda bound, seed: _stratified_gorenstein(bound))
+REGISTRY = {
+    "ex3.1-n3": lambda bound, seed: _serial_tower(3, bound),
+    "ex3.1-n4": lambda bound, seed: _serial_tower(4, bound),
+    "ex3.1-n5": lambda bound, seed: _serial_tower(5, bound),
+    "ex3.2": lambda bound, seed: _gorenstein_serial(bound),
+    "ex3.3": lambda bound, seed: _acyclic_serial(bound),
+    "ex3.5": lambda bound, seed: _klein_gendo(bound),
+    "ex3.6-d1": lambda bound, seed: _serial_pair_d1(bound),
+    "ex3.6-d2": lambda bound, seed: _serial_pair_d2(bound),
+    "ex3.6-parity": lambda bound, seed: _serial_pair_parity(bound),
+    "prop4.4-B3lambda0": lambda bound, seed: _two_way_zero_twist(bound),
+    "thm4.7-n2": lambda bound, seed: _two_way_tower(2, bound),
+    "thm4.7-n3": lambda bound, seed: _two_way_tower(3, bound),
+    "thm4.7-n4": lambda bound, seed: _two_way_tower(4, bound),
+    "lemma4.3-n3": lambda bound, seed: _chain_endo(3, bound),
+    "lemma4.3-n4": lambda bound, seed: _chain_endo(4, bound),
+    "props-core": lambda bound, seed: _exact_core_battery(seed),
+    "props-benson": lambda bound, seed: _simple_ext_support(),
+    "props-xidom": lambda bound, seed: _dominant_lower_bound(bound),
+    "props-ext": lambda bound, seed: _ext_agreement(),
+    "props-omega": lambda bound, seed: _syzygy_image(bound),
+    "props-quadruple": lambda bound, seed: _cosyzygy_class(bound),
+    "props-mazov": lambda bound, seed: _stratified_gorenstein(bound),
+}
 
 
 def all_example_ids():

@@ -51,6 +51,14 @@ decompositions matched summand by summand with the same search.  It
 shares modules.decompose, which tries the Hom basis and then a finite,
 deterministic list of combinations; no seeded search is left in it.
 
+textbook_nakayama is the reference for algebra.nakayama_from_kupisch:
+the Nakayama algebra of a Kupisch series under the textbook conditions
+(Assem-Simson-Skowronski, Elements I, chapter V), tested shape by shape.  A
+series c_0 .. c_{n-1} is linear when c_{n-1} = 1, 2 <= c_i <= n - i and
+c_i <= c_{i+1} + 1 for i < n - 1, and cyclic when every c_i >= 2 and
+c_i <= c_{i+1} + 1 with indices mod n.  The quiver and the zero relations
+are written out and passed straight to build_algebra.
+
 path_normal_form is the image of a quiver path in an algebra, a product
 of arrow elements.  rediscovered_quotient is the reference for
 BoundQuiverAlgebra.quotient_by_idempotent_ideal: the presentation of
@@ -63,7 +71,7 @@ from fractions import Fraction
 
 import sympy
 
-from quiverhom.algebra import Path, Relation, build_algebra
+from quiverhom.algebra import Path, Quiver, Relation, build_algebra
 from quiverhom.homology import (
     _coord_matrix, _hom_offsets, _presentation_elements, projective_cover,
 )
@@ -504,6 +512,30 @@ def quotient_tower_walk(m, algebra, order, proper):
         mult[t] = k
         cur = reduced_quotient_by_rows(cur, incl.blocks)[0]
     return (True, mult) if cur.is_zero() else (False, None)
+
+
+def textbook_nakayama(kupisch):
+    """The Nakayama algebra with this Kupisch series, or None when the
+    series is neither a linear nor a cyclic one."""
+    c = list(kupisch)
+    n = len(c)
+    linear = n > 0 and c[-1] == 1 and all(
+        2 <= c[i] <= n - i and c[i] <= c[i + 1] + 1 for i in range(n - 1))
+    cyclic = n > 0 and all(
+        c[i] >= 2 and c[i] <= c[(i + 1) % n] + 1 for i in range(n))
+    if linear:
+        arrows = [("a%d" % i, i, i + 1) for i in range(n - 1)]
+        starts = [i for i in range(n) if i + c[i] <= n - 1]
+    elif cyclic:
+        arrows = [("a%d" % i, i, (i + 1) % n) for i in range(n)]
+        starts = list(range(n))
+    else:
+        return None
+    rels = [Relation([(1, Path(i, (i + c[i]) % n,
+                               tuple((i + k) % n for k in range(c[i]))))])
+            for i in starts]
+    return build_algebra(Quiver(list(range(n)), arrows), rels,
+                         loewy_cap=max(c) + 1)
 
 
 def path_normal_form(alg, path):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,7 +15,9 @@ from quiverhom.errors import (
 )
 from quiverhom.linalg import Matrix, kernel_vectors, rank
 
-from oracles import path_normal_form, word_space_dimension
+from oracles import (
+    path_normal_form, textbook_nakayama, word_space_dimension,
+)
 
 
 def _klein_primitive():
@@ -101,22 +105,46 @@ def test_cyclic_nakayama_oracle():
 
 
 def test_linear_nakayama():
-    a = nakayama_from_kupisch([2, 2, 1], cyclic=False)
+    a = nakayama_from_kupisch([2, 2, 1])
     assert a.dim == 5
     assert len(a.quiver.arrows) == 2
 
 
 def test_kupisch_validation():
     with pytest.raises(InvalidSeries):
-        nakayama_from_kupisch([2, 1])
+        nakayama_from_kupisch([1, 2])
     with pytest.raises(InvalidSeries):
         nakayama_from_kupisch([4, 2])
     with pytest.raises(InvalidSeries):
         nakayama_from_kupisch([])
     with pytest.raises(InvalidSeries):
-        nakayama_from_kupisch([3, 1], cyclic=False)
+        nakayama_from_kupisch([3, 1])
     with pytest.raises(InvalidSeries):
-        nakayama_from_kupisch([2, 2], cyclic=False)
+        nakayama_from_kupisch([2, 1, 1])
+    # a series that ends in 1 is the line
+    a = nakayama_from_kupisch([2, 1])
+    assert a.dim == 3
+    assert [(x.source, x.target) for x in a.quiver.arrows] == [(0, 1)]
+
+
+def _nakayama_data(a):
+    return ([(x.name, x.source, x.target) for x in a.quiver.arrows],
+            [(p.source, p.target, p.word) for p in a.basis], a.mult)
+
+
+def test_kupisch_matches_textbook_oracle():
+    """Every series of length <= 4 with entries 0..5: the package builds
+    the algebra the textbook conditions present, and refuses exactly where
+    they do."""
+    for n in range(1, 5):
+        for kup in itertools.product(range(6), repeat=n):
+            expected = textbook_nakayama(list(kup))
+            if expected is None:
+                with pytest.raises(InvalidSeries):
+                    nakayama_from_kupisch(list(kup))
+            else:
+                assert _nakayama_data(nakayama_from_kupisch(list(kup))) == \
+                    _nakayama_data(expected), kup
 
 
 def test_cartan_223():

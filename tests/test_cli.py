@@ -58,6 +58,17 @@ def test_analyze_structured():
     assert rep["gorenstein"] is True
 
 
+def test_analyze_reads_a_series_that_ends_in_1_as_the_line(capsys):
+    """kupisch:2,2,1 is kA_3/rad^2, the Auslander algebra of A_2, so by
+    Auslander (1971) its global dimension is at most 2 and its dominant
+    dimension at least 2."""
+    assert cli.main(["analyze", "kupisch:2,2,1", "--format",
+                     "structured"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["gldim"] == {"kind": "exact", "n": 2}
+    assert rep["domdim"] == {"kind": "exact", "n": 2}
+
+
 def test_structured_output_is_byte_stable():
     args = ("stratify", "kupisch:2,2,3", "--order", "1,2,0",
             "--format", "structured")
@@ -295,6 +306,7 @@ def test_bad_shorthand_is_a_parse_error(capsys):
     cases = [
         ("kupisch:", "empty series"),
         ("kupisch:2,5", "entry 2 drops by more than one after position 1"),
+        ("kupisch:3,1", "entry 1 drops by more than one after position 0"),
         ("bnlambda:3,2", "twist parameters must be 0 or 1"),
         ("bnlambda:1", "family needs at least two vertices"),
         ("bnlambda", "bnlambda needs a vertex count"),

@@ -3,6 +3,7 @@ dunder, is named somewhere in the package: code that only tests reach, or
 nothing at all, is not kept.  A dunder is a hook the interpreter calls,
 such as the package's module-level __getattr__."""
 import ast
+from itertools import chain
 from pathlib import Path
 
 import quiverhom
@@ -186,3 +187,75 @@ def test_named_algebras_are_built_outside_stratify():
                 "monomial_relation"}
     assert [n for _, n in _relative_imports(trees["stratify.py"])
             if n in builders] == []
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+# no call passes a testset yet; the planned Auslander-Reiten quiver and
+# main-theorem registry ids are to pass their own module lists
+UNSET_OPTIONS = {("stratify.py", "verify_main_equivalences", "testset"),
+                 ("stratify.py", "verify_duality_consequences", "testset")}
+
+
+def _optional_parameters(tree):
+    """(def name, parameter, position or None) of every parameter with a
+    default, the position counted from a call's first argument: a method
+    other than a staticmethod takes self or cls first, and __init__ goes
+    by its class's name."""
+    methods = {node: cls.name for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef)
+               for node in cls.body if isinstance(node, DEFS)
+               and "staticmethod" not in {d.id for d in node.decorator_list
+                                          if isinstance(d, ast.Name)}}
+    for node in ast.walk(tree):
+        if not isinstance(node, DEFS):
+            continue
+        cls = methods.get(node)
+        name = cls if node.name == "__init__" and cls else node.name
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        for k in range(first, len(positional)):
+            yield name, positional[k].arg, k - (cls is not None)
+        for a, d in zip(args.kwonlyargs, args.kw_defaults):
+            if d is not None:
+                yield name, a.arg, None
+
+
+def _calls(node, cls=None):
+    """(callee name, call) of every call under node; cls(...) inside a
+    class calls that class."""
+    if isinstance(node, ast.ClassDef):
+        cls = node.name
+    if isinstance(node, ast.Call):
+        f = node.func
+        name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+        yield (cls if name == "cls" and cls else name), node
+    for child in ast.iter_child_nodes(node):
+        yield from _calls(child, cls)
+
+
+def _sets(call, parameter, position):
+    if any(kw.arg in (parameter, None) for kw in call.keywords):
+        return True
+    return position is not None and (
+        len(call.args) > position
+        or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_every_option_is_set_by_a_call():
+    """Every optional parameter of a package def is set by at least one
+    call in src/, tests/ or perfbench/; an option that no call sets is
+    not kept.  bound is exempt: the two bound guards in tests/test_api.py
+    cover it."""
+    calls = {}
+    for path in chain(PACKAGE.glob("*.py"), (REPO / "tests").glob("*.py"),
+                      (REPO / "perfbench").glob("*.py")):
+        for name, call in _calls(ast.parse(path.read_text())):
+            calls.setdefault(name, []).append(call)
+    unset = [(file, name, parameter) for file, tree in _trees()
+             for name, parameter, position in _optional_parameters(tree)
+             if parameter != "bound"
+             and not any(_sets(call, parameter, position)
+                         for call in calls.get(name, ()))]
+    assert sorted(set(unset) - UNSET_OPTIONS) == []

@@ -36,7 +36,7 @@ def a223():
 
 @pytest.fixture(scope="module")
 def a21():
-    return nakayama_from_kupisch([2, 1], cyclic=False)
+    return nakayama_from_kupisch([2, 1])
 
 
 @pytest.fixture(scope="module")

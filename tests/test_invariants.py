@@ -9,10 +9,10 @@ from quiverhom.algebra import (
     bnlambda_family, klein_four_like, nakayama_from_kupisch,
     symmetric_chain_family,
 )
-from quiverhom import modules, verify
+from quiverhom import invariants, modules, verify
 from quiverhom.errors import (
-    BoundExceeded, DecompositionInconclusive, DominantDimensionZero,
-    NotApplicable,
+    BoundExceeded, CertificateFailure, DecompositionInconclusive,
+    DominantDimensionZero, NotApplicable,
 )
 from quiverhom.homology import ext_dim, mueller_domdim
 from quiverhom.invariants import (
@@ -66,6 +66,27 @@ def test_simple_dimensions_223(a223):
 def test_gorenstein_223(a223):
     right, left, flag = gorenstein_dimension(a223)
     assert (right, left, flag) == (Dim.exact(3), Dim.exact(3), True)
+
+
+def test_one_sided_self_injective_dimensions_must_agree(monkeypatch):
+    a = nakayama_from_kupisch([2, 2, 3])
+    monkeypatch.setattr(invariants, "injective_dimension",
+                        lambda m, bound=64: Dim.exact(3 if m.algebra is a
+                                                      else 2))
+    with pytest.raises(CertificateFailure,
+                       match="one-sided self-injective dimensions disagree"):
+        gorenstein_dimension(a)
+
+
+def test_gp_dimension_must_match_the_top_extension_degree(a223,
+                                                          monkeypatch):
+    # S(0) has projective dimension 3, so Ext^3(S(0), A) is nonzero
+    monkeypatch.setattr(invariants, "is_gorenstein_projective",
+                        lambda m, bound=64: True)
+    with pytest.raises(CertificateFailure,
+                       match="Gorenstein-projective dimension 0 does not "
+                             "match the top nonvanishing extension degree 3"):
+        gp_dimension(simple_rep(a223, 0))
 
 
 def test_domdim_codomdim_s1_over_23(a23):

@@ -129,6 +129,15 @@ def test_main_equivalences_223(st223):
     assert len(out["modules"]) == 7
 
 
+def test_main_equivalences_must_agree(st223, monkeypatch):
+    # the first condition alone reads false; the other three still hold
+    monkeypatch.setattr(stratify, "same_add_closure", lambda xs, ys: False)
+    with pytest.raises(CertificateFailure,
+                       match=r"equivalent conditions disagree: "
+                             r"\(False, True, True, True\)"):
+        verify_main_equivalences(st223)
+
+
 def test_tilting_conjecture_223(st223):
     out = tilting_conjecture_report(st223)
     assert out == {"gorenstein": True, "tilting_equals_cotilting": True,
