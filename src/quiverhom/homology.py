@@ -15,16 +15,17 @@ to one already there shares its resolution: every cover, kernel,
 presentation and extension-group matrix is made once per distinct
 module, and a periodic resolution is a cycle of links.  The
 extension-group data lives on the links alone: each keeps, per target, the
-coordinate matrix of its degree 0 with its rank, and every extension
-dimension is read off those entries.
+shape of the coordinate matrix of its degree 0, the matrix and its rank,
+and every extension dimension is read off those entries.
 
 Most of those coordinate matrices are empty: Hom(term 0, n) or
 Hom(term 1, n) is zero whenever n vanishes at the vertices of the term's
-tops.  An empty matrix is made with no path action read and has rank 0
-with no elimination, and a product with an empty factor is zero, so two
-links are multiplied out to check that they compose to zero only when both
-matrices are nonempty; their shapes are compared for every pair.  These
-are exact, not cut-offs: an empty matrix has no entries to compute.
+tops.  An entry whose matrix is empty stores its shape only: no matrix is
+made, no path action read, and its rank is 0 with no elimination.  A
+product with an empty factor is zero, so two links are multiplied out to
+check that they compose to zero only when both store a matrix; their
+stored shapes are compared for every pair.  These are exact, not
+cut-offs: an empty matrix has no entries to compute.
 """
 from __future__ import annotations
 
@@ -85,9 +86,11 @@ class ProjectiveResolution:
     nonzero generator-to-generator terms (see _presentation_elements).
     The presentation does not depend on the target of an extension group,
     so every target reads the same terms.  Against each target, a link
-    keeps the degree-0 coordinate matrix of its module with its rank, and
-    whether it composes to zero with the next link's (see _ext_links);
-    nothing else about an extension group is kept."""
+    keeps one entry [rows, cols, B, rank, checked]: the shape of the
+    degree-0 coordinate matrix of its module, the matrix B (None when it
+    is empty), its rank, and whether it composes to zero with the next
+    link's (see _ext_links); nothing else about an extension group is
+    kept."""
 
     def __init__(self, m):
         self.module = m
@@ -225,41 +228,45 @@ def _coord_matrix(P0, P1, terms, n):
     times the action of p, from the component of n at v to the one at w,
     into the (j0, j1) block.
 
-    When Hom(P0, n) or Hom(P1, n) is zero (h0 or h1 is 0) the matrix has
-    no entries, whatever the terms: it is returned with no path action
-    read."""
+    Returns (h0, h1, B): the dimensions of Hom(P0, n) and Hom(P1, n),
+    the shape of the matrix, and the matrix.  When h0 or h1 is 0 the
+    matrix has no entries, whatever the terms: B is None, and no path
+    action is read."""
     offs0, h0 = _hom_offsets(P0, n)
     offs1, h1 = _hom_offsets(P1, n)
+    if not (h0 and h1):
+        return h0, h1, None
     out = [[0] * h1 for _ in range(h0)]
-    if h0 and h1:
-        basis = n.algebra.basis
-        for j1, j0, bi, c in terms:
-            r0, c1 = offs0[j0], offs1[j1]
-            for i, prow in enumerate(n.path_action(basis[bi]).data):
-                orow = out[r0 + i]
-                for j, x in enumerate(prow):
-                    if x:
-                        orow[c1 + j] += c * x
-    return Matrix(out, h0, h1)
+    basis = n.algebra.basis
+    for j1, j0, bi, c in terms:
+        r0, c1 = offs0[j0], offs1[j1]
+        for i, prow in enumerate(n.path_action(basis[bi]).data):
+            orow = out[r0 + i]
+            for j, x in enumerate(prow):
+                if x:
+                    orow[c1 + j] += c * x
+    return h0, h1, Matrix(out, h0, h1)
 
 
 def _ext_links(m, n, imax):
     """The entries against n of links 0..imax of m's resolution.
 
     Degree i of m is degree 0 of its syzygy i, so each link keeps, per
-    target, one entry [B, rank, checked] under the key n (a module hashes
-    by identity): B is the coordinate matrix of degree 0 of the link's
-    module, whose row count is the dimension of Hom(term 0, n), and rank
-    its rank.  The entry is made once per link and target, and checked is
-    set when B and the next link's matrix have been found to compose to
-    zero, so each pair of links is checked once per target; a cycle's
-    closing link is one of them.
+    target, one entry [rows, cols, B, rank, checked] under the key n (a
+    module hashes by identity): B is the coordinate matrix of degree 0 of
+    the link's module, of shape (rows, cols), where rows is the dimension
+    of Hom(term 0, n) and cols that of Hom(term 1, n), and rank its rank.
+    The entry is made once per link and target, and checked is set when B
+    and the next link's matrix have been found to compose to zero, so
+    each pair of links is checked once per target; a cycle's closing link
+    is one of them.
 
-    An empty B (no rows or no columns) has rank 0, found with no
-    elimination.  Every pair must agree in shape (the columns of the
-    upper B are the rows of the lower); it is multiplied out only when
-    both matrices are nonempty, since any other product of agreeing
-    shapes has no entries or a zero inner dimension, and is zero."""
+    When rows or cols is 0, B has no entries: the entry stores its shape
+    only, with B None and rank 0, found with no elimination.  Every pair
+    must agree in its stored shapes (the cols of the upper entry are the
+    rows of the lower); it is multiplied out only when both entries store
+    a matrix, since any other product of agreeing shapes has no entries
+    or a zero inner dimension, and is zero."""
     res = projective_resolution(m)
     out = []
     above = None
@@ -267,17 +274,17 @@ def _ext_links(m, n, imax):
         e = res._ext.get(n)
         if e is None:
             nxt = res._link()._next
-            B = _coord_matrix(res._cover.source, nxt._link()._cover.source,
-                              res.presentation(1), n)
-            e = res._ext[n] = [B, rank(B) if B.nrows and B.ncols else 0,
-                               False]
-        if above is not None and not above[2]:
-            A, B = above[0], e[0]
-            if A.ncols != B.nrows:
+            h0, h1, B = _coord_matrix(res._cover.source,
+                                      nxt._link()._cover.source,
+                                      res.presentation(1), n)
+            e = res._ext[n] = [h0, h1, B, 0 if B is None else rank(B), False]
+        if above is not None and not above[4]:
+            if above[1] != e[0]:
                 raise CertificateFailure("coordinate complex shapes disagree")
-            if A.nrows and A.ncols and B.ncols and not (A @ B).is_zero():
+            A, B = above[2], e[2]
+            if A is not None and B is not None and not (A @ B).is_zero():
                 raise CertificateFailure("coordinate complex fails to compose to zero")
-            above[2] = True
+            above[4] = True
         out.append(e)
         above = e
         # a link with an entry has been linked: its cover made its next link
@@ -294,8 +301,8 @@ def ext_dims_proj(m, n, imax):
         return [0] * (imax + 1)
     dims = []
     r_above = 0
-    for B, r, _ in _ext_links(m, n, imax):
-        dims.append(B.nrows - r - r_above)
+    for h, _, _, r, _ in _ext_links(m, n, imax):
+        dims.append(h - r - r_above)
         r_above = r
     return dims
 
@@ -321,11 +328,14 @@ def ext1_cocycles(m, n):
     """One representative map syzygy(m) -> n per basis vector of the first
     extension group: the cocycles, rows of the left kernel of B1, that
     grow the span of the coboundaries (the row space of B0) and of the
-    cocycles kept before them, one Echelon pass over the kernel rows."""
+    cocycles kept before them, one Echelon pass over the kernel rows.  An
+    entry that stores its shape only stands for the zero matrix of that
+    shape."""
     if m.is_zero() or n.is_zero():
         return []
     res = projective_resolution(m)
-    B0, B1 = (e[0] for e in _ext_links(m, n, 1))
+    B0, B1 = (Matrix.zeros(h0, h1) if B is None else B
+              for h0, h1, B, _, _ in _ext_links(m, n, 1))
     P1 = res.term(1)
     ker = left_kernel(B1)
     if ker.nrows == 0:

@@ -117,9 +117,13 @@ class Matrix:
         return Matrix([[c * a for a in r] for r in self.data], self.nrows, self.ncols)
 
     def __matmul__(self, other):
+        """The product; a zero dimension gives the zero matrix of the
+        product's shape at once, with no loop."""
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matmul: %s @ %s"
                              % (self.shape, other.shape))
+        if not (self.nrows and self.ncols and other.ncols):
+            return Matrix.zeros(self.nrows, other.ncols)
         ot = other.data
         out = []
         for r in self.data:
@@ -226,11 +230,14 @@ def rref(mat):
 
     Returns (R, pivot_cols).  Pivoting: scan columns left to right, take the
     first row (smallest index among the unused) with a nonzero entry.  An
-    empty shape is its own reduced form.  Elimination runs on integer rows
-    (_echelon), and each pivot row is divided by its pivot only at the end;
-    the RREF is unique, so it is the one elimination in Fractions gives, and
-    every integral entry of it is an int.
+    empty shape (no rows or no columns) is its own reduced form, returned
+    at once with no pivots.  Elimination runs on integer rows (_echelon),
+    and each pivot row is divided by its pivot only at the end; the RREF is
+    unique, so it is the one elimination in Fractions gives, and every
+    integral entry of it is an int.
     """
+    if not (mat.nrows and mat.ncols):
+        return mat, ()
     rows, pivots = _echelon(mat)
     for r, c in enumerate(pivots):
         p = rows[r][c]
@@ -241,8 +248,11 @@ def rref(mat):
 
 def rank(mat):
     """The number of pivots of the RREF, read before the pivot rows are
-    divided.  One row or one column has rank 1 exactly when some entry is
-    nonzero, which is read with no elimination."""
+    divided.  An empty shape has rank 0, and one row or one column has rank
+    1 exactly when some entry is nonzero; both are read with no
+    elimination."""
+    if not (mat.nrows and mat.ncols):
+        return 0
     if mat.nrows == 1:
         return int(any(mat.data[0]))
     if mat.ncols == 1:
@@ -251,7 +261,9 @@ def rank(mat):
 
 
 def row_space(mat):
-    """Basis of the row space: the nonzero rows of the RREF."""
+    """Basis of the row space: the nonzero rows of the RREF.  An empty
+    shape spans nothing: rref returns it at once with no pivots, so it
+    gives no rows with no elimination."""
     R, piv = rref(mat)
     return Matrix(R.data[:len(piv)], len(piv), mat.ncols)
 
@@ -333,7 +345,10 @@ def kernel_vectors(mat):
 
 def left_kernel(mat):
     """Rows x with x @ mat = 0, stacked as a matrix: the right kernel of
-    the transpose, built row by row."""
+    the transpose, built row by row.  With no columns every row is in the
+    kernel, and the identity is returned with no elimination."""
+    if not mat.ncols:
+        return Matrix.identity(mat.nrows)
     rows = kernel_vectors(mat.transpose())
     return Matrix(rows, len(rows), mat.nrows)
 

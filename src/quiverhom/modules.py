@@ -62,7 +62,11 @@ class Representation:
             self._check_relations()
 
     def _check_relations(self):
+        """Every relation acts as zero.  A relation whose source or target
+        component is zero acts between empty spaces and is not summed."""
         for r in self.algebra.relations:
+            if not (self.dims[r.source] and self.dims[r.target]):
+                continue
             acc = Matrix.zeros(self.dims[r.source], self.dims[r.target])
             for c, p in r.terms:
                 acc = acc + self.path_action(p).scale(c)
@@ -94,7 +98,11 @@ class Representation:
 
 
 class ModuleMap:
-    """Homomorphism of representations, one matrix block per vertex."""
+    """Homomorphism of representations, one matrix block per vertex.
+
+    Validation checks the square of each arrow a: s -> t, of shape (source
+    dim at s, target dim at t); an arrow with a zero end has an empty
+    square and is skipped."""
 
     def __init__(self, source, target, blocks, validate=True):
         if source.algebra is not target.algebra:
@@ -112,6 +120,8 @@ class ModuleMap:
             self.blocks[v] = b
         if validate:
             for a in q.arrows:
+                if not (source.dims[a.source] and target.dims[a.target]):
+                    continue
                 lhs = source.mats[a.index] @ self.blocks[a.target]
                 rhs = self.blocks[a.source] @ target.mats[a.index]
                 if lhs != rhs:
@@ -228,10 +238,14 @@ def projective_map(proj, target, images):
     of c_k·row (p_k, j), where p·a = sum c_k p_k in A, and the map sends
     that to images[j]·(sum c_k action(p_k)) = images[j]·action(p)·T_a,
     because the target satisfies the relations (the Representation
-    invariant)."""
+    invariant).  A vertex where the target is zero gets its zero-width
+    block at once, with no path action read."""
     basis = proj.algebra.basis
     blocks = {}
     for w in proj.algebra.quiver.vertices:
+        if not target.dims[w]:
+            blocks[w] = Matrix.zeros(proj.dims[w], 0)
+            continue
         blocks[w] = Matrix(
             [linear_combination(images[j], target.path_action(basis[i]).data)
              if any(images[j]) else [0] * target.dims[w]
@@ -304,13 +318,16 @@ def summand_projection(total, reps, idx):
 @memo
 def radical_rows(m):
     """Row space of the radical at each vertex: a dict from vertex to the
-    nonzero rows of an RREF.  Computed once per module and kept on it
-    (algebra.memo); callers never mutate the shared dict or its matrices."""
+    nonzero rows of an RREF, the span of the images of the arrows into v.
+    A zero component has the empty row space, and an arrow out of a zero
+    component has no rows, so it is left out of the stack.  Computed once
+    per module and kept on it (algebra.memo); callers never mutate the
+    shared dict or its matrices."""
     q = m.algebra.quiver
     out = {}
     for v in q.vertices:
-        pieces = [m.mats[a.index] for a in q.arrows_to(v)]
-        if pieces:
+        pieces = [m.mats[a.index] for a in q.arrows_to(v) if m.dims[a.source]]
+        if pieces and m.dims[v]:
             out[v] = row_space(vstack(pieces))
         else:
             out[v] = Matrix.zeros(0, m.dims[v])
@@ -380,7 +397,12 @@ def sub_representation(m, rows_by_vertex):
     rank, so rho(X) = 0.  Nor is the inclusion checked against the
     arrows: its block at v is span_v, and span_s M_a = X_a span_t is
     exactly the commuting square for the arrow a, just certified in exact
-    arithmetic."""
+    arithmetic.
+
+    When span_s has no rows, or the component of m at t is zero, X_a is
+    the empty matrix of its shape, with no product and no check: img has
+    no entries.  An empty span_t over a nonzero component is multiplied
+    and checked, since then img must be zero."""
     q = m.algebra.quiver
     spans = {}
     for v in q.vertices:
@@ -390,8 +412,11 @@ def sub_representation(m, rows_by_vertex):
         spans[v] = row_space(mat)
     mats = {}
     for a in q.arrows:
-        span_t = spans[a.target]
-        img = spans[a.source] @ m.mats[a.index]
+        span_s, span_t = spans[a.source], spans[a.target]
+        if not (span_s.nrows and m.dims[a.target]):
+            mats[a.index] = Matrix.zeros(span_s.nrows, span_t.nrows)
+            continue
+        img = span_s @ m.mats[a.index]
         piv = [r.index(1) for r in span_t.data]
         x = Matrix([[r[c] for c in piv] for r in img.data],
                    img.nrows, len(piv))

@@ -17,7 +17,7 @@ from .homology import (
     is_projective, syzygy,
 )
 from .invariants import algebra_dominant_dimension, dominant_dimension
-from .modules import decompose
+from .modules import decompose, first_of_each_iso_class
 
 
 class RelativeARResult:
@@ -55,7 +55,9 @@ def omega_approximation(m, n):
 def relative_ar_translate(m, level, bound=64):
     """Relative translate of m in the category of modules of dominant
     dimension at least the level: the unique indecomposable summand of the
-    approximated ordinary translate that m pairs with in degree one.
+    approximated ordinary translate that m pairs with in degree one, up to
+    isomorphism, so a summand repeated in the approximation (Y + Y) counts
+    once.
     A dominant dimension cut off by the bound below the level settles no
     membership and raises BoundExceeded, so it is never read as outside."""
     if level < 0:
@@ -80,10 +82,8 @@ def relative_ar_translate(m, level, bound=64):
         core = syzygy(cos, level)
     else:
         core = t
-    hits = []
-    for y in decompose(core):
-        if ext_dim(m, y, 1):
-            hits.append(y)
+    hits = [y for y in decompose(core) if ext_dim(m, y, 1)]
+    hits = [hits[i] for i in first_of_each_iso_class(hits)]
     if not hits:
         raise ExtProjective("no approximation summand pairs with the module")
     if len(hits) > 1:

@@ -461,7 +461,9 @@ def flat_ext_dims(flat, n, imax):
     for i in range(imax + 1):
         P0, P1 = covers[i].source, covers[i + 1].source
         d = covers[i + 1].then(incls[i])
-        B = _coord_matrix(P0, P1, _presentation_elements(d), n)
+        h0, h1, B = _coord_matrix(P0, P1, _presentation_elements(d), n)
+        if B is None:
+            B = Matrix.zeros(h0, h1)
         hs.append(_hom_offsets(P0, n)[1])
         ranks.append(len(fraction_rref(B.data, B.ncols)[1]))
     return [hs[i] - ranks[i] - (ranks[i - 1] if i else 0)

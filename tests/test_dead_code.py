@@ -259,3 +259,35 @@ def test_every_option_is_set_by_a_call():
              and not any(_sets(call, parameter, position)
                          for call in calls.get(name, ()))]
     assert sorted(set(unset) - UNSET_OPTIONS) == []
+
+
+# the modules whose certificate guards are all tripped by a test
+TRIPPED = ("homology.py", "modules.py")
+
+
+def _certificate_messages(tree):
+    """The message of every `raise CertificateFailure(...)` whose argument
+    is a string literal, or a `%` format of one, read up to its first `%`
+    directive.  A message passed in by the caller (homology._factor's
+    why) is not a literal here; its callers' literals are."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                and getattr(node.exc.func, "id", None) == "CertificateFailure"):
+            continue
+        arg = node.exc.args[0]
+        if isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Mod):
+            arg = arg.left
+        if isinstance(arg, ast.Constant):
+            yield arg.value.split("%", 1)[0]
+
+
+def test_every_certificate_guard_is_tripped_by_a_test():
+    """Every CertificateFailure message of homology.py and modules.py
+    appears in a test: a guard that no test makes fire may be wrong or
+    unreachable, and nothing would tell."""
+    tests = "".join(p.read_text() for p in (REPO / "tests").glob("*.py"))
+    trees = dict(_trees())
+    untripped = [(name, msg) for name in TRIPPED
+                 for msg in _certificate_messages(trees[name])
+                 if msg not in tests]
+    assert untripped == []

@@ -22,7 +22,7 @@ from quiverhom.linalg import Matrix
 from quiverhom.modules import (
     ModuleMap, cyclic_submodule, direct_sum, dualize, iso_test,
     projective_map, projective_rep, radical_rows, regular_rep, simple_rep,
-    summand_inclusion, summand_projection,
+    summand_inclusion, summand_projection, zero_rep,
 )
 from quiverhom.values import Dim
 
@@ -109,15 +109,24 @@ def test_coordinate_matrices_match_the_composed_differentials(spec):
     mods = [m for _, m in canonical_test_set(parse_construction(spec))]
     imax = 4
     nonzero = 0
+    shape_only = 0
     for m in mods:
         res = projective_resolution(m)
         for n in mods:
-            Bs = [e[0] for e in homology._ext_links(m, n, imax)]
-            assert len(Bs) == imax + 1
-            for i, B in enumerate(Bs):
-                assert B == _reference_coord_matrix(res, i, n)
-                nonzero += not B.is_zero()
-    assert nonzero
+            entries = homology._ext_links(m, n, imax)
+            assert len(entries) == imax + 1
+            for i, (rows, cols, B, _, _) in enumerate(entries):
+                ref = _reference_coord_matrix(res, i, n)
+                if B is None:
+                    # an entry that holds only its shape stands for the
+                    # empty matrix of that shape
+                    assert not (ref.nrows and ref.ncols)
+                    assert ref == Matrix.zeros(rows, cols)
+                    shape_only += 1
+                else:
+                    assert B == ref
+                    nonzero += not B.is_zero()
+    assert nonzero and shape_only
 
 
 def _distinct_data(mods):
@@ -231,7 +240,7 @@ def test_a_corrupted_coordinate_matrix_fails_the_certificate(monkeypatch):
     orig = homology._coord_matrix
 
     def perturbed(P0, P1, ents, n):
-        B = orig(P0, P1, ents, n)
+        h0, h1, B = orig(P0, P1, ents, n)
         if len(made) == 1:
             # a column c with a nonzero entry in the first matrix: one
             # more in row c of the second makes their product nonzero
@@ -240,7 +249,7 @@ def test_a_corrupted_coordinate_matrix_fails_the_certificate(monkeypatch):
             rows[c][0] += 1
             B = Matrix(rows, B.nrows, B.ncols)
         made.append(B)
-        return B
+        return h0, h1, B
 
     monkeypatch.setattr(homology, "_coord_matrix", perturbed)
     a = nakayama_from_kupisch([2, 2, 3])
@@ -286,7 +295,28 @@ def test_cached_ext_dimensions_are_prefixes_of_the_longest_answer():
         assert all(d == longest[:len(d)] for d in dims)
     for m in closing:
         for n in mods:
-            assert all(res._ext[n][2] for res in _links(m, 6)[:-1])
+            assert all(res._ext[n][4] for res in _links(m, 6)[:-1])
+
+
+@pytest.mark.parametrize("spec", ["kupisch:2,2,3", "bnlambda:3,1"])
+def test_no_entry_stores_a_matrix_with_a_zero_dimension(spec):
+    """After all-pairs ext_dims, on both sides of the duality, every entry
+    with an empty shape holds that shape only, with rank 0, and every
+    stored matrix has the stored shape, with no zero dimension."""
+    mods = [m for _, m in canonical_test_set(parse_construction(spec))]
+    imax = 4
+    entries = []
+    for m in mods:
+        for n in mods:
+            ext_dims(m, n, imax)
+            for x, y in ((m, n), (dualize(n), dualize(m))):
+                entries += [res._ext[y] for res in _links(x, imax)]
+    assert any(B is None for _, _, B, _, _ in entries)
+    for rows, cols, B, r, _ in entries:
+        if B is None:
+            assert not (rows and cols) and r == 0
+        else:
+            assert rows and cols and B.shape == (rows, cols)
 
 
 def test_each_link_builds_its_coordinate_matrix_once_per_target(monkeypatch):
@@ -316,9 +346,9 @@ def _empty_pairs(mods, imax):
     out = []
     for m in mods:
         for n in mods:
-            Bs = [e[0] for e in homology._ext_links(m, n, imax)]
+            es = homology._ext_links(m, n, imax)
             for i in range(imax):
-                if not all(B.nrows and B.ncols for B in Bs[i:i + 2]):
+                if not all(rows and cols for rows, cols, *_ in es[i:i + 2]):
                     out.append((m, n, i))
     return out
 
@@ -332,26 +362,31 @@ def test_a_pair_with_an_empty_coordinate_matrix_is_still_checked():
     pairs = _empty_pairs(mods, imax)
     assert pairs
     for m, n, i in pairs:
-        assert projective_resolution(m)._at(i)._ext[n][2]
+        assert projective_resolution(m)._at(i)._ext[n][4]
 
 
 def test_a_stored_matrix_of_the_wrong_width_fails_the_shape_check():
-    """Link 0's matrix widened by a column no longer agrees with the rows
+    """Link 0's entry widened by a column no longer agrees with the rows
     of link 1's, and the check refuses it even where link 1's matrix is
-    empty, so nothing is multiplied."""
+    empty, so nothing is multiplied: the shapes compared are the stored
+    ones, also for an entry that holds only its shape."""
     mods = [m for _, m in canonical_test_set(parse_construction("kupisch:2,2,3"))]
     found = [(m, n) for m, n, i in _empty_pairs(mods, 1)
-             if not projective_resolution(m)._at(1)._ext[n][0].ncols]
+             if not projective_resolution(m)._at(1)._ext[n][1]]
     assert found
+    assert any(projective_resolution(m)._ext[n][2] is None for m, n in found)
     for m, n in found:
         e = projective_resolution(m)._ext[n]
-        B = e[0]
-        e[0] = Matrix([row + [0] for row in B.data], B.nrows, B.ncols + 1)
-        e[2] = False
+        saved = list(e)
+        B = e[2]
+        e[1] += 1
+        if B is not None:
+            e[2] = Matrix([row + [0] for row in B.data], B.nrows, B.ncols + 1)
+        e[4] = False
         with pytest.raises(CertificateFailure) as err:
             homology._ext_links(m, n, 1)
         assert str(err.value) == "coordinate complex shapes disagree"
-        e[0] = B
+        e[:] = saved
 
 
 @pytest.mark.parametrize("spec", ["kupisch:2,2,3", "bnlambda:3,1",
@@ -490,6 +525,65 @@ def test_factor_refuses_a_map_that_does_not_factor(a21, why):
     h = homology._factor(ident, cover, why)
     assert h.source is P and h.target is cover.target
     assert all(h.blocks[v] == cover.blocks[v] for v in a21.quiver.vertices)
+
+
+def test_a_radical_that_claims_a_top_vector_fails_the_cover_check(
+        a223, monkeypatch):
+    """A radical that claims the top vector of S(0) leaves the cover with
+    no generator, so it misses the module."""
+    orig = homology.radical_rows
+
+    def claimed(m):
+        rad = dict(orig(m))
+        rad[0] = Matrix([[1]], 1, 1)
+        return rad
+
+    monkeypatch.setattr(homology, "radical_rows", claimed)
+    with pytest.raises(CertificateFailure) as err:
+        projective_cover(simple_rep(a223, 0))
+    assert str(err.value) == "cover misses part of the module"
+
+
+def test_a_perturbed_dual_side_fails_the_duality_check(a223, monkeypatch):
+    """ext_dims asks the dual side, over the opposite algebra, for the
+    same dimensions; one more in its degree 0 is refused."""
+    orig = homology.ext_dims_proj
+
+    def perturbed(m, n, imax):
+        dims = orig(m, n, imax)
+        if m.algebra is not a223:
+            dims[0] += 1
+        return dims
+
+    monkeypatch.setattr(homology, "ext_dims_proj", perturbed)
+    s0 = simple_rep(a223, 0)
+    with pytest.raises(CertificateFailure) as err:
+        ext_dims(s0, s0, 2)
+    assert str(err.value).startswith(
+        "extension dimensions disagree across the duality: ")
+
+
+def test_short_exact_refuses_each_broken_sequence(a21):
+    """Each of ShortExact's three checks refuses a sequence built to break
+    it and no check before it: a zero map from S0 is not injective; the
+    identity twice composes to the identity; and 0 -> 0 -> S0 + S0 -> S0
+    -> 0, with the projection onto a summand, has a middle term too
+    large."""
+    s0 = simple_rep(a21, 0)
+    zero = zero_rep(a21)
+    ident = ModuleMap.identity(s0)
+    with pytest.raises(CertificateFailure) as err:
+        ShortExact(s0, ModuleMap.zero(s0, s0), s0, ModuleMap.zero(s0, zero),
+                   zero)
+    assert str(err.value) == "not a short exact sequence"
+    with pytest.raises(CertificateFailure) as err:
+        ShortExact(s0, ident, s0, ident, s0)
+    assert str(err.value) == "composite along the sequence is nonzero"
+    ds = direct_sum([s0, s0])
+    with pytest.raises(CertificateFailure) as err:
+        ShortExact(zero, ModuleMap.zero(zero, ds), ds,
+                   summand_projection(ds, [s0, s0], 0), s0)
+    assert str(err.value) == "middle term has wrong dimension"
 
 
 def test_split_sequence_detected(a21):

@@ -218,6 +218,29 @@ def test_echelon_and_kernels_match_the_fraction_reference(mat):
     assert rs.data == want[:len(want_piv)] and _exact_types(rs)
 
 
+def test_empty_shapes_return_at_once(monkeypatch):
+    """A shape with a zero dimension has no entries: rref, rank, row_space
+    and left_kernel answer with no elimination, with the reference
+    answers, and a product with a zero dimension is the zero matrix of its
+    shape."""
+    def eliminated(mat):
+        raise AssertionError("an empty shape was eliminated")
+
+    monkeypatch.setattr(linalg, "_echelon", eliminated)
+    shapes = [(nr, nc) for nr in range(4) for nc in range(4)
+              if not (nr and nc)]
+    for nr, nc in shapes:
+        m = Matrix.zeros(nr, nc)
+        R, piv = rref(m)
+        assert (R.shape, (R.data, piv)) == (m.shape, fraction_rref(m.data, nc))
+        assert rank(m) == 0
+        assert row_space(m) == Matrix([], 0, nc)
+        assert left_kernel(m) == Matrix.identity(nr)
+        for k in range(3):
+            assert m @ Matrix.zeros(nc, k) == Matrix.zeros(nr, k)
+            assert Matrix.zeros(k, nr) @ m == Matrix.zeros(k, nc)
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(st.integers(0, 6), st.booleans(), st.booleans(), st.data())
 def test_rank_of_one_row_or_one_column_is_the_rref_pivot_count(

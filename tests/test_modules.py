@@ -251,6 +251,66 @@ def test_decompose_indecomposable_certificate(klein):
     assert decompose(xa) == [xa]
 
 
+def test_a_split_that_loses_the_module_fails_the_fitting_check(
+        naka223, monkeypatch):
+    """A split into the factors 1 and 1 makes both kernels zero, so they do
+    not add up to the module."""
+    monkeypatch.setattr(modules, "_coprime_split", lambda coeffs: [[1], [1]])
+    m = direct_sum([projective_rep(naka223, 0), projective_rep(naka223, 0)])
+    with pytest.raises(CertificateFailure) as err:
+        decompose(m)
+    assert str(err.value) == "fitting split does not add up"
+
+
+def test_zero_components_are_vacuous(naka223, monkeypatch):
+    """On kupisch:2,2,3 every relation and every arrow has a zero end on
+    S(0), so checking its relations reads no path action and validating
+    a map from it multiplies nothing; the map from P(0) onto it reads the
+    trivial path only, since S(0) is zero at vertex 1; and the radical of
+    P(0), nonzero at vertex 1 alone, is a submodule whose every arrow has
+    an empty source span or a zero target, so no product is made."""
+    read = []
+    products = []
+    path_action = Representation.path_action
+    matmul = Matrix.__matmul__
+
+    def reading(self, p):
+        read.append(p)
+        return path_action(self, p)
+
+    def multiplying(self, other):
+        products.append((self.shape, other.shape))
+        return matmul(self, other)
+
+    monkeypatch.setattr(Representation, "path_action", reading)
+    monkeypatch.setattr(Matrix, "__matmul__", multiplying)
+    s0 = Representation(naka223, {0: 1}, {})
+    ModuleMap(s0, s0, {0: Matrix.identity(1)})
+    assert (read, products) == ([], [])
+    p0 = projective_rep(naka223, 0)
+    read.clear()
+    f = projective_map(p0, s0, [[1]])
+    assert [p.word for p in read] == [()]
+    assert f.blocks[1] == Matrix.zeros(1, 0) and f.is_surjective()
+    rad = radical_rows(p0)
+    products.clear()
+    sub, _ = sub_representation(p0, rad)
+    assert sub.dim_vector() == (0, 1, 0) and products == []
+
+
+def test_data_that_breaks_a_relation_is_refused(naka223):
+    """The path a0 a1 from 0 to 2 is a relation of kupisch:2,2,3; data of
+    dimension (2, 1, 1) on which it acts as a nonzero 2 x 1 matrix is
+    refused, and the same data with a zero there is accepted."""
+    dims = {0: 2, 1: 1, 2: 1}
+    rest = {1: Matrix([[1]], 1, 1), 2: Matrix([[0, 0]], 1, 2)}
+    with pytest.raises(InvalidParameters) as err:
+        Representation(naka223, dims, {0: Matrix([[1], [0]], 2, 1), **rest})
+    assert str(err.value) == "relations do not annihilate this data"
+    m = Representation(naka223, dims, {0: Matrix([[0], [0]], 2, 1), **rest})
+    assert m.dim_vector() == (2, 1, 1)
+
+
 def test_uniserial_quotient():
     a = nakayama_from_kupisch([4, 5])
     m = uniserial_quotient(a, 0, 2)

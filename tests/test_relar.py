@@ -4,13 +4,16 @@ family where every translate is known in closed form."""
 import pytest
 
 from quiverhom.algebra import nakayama_from_kupisch
+from quiverhom.catalog import parse_construction
 from quiverhom.errors import (
-    BoundExceeded, ExtProjective, InvalidParameters, NotInSubcategory,
+    BoundExceeded, ExtProjective, InvalidParameters, NotApplicable,
+    NotInSubcategory,
 )
-from quiverhom.homology import ar_translate
+from quiverhom.homology import ar_translate, ext_dim
 from quiverhom.invariants import dominant_dimension
 from quiverhom.modules import (
-    direct_sum, iso_test, projective_rep, simple_rep, uniserial_quotient,
+    direct_sum, iso_test, projective_rep, radical_submodule, simple_rep,
+    uniserial_quotient,
 )
 from quiverhom.relar import (
     omega_approximation, relative_ar_sequence, relative_ar_translate,
@@ -104,3 +107,22 @@ def test_omega_approximation_of_bottom_simple(a23):
     assert core == []
     assert [p.dim_vector() for p in proj] == [(1, 1)]
     assert iso_test(proj[0], projective_rep(a23, 0)).is_iso
+
+
+def test_a_repeated_approximation_summand_pairs_once():
+    """On bnlambda:3,0 the approximation of the translate of rad P(1) at
+    level 2 is Y + Y, and both copies pair with rad P(1).  They are one
+    summand up to isomorphism, so the translate is Y; the sequence is then
+    refused because the algebra's dominant dimension is below the level,
+    not for a failed uniqueness."""
+    a = parse_construction("bnlambda:3,0")
+    m = radical_submodule(projective_rep(a, 1))[0]
+    nonproj, proj = omega_approximation(ar_translate(m), 2)
+    hits = [y for y in nonproj + proj if ext_dim(m, y, 1)]
+    assert len(hits) == 2 and iso_test(hits[0], hits[1]).is_iso
+    res = relative_ar_translate(m, 2)
+    assert iso_test(res.translate, hits[0]).is_iso and res.ext1_dim == 1
+    with pytest.raises(NotApplicable) as err:
+        relative_ar_sequence(m, 2)
+    assert str(err.value) == \
+        "the algebra has dominant dimension 0, below level 2"
